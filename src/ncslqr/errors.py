@@ -43,10 +43,6 @@ class NonFiniteError(NcslqrError):
     """A simulated state or action left the finite range."""
 
 
-class ScaleGuardError(NcslqrError):
-    """Exact enumeration was requested for an instance above the size guard."""
-
-
 class UnsupportedPolicyError(NcslqrError):
     """The exact evaluator was handed a policy it cannot express."""
 

@@ -1,35 +1,24 @@
-"""Exact expected-cost evaluation by scenario enumeration.
+"""Exact expected-cost evaluation by a second-moment recursion.
 
 For every mode/channel sequence the closed loop is linear in the stacked
 state xi = vec(x0, x1, xhat), so the expected stage costs follow from
 second-moment propagation. A constant coordinate is appended to xi so
 nonzero initial means ride inside the same moment recursion. The stage maps
 are indexed by consecutive channel bits because the estimator branch at
-time t depends on both gamma_t and gamma_{t+1}.
+time t depends on both gamma_t and gamma_{t+1}. Modes are i.i.d. and the
+channel is Bernoulli, so the moments need only be split on the current
+channel bit (the Markov jump linear system recursion of Costa, Fragoso &
+Marques, 2005, ch. 3): an evaluation builds at most 4 (T+1) kappa0 kappa1
+stage maps, however many sequences the instance has.
 """
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .control import OptimalPolicy
-from .errors import (
-    OptimalityViolation,
-    ScaleGuardError,
-    UnsupportedPolicyError,
-)
+from .errors import OptimalityViolation, UnsupportedPolicyError
 from .model import assemble_system
-
-SEQUENCE_GUARD = 10**6
-
-
-@dataclass
-class ScenarioMoment:
-    """Second moment of the augmented closed-loop state for one prefix."""
-
-    Sigma: np.ndarray
-    prob: float
 
 
 def _check_policy(policy):
@@ -107,54 +96,48 @@ def _initial_moment(spec, gamma0):
     return Sigma
 
 
-def sequence_count(spec):
-    return (2 * spec.modes.kappa0 * spec.modes.kappa1) ** (spec.T + 1)
-
-
 def exact_expected_cost(spec, policy, return_prob=False):
-    """Probability-weighted exact expected total cost of a linear policy."""
+    """Exact expected total cost of a linear policy.
+
+    Carries S_t^g = E[xi_t xi_t' 1{gamma_t = g}] for g in {0, 1}. Its
+    constant-coordinate entry S_t^g[-1, -1] is P(gamma_t = g), the mass
+    that weights the injected noise. With `return_prob`, also returns the
+    probability mass reached at t = T (1 up to rounding).
+    """
     _check_policy(policy)
-    count = sequence_count(spec)
-    if count > SEQUENCE_GUARD:
-        raise ScaleGuardError(
-            f"instance enumerates {count} sequences, above the guard {SEQUENCE_GUARD}"
-        )
     m = spec.modes
     T = spec.T
     p1 = spec.channel.p1
     d = spec.dims
+    p_gamma = (1.0 - p1, p1)
+    n, _ = _selectors(spec)
 
-    # Nodes at time t: (prob of (gamma_{0:t}, modes_{0:t-1}), Sigma_t, gamma_t).
-    nodes = []
-    for gamma0, pg in ((0, 1.0 - p1), (1, p1)):
-        if pg > 0.0:
-            nodes.append((pg, _initial_moment(spec, gamma0), gamma0))
-
+    S = [p_gamma[g] * _initial_moment(spec, g) for g in (0, 1)]
     total = 0.0
     prob_mass = 0.0
-    noise = [None] * (T + 1)
     for t in range(T + 1):
         W = np.zeros((d.d_x, d.d_x))
         W[:d.d_x0, :d.d_x0] = spec.stoch.covW0[t]
         W[d.d_x0:, d.d_x0:] = spec.stoch.covW1[t]
-        noise[t] = W
-
-    for t in range(T + 1):
-        next_nodes = []
-        for prob, Sigma, gamma in nodes:
+        S_next = [np.zeros((n, n)), np.zeros((n, n))]
+        for gamma in (0, 1):
+            if p_gamma[gamma] == 0.0:
+                continue
+            mass = S[gamma][-1, -1]
             for m0 in range(m.kappa0):
                 for m1 in range(m.kappa1):
-                    w = prob * m.pi_m0[m0] * m.pi_m1[m1]
+                    w = m.pi_m0[m0] * m.pi_m1[m1]
                     if w == 0.0:
                         continue
                     # The stage cost depends only on (t, modes, gamma_t);
                     # the gamma_next argument matters only for F and G.
                     F0, G0, _, M = build_closed_loop(spec, policy, t, m0, m1, gamma, 0)
-                    total += w * float(np.sum(M * Sigma))
+                    total += w * float(np.sum(M * S[gamma]))
                     if t == T:
-                        prob_mass += w
+                        prob_mass += w * mass
                         continue
-                    for gamma_next, pg in ((0, 1.0 - p1), (1, p1)):
+                    for gamma_next in (0, 1):
+                        pg = p_gamma[gamma_next]
                         if pg == 0.0:
                             continue
                         if gamma_next == 0:
@@ -163,9 +146,10 @@ def exact_expected_cost(spec, policy, return_prob=False):
                             F, G, _, _ = build_closed_loop(
                                 spec, policy, t, m0, m1, gamma, 1
                             )
-                        Sig_next = F @ Sigma @ F.T + G @ noise[t] @ G.T
-                        next_nodes.append((w * pg, Sig_next, gamma_next))
-        nodes = next_nodes
+                        S_next[gamma_next] += (w * pg) * (
+                            F @ S[gamma] @ F.T + mass * (G @ W @ G.T)
+                        )
+        S = S_next
     if return_prob:
         return total, prob_mass
     return total

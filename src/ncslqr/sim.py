@@ -111,12 +111,21 @@ class _PendingEstimate:
         )
 
 
+def simulate_runs(spec, policy, seed, indices):
+    """Yield one recorded rollout per run index, sharing one sampler.
+
+    Each trajectory is deterministic given (seed, run_index) and identical
+    to what `simulate_run` returns for that index.
+    """
+    sampler = _Sampler(spec)
+    for run_index in indices:
+        rng = np.random.default_rng([int(seed), int(run_index)])
+        yield _run(spec, policy, sampler, rng, record=True)[1]
+
+
 def simulate_run(spec, policy, seed, run_index):
     """One recorded rollout; deterministic given (seed, run_index)."""
-    sampler = _Sampler(spec)
-    rng = np.random.default_rng([int(seed), int(run_index)])
-    _, rec = _run(spec, policy, sampler, rng, record=True)
-    return rec
+    return next(simulate_runs(spec, policy, seed, [run_index]))
 
 
 def _run(spec, policy, sampler, rng, record):

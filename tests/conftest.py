@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ncslqr import model
+from ncslqr import model, oracle
 
 ONE = [[1.0]]
 
@@ -101,6 +103,70 @@ def random_config(rng, p1=None, kappa1=None, T=None):
             "family": "gaussian",
         },
     }
+
+
+def long_horizon_config():
+    """T = 60 and kappa1 = 2: about 5e36 mode/channel sequences."""
+    return random_config(np.random.default_rng(5), p1=0.5, kappa1=2, T=60)
+
+
+def enumerate_expected_cost(spec, policy):
+    """Reference (cost, probability mass) by enumerating every mode/channel prefix.
+
+    Each prefix carries its own conditional second moment of the augmented
+    state, propagated through `oracle.build_closed_loop`. The work grows as
+    (2 kappa0 kappa1)^(T+1), so this is for small instances only.
+    """
+    d, m, st, T = spec.dims, spec.modes, spec.stoch, spec.T
+    p_gamma = (1.0 - spec.channel.p1, spec.channel.p1)
+    # z = (x0, x1, 1) at t = 0; xhat_0 is x1 if received, else the prior mean.
+    mean = np.concatenate([st.mu_x0, st.mu_x1])
+    Ez = np.zeros((d.d_x + 1, d.d_x + 1))
+    Ez[:d.d_x0, :d.d_x0] = st.cov_x0
+    Ez[d.d_x0:d.d_x, d.d_x0:d.d_x] = st.cov_x1
+    Ez[:d.d_x, :d.d_x] += np.outer(mean, mean)
+    Ez[:d.d_x, -1] = Ez[-1, :d.d_x] = mean
+    Ez[-1, -1] = 1.0
+    nodes = []
+    for gamma0 in (0, 1):
+        if p_gamma[gamma0] == 0.0:
+            continue
+        lift = np.zeros((d.d_x0 + 2 * d.d_x1 + 1, d.d_x + 1))
+        lift[:d.d_x, :d.d_x] = np.eye(d.d_x)
+        hat = slice(d.d_x, d.d_x + d.d_x1)
+        if gamma0 == 1:
+            lift[hat, d.d_x0:d.d_x] = np.eye(d.d_x1)
+        else:
+            lift[hat, -1] = st.mu_x1
+        lift[-1, -1] = 1.0
+        nodes.append((p_gamma[gamma0], lift @ Ez @ lift.T, gamma0))
+
+    total = mass = 0.0
+    for t in range(T + 1):
+        W = np.zeros((d.d_x, d.d_x))
+        W[:d.d_x0, :d.d_x0] = st.covW0[t]
+        W[d.d_x0:, d.d_x0:] = st.covW1[t]
+        next_nodes = []
+        for (prob, Sigma, gamma), m0, m1 in itertools.product(
+            nodes, range(m.kappa0), range(m.kappa1)
+        ):
+            w = prob * m.pi_m0[m0] * m.pi_m1[m1]
+            if w == 0.0:
+                continue
+            M = oracle.build_closed_loop(spec, policy, t, m0, m1, gamma, 0)[3]
+            total += w * float(np.sum(M * Sigma))
+            if t == T:
+                mass += w
+                continue
+            for gamma_next in (0, 1):
+                if p_gamma[gamma_next] == 0.0:
+                    continue
+                F, G, _, _ = oracle.build_closed_loop(spec, policy, t, m0, m1, gamma, gamma_next)
+                next_nodes.append(
+                    (w * p_gamma[gamma_next], F @ Sigma @ F.T + G @ W @ G.T, gamma_next)
+                )
+        nodes = next_nodes
+    return total, mass
 
 
 def battery_specs(n=20, seed=1):

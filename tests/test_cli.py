@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncslqr import cli
-from conftest import random_config, s2_config
+from conftest import long_horizon_config, random_config, s2_config
 
 
 @pytest.fixture
@@ -119,14 +119,14 @@ class TestEvaluateExact:
         assert "stationarity" not in report
         assert report["exact_cost"] == pytest.approx(7.0, abs=1e-10)
 
-    def test_scale_guard_exit_code(self, tmp_path, capsys):
-        rng = np.random.default_rng(2)
-        cfg = random_config(rng, p1=0.5, kappa1=2, T=10)
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(cfg))
+    def test_long_horizon_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(long_horizon_config()))
         rc = cli.main(["evaluate-exact", "--config", str(path), "--policy", "zero"])
-        assert rc == 4
-        assert "scale guard" in capsys.readouterr().err
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert np.isfinite(report["exact_cost"])
+        assert report["sequence_probability_mass"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestValidate:

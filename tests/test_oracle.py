@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from ncslqr import control, model, oracle, sim, solver
-from ncslqr.errors import ScaleGuardError, UnsupportedPolicyError
-from conftest import random_config, s2_config
+from ncslqr.errors import UnsupportedPolicyError
+from conftest import enumerate_expected_cost, long_horizon_config, s2_config
 
 
 class TestExactEvaluation:
@@ -63,14 +62,26 @@ class TestExactEvaluation:
         rep = sim.monte_carlo(spec, policy, runs=4000, seed=12)
         assert abs(rep.mean_cost - exact) <= 4.0 * rep.std_err + 1e-9
 
-    def test_scale_guard(self):
-        rng = np.random.default_rng(5)
-        cfg = random_config(rng, p1=0.5, kappa1=2, T=10)
-        spec = model.load_config(cfg)
-        # Guard fires before any evaluation work: at least 4^11 > 1e6 sequences.
-        assert oracle.sequence_count(spec) > oracle.SEQUENCE_GUARD
-        with pytest.raises(ScaleGuardError):
-            oracle.exact_expected_cost(spec, control.make_policy("zero", spec))
+    def test_long_horizon(self):
+        spec = model.load_config(long_horizon_config())
+        bundle = solver.solve_backward(spec)
+        cost, mass = oracle.exact_expected_cost(
+            spec, control.OptimalPolicy(spec, bundle), return_prob=True
+        )
+        assert cost == pytest.approx(bundle.j_star, rel=1e-8, abs=1e-8)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["optimal", "zero", "ce", "centralized"])
+    def test_matches_brute_force_enumeration(self, battery, kind):
+        # p1 = 0 and p1 = 1 exercise the recursion's P(gamma) = 0 skips.
+        assert {0.0, 1.0} <= {spec.channel.p1 for spec in battery}
+        for spec in battery:
+            bundle = solver.solve_backward(spec) if kind == "optimal" else None
+            policy = control.make_policy(kind, spec, bundle=bundle)
+            cost, mass = oracle.exact_expected_cost(spec, policy, return_prob=True)
+            ref_cost, ref_mass = enumerate_expected_cost(spec, policy)
+            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+            assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0.0)
 
     def test_nonlinear_policy_rejected(self, s2_spec):
         class Lookahead:

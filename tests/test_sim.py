@@ -67,6 +67,15 @@ class TestDeterminism:
         ]
         assert rep.mean_cost == pytest.approx(float(np.sum(costs) / 50), abs=0)
 
+    def test_batch_matches_single_runs(self, s2_spec):
+        bundle = solver.solve_backward(s2_spec)
+        policy = control.make_policy("optimal", s2_spec, bundle=bundle)
+        batch = list(sim.simulate_runs(s2_spec, policy, seed=5, indices=[4, 0, 7]))
+        for i, traj in zip([4, 0, 7], batch):
+            one = sim.simulate_run(s2_spec, policy, seed=5, run_index=i)
+            for field in ("x0", "x1", "u0", "u1", "x_hat1", "stage_cost"):
+                assert np.array_equal(getattr(traj, field), getattr(one, field))
+
     def test_threads_argument_is_inert(self, s2_spec):
         policy = control.make_policy("zero", s2_spec)
         a = sim.monte_carlo(s2_spec, policy, runs=20, seed=5, threads=1)
