@@ -15,6 +15,7 @@ evaluator can treat every policy as a family of time-varying linear maps of
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -158,20 +159,88 @@ def centralized_solve(spec):
 # --- policies ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CompiledPolicy:
+    """A linear policy as stacked closed-loop tables; xi = vec(x0, x1, xhat).
+
+    theta[t, m0, m1, gamma] maps xi to vec(u0, u1). mean_update[t, m0, m1,
+    gamma] maps xi to xhat_{t+1} when the next transmission fails; it is
+    None when xhat simply copies x1. D[m0, m1] is [A B] for the mode pair.
+    """
+
+    theta: np.ndarray                   # (T+1, kappa0, kappa1, 2, d_u, n_xi)
+    mean_update: Optional[np.ndarray]   # (T+1, kappa0, kappa1, 2, d_x1, n_xi)
+    D: np.ndarray                       # (kappa0, kappa1, d_x, d_x + d_u)
+
+
+def compile_policy(spec, policy):
+    """Stage tables of a linear policy, sliced from its gain tables.
+
+    gamma_t = 1: the joint gain for the received mode acts on (x0, x1).
+    gamma_t = 0: the common gain acts on (x0, xhat), and u1 adds the
+    innovation gain on x1 - xhat. The estimate that follows a failed
+    transmission propagates xhat through the realized mode pair after a
+    success, and averages over the unobserved local mode otherwise.
+    """
+    d, m = spec.dims, spec.modes
+    k0, k1, steps = m.kappa0, m.kappa1, range(spec.T + 1)
+    n = d.d_x0 + 2 * d.d_x1
+    x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, n)
+    # Rows of xi picked as (x0, x1) and as (x0, xhat); products with these
+    # 0/1 selectors copy entries exactly.
+    sel_x, sel_common = np.eye(n)[:d.d_x], np.delete(np.eye(n), x1, axis=0)
+
+    D = np.array([[assemble_system(spec, i, j)[2] for j in range(k1)] for i in range(k0)])
+    received = np.array([
+        [[policy.joint_gain(t, i, j) for j in range(k1)] for i in range(k0)] for t in steps
+    ]) @ sel_x
+    theta = np.stack([received, received], axis=3)
+    if policy.full_information:
+        return CompiledPolicy(theta=theta, mean_update=None, D=D)
+
+    common = np.array([[policy.joint_gain(t, i, EMPTY) for i in range(k0)] for t in steps])
+    qbar = common[:, :, d.d_u0:].reshape(spec.T + 1, k0, k1, d.d_u1, d.d_x)
+    u0 = np.broadcast_to(common[:, :, None, :d.d_u0], qbar.shape[:3] + (d.d_u0, d.d_x))
+    # Actions from common information alone, for every local mode.
+    blind = np.concatenate([u0, qbar], axis=-2) @ sel_common
+    innov = np.array([
+        [[policy.innovation_gain(t, i, j) for j in range(k1)] for i in range(k0)] for t in steps
+    ])
+    theta[..., 0, :, :] = blind
+    theta[..., 0, d.d_u0:, x1] = innov
+    theta[..., 0, d.d_u0:, xh] -= innov
+
+    # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
+    # success; otherwise averaged over the local mode, xhat standing in for x1.
+    D1 = D[:, :, d.d_x0:, :]
+
+    def propagate(state_sel, acts):
+        states = np.broadcast_to(state_sel, acts.shape[:3] + state_sel.shape)
+        return D1 @ np.concatenate([states, acts], axis=-2)
+
+    mean_update = np.empty(theta.shape[:4] + (d.d_x1, n))
+    mean_update[..., 1, :, :] = propagate(sel_x, received)
+    averaged = propagate(sel_common, blind)
+    mean_update[..., 0, :, :] = sum(m.pi_m1[j] * averaged[:, :, j] for j in range(k1))[:, :, None]
+    return CompiledPolicy(theta=theta, mean_update=mean_update, D=D)
+
+
 class LinearCommonPolicy:
     """Policy linear in (x0, xhat) commonly and (x1 - xhat) locally.
 
     Subclasses provide joint_gain(t, m0, ztilde) mapping vec(x0, xhat) to
     vec(u0, qbar(1..kappa1)) when ztilde is empty, or vec(x0, x1) to
     vec(u0, qbar(l)) when ztilde = l, plus innovation_gain(t, m0, m1).
+    The simulator and the exact evaluator both read the policy through
+    its compiled tables (`compile_policy`), built once per policy.
     """
 
     name = "linear"
+    # True when both controllers see the true joint state, so xhat is x1.
+    full_information = False
 
     def __init__(self, spec):
         self.spec = spec
-        d = spec.dims
-        self._n_xi = d.d_x0 + 2 * d.d_x1
 
     def joint_gain(self, t, m0, ztilde):
         raise NotImplementedError
@@ -179,87 +248,24 @@ class LinearCommonPolicy:
     def innovation_gain(self, t, m0, m1):
         raise NotImplementedError
 
-    # vector path (used by the simulator)
-
-    def act(self, t, m0, m1, gamma, x0, x1, x_hat1):
-        d = self.spec.dims
-        if gamma == 1:
-            v = self.joint_gain(t, m0, m1) @ np.concatenate([x0, x1])
-            return v[:d.d_u0], v[d.d_u0:]
-        v = self.joint_gain(t, m0, EMPTY) @ np.concatenate([x0, x_hat1])
-        qbar = v[d.d_u0:].reshape(self.spec.modes.kappa1, d.d_u1)
-        u1 = qbar[m1] + self.innovation_gain(t, m0, m1) @ (x1 - x_hat1)
-        return v[:d.d_u0], u1
-
-    def update_estimate(self, t, m0, m1, gamma_t, gamma_next, x0, x1, x_hat1, x1_next):
-        d, m = self.spec.dims, self.spec.modes
-        if gamma_next == 1:
-            return x1_next.copy()
-        if gamma_t == 0:
-            v = self.joint_gain(t, m0, EMPTY) @ np.concatenate([x0, x_hat1])
-            u0 = v[:d.d_u0]
-            qbar = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
-            out = np.zeros(d.d_x1)
-            for mm1 in range(m.kappa1):
-                _, _, D = assemble_system(self.spec, m0, mm1)
-                s = np.concatenate([x0, x_hat1, u0, qbar[mm1]])
-                out += m.pi_m1[mm1] * (D[d.d_x0:, :] @ s)
-            return out
-        v = self.joint_gain(t, m0, m1) @ np.concatenate([x0, x1])
-        _, _, D = assemble_system(self.spec, m0, m1)
-        s = np.concatenate([x0, x1, v[:d.d_u0], v[d.d_u0:]])
-        return D[d.d_x0:, :] @ s
-
-    # matrix path (used by the exact evaluator); xi = vec(x0, x1, xhat)
-
-    def _sel(self):
-        d = self.spec.dims
-        n = self._n_xi
-        sx0 = np.zeros((d.d_x0, n))
-        sx0[:, :d.d_x0] = np.eye(d.d_x0)
-        sx1 = np.zeros((d.d_x1, n))
-        sx1[:, d.d_x0:d.d_x0 + d.d_x1] = np.eye(d.d_x1)
-        sxh = np.zeros((d.d_x1, n))
-        sxh[:, d.d_x0 + d.d_x1:] = np.eye(d.d_x1)
-        return sx0, sx1, sxh
+    @cached_property
+    def tables(self):
+        return compile_policy(self.spec, self)
 
     def action_map(self, t, m0, m1, gamma):
         """u = Theta @ xi for the realized (m0, m1, gamma)."""
-        d = self.spec.dims
-        sx0, sx1, sxh = self._sel()
-        if gamma == 1:
-            return self.joint_gain(t, m0, m1) @ np.vstack([sx0, sx1])
-        v = self.joint_gain(t, m0, EMPTY) @ np.vstack([sx0, sxh])
-        theta = np.zeros((d.d_u, self._n_xi))
-        theta[:d.d_u0] = v[:d.d_u0]
-        theta[d.d_u0:] = v[d.d_u0 + m1 * d.d_u1: d.d_u0 + (m1 + 1) * d.d_u1]
-        kt = self.innovation_gain(t, m0, m1)
-        theta[d.d_u0:] += kt @ (sx1 - sxh)
-        return theta
+        return self.tables.theta[t, m0, m1, gamma]
 
     def mean_update_map(self, t, m0, m1, gamma):
-        """xhat_{t+1} = M @ xi when the next transmission fails."""
-        d, m = self.spec.dims, self.spec.modes
-        sx0, sx1, sxh = self._sel()
-        if gamma == 0:
-            v = self.joint_gain(t, m0, EMPTY) @ np.vstack([sx0, sxh])
-            out = np.zeros((d.d_x1, self._n_xi))
-            for mm1 in range(m.kappa1):
-                _, _, D = assemble_system(self.spec, m0, mm1)
-                stack = np.vstack(
-                    [sx0, sxh, v[:d.d_u0], v[d.d_u0 + mm1 * d.d_u1: d.d_u0 + (mm1 + 1) * d.d_u1]]
-                )
-                out += m.pi_m1[mm1] * (D[d.d_x0:, :] @ stack)
-            return out
-        v = self.joint_gain(t, m0, m1) @ np.vstack([sx0, sx1])
-        _, _, D = assemble_system(self.spec, m0, m1)
-        stack = np.vstack([sx0, sx1, v[:d.d_u0], v[d.d_u0:]])
-        return D[d.d_x0:, :] @ stack
+        """xhat_{t+1} = M @ xi when the next transmission fails; None when
+        xhat copies x1 regardless of the channel."""
+        if self.tables.mean_update is None:
+            return None
+        return self.tables.mean_update[t, m0, m1, gamma]
 
 
 class OptimalPolicy(LinearCommonPolicy):
-    """The solved decentralized optimum; vector path goes through the
-    prescription/estimator operations so their contracts get exercised."""
+    """The solved decentralized optimum: the bundle's K and K~ tables."""
 
     name = "optimal"
 
@@ -272,21 +278,6 @@ class OptimalPolicy(LinearCommonPolicy):
 
     def innovation_gain(self, t, m0, m1):
         return self.bundle.gains.Ktilde[t][(m0, m1)]
-
-    def act(self, t, m0, m1, gamma, x0, x1, x_hat1):
-        est = EstimatorState(x_hat1=x_hat1)
-        zt = m1 if gamma == 1 else EMPTY
-        presc = compute_prescription(self.bundle, self.spec, t, m0, zt, x0, est)
-        return presc.u0, local_action(presc, x1, m1, est)
-
-    def update_estimate(self, t, m0, m1, gamma_t, gamma_next, x0, x1, x_hat1, x1_next):
-        est = EstimatorState(x_hat1=x_hat1)
-        zt = m1 if gamma_t == 1 else EMPTY
-        presc = compute_prescription(self.bundle, self.spec, t, m0, zt, x0, est)
-        z_next = x1_next if gamma_next == 1 else None
-        return estimator_update(
-            self.spec, self.bundle, t, est, x0, m0, zt, presc, z_next
-        ).x_hat1
 
 
 class ZeroPolicy(LinearCommonPolicy):
@@ -331,40 +322,23 @@ class CertaintyEquivalentPolicy(LinearCommonPolicy):
         return self.centralized.K[t][(m0, m1)][d.d_u0:, d.d_x0:]
 
 
-class CentralizedPolicy:
+class CentralizedPolicy(LinearCommonPolicy):
     """Full-information reference: both actions from the true joint state.
 
     Not implementable in the decentralized information structure; its
-    estimate coordinate simply tracks the true local state.
+    estimate coordinate simply tracks the true local state, so only the
+    received-branch gains exist.
     """
 
     name = "centralized"
+    full_information = True
 
     def __init__(self, spec, centralized):
-        self.spec = spec
+        super().__init__(spec)
         self.centralized = centralized
-        d = spec.dims
-        self._n_xi = d.d_x0 + 2 * d.d_x1
 
-    def act(self, t, m0, m1, gamma, x0, x1, x_hat1):
-        d = self.spec.dims
-        u = self.centralized.K[t][(m0, m1)] @ np.concatenate([x0, x1])
-        return u[:d.d_u0], u[d.d_u0:]
-
-    def update_estimate(self, t, m0, m1, gamma_t, gamma_next, x0, x1, x_hat1, x1_next):
-        return x1_next.copy()
-
-    def action_map(self, t, m0, m1, gamma):
-        d = self.spec.dims
-        n = self._n_xi
-        sel = np.zeros((d.d_x, n))
-        sel[:d.d_x0, :d.d_x0] = np.eye(d.d_x0)
-        sel[d.d_x0:, d.d_x0:d.d_x0 + d.d_x1] = np.eye(d.d_x1)
-        return self.centralized.K[t][(m0, m1)] @ sel
-
-    def mean_update_map(self, t, m0, m1, gamma):
-        # Signals the evaluator that xhat copies x1 (noise included).
-        return None
+    def joint_gain(self, t, m0, ztilde):
+        return self.centralized.K[t][(m0, ztilde)]
 
 
 def make_policy(kind, spec, bundle=None, centralized=None):

@@ -8,8 +8,11 @@ are indexed by consecutive channel bits because the estimator branch at
 time t depends on both gamma_t and gamma_{t+1}. Modes are i.i.d. and the
 channel is Bernoulli, so the moments need only be split on the current
 channel bit (the Markov jump linear system recursion of Costa, Fragoso &
-Marques, 2005, ch. 3): an evaluation builds at most 4 (T+1) kappa0 kappa1
-stage maps, however many sequences the instance has.
+Marques, 2005, ch. 3): an evaluation builds at most 2 (T+1) kappa0 kappa1
+stage maps, however many sequences the instance has; the map for
+gamma_{t+1} = 1 is the one for 0 with its xhat rows replaced. Actions and
+estimator maps are lookups into the policy's compiled tables
+(`control.compile_policy`), the same ones the simulator steps through.
 """
 
 import copy
@@ -59,20 +62,22 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     G = np.zeros((n, d.d_x))
     F[:d.d_x, :] = x_rows
     G[:d.d_x, :] = np.eye(d.d_x)
-    hat = slice(d.d_x0 + d.d_x1, d.d_x0 + 2 * d.d_x1)
-    if gamma_next == 1:
-        F[hat, :] = x_rows[d.d_x0:, :]
-        G[hat, :] = G[d.d_x0:d.d_x, :]
-    else:
-        mu_map = policy.mean_update_map(t, m0, m1, gamma_t)
-        if mu_map is None:
-            # xhat copies x1 regardless of the channel (full-information reference).
-            F[hat, :] = x_rows[d.d_x0:, :]
-            G[hat, :] = G[d.d_x0:d.d_x, :]
-        else:
-            F[hat, :-1] = mu_map
     F[-1, -1] = 1.0
+    mu_map = policy.mean_update_map(t, m0, m1, gamma_t)
+    if gamma_next == 1 or mu_map is None:
+        # xhat copies x1 (always, for the full-information reference).
+        _estimate_received(spec, F, G)
+    else:
+        F[d.d_x:d.d_x + d.d_x1, :-1] = mu_map
     return F, G, theta_aug, 0.5 * (M + M.T)
+
+
+def _estimate_received(spec, F, G):
+    """Overwrite the xhat rows of (F, G) in place with the x1 rows."""
+    d = spec.dims
+    hat = slice(d.d_x, d.d_x + d.d_x1)
+    F[hat, :] = F[d.d_x0:d.d_x, :]
+    G[hat, :] = G[d.d_x0:d.d_x, :]
 
 
 def _initial_moment(spec, gamma0):
@@ -130,7 +135,7 @@ def exact_expected_cost(spec, policy, return_prob=False):
                     if w == 0.0:
                         continue
                     # The stage cost depends only on (t, modes, gamma_t);
-                    # the gamma_next argument matters only for F and G.
+                    # gamma_next changes only the xhat rows of F and G.
                     F0, G0, _, M = build_closed_loop(spec, policy, t, m0, m1, gamma, 0)
                     total += w * float(np.sum(M * S[gamma]))
                     if t == T:
@@ -140,12 +145,10 @@ def exact_expected_cost(spec, policy, return_prob=False):
                         pg = p_gamma[gamma_next]
                         if pg == 0.0:
                             continue
-                        if gamma_next == 0:
-                            F, G = F0, G0
-                        else:
-                            F, G, _, _ = build_closed_loop(
-                                spec, policy, t, m0, m1, gamma, 1
-                            )
+                        F, G = F0, G0
+                        if gamma_next == 1:
+                            F, G = F0.copy(), G0.copy()
+                            _estimate_received(spec, F, G)
                         S_next[gamma_next] += (w * pg) * (
                             F @ S[gamma] @ F.T + mass * (G @ W @ G.T)
                         )

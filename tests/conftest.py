@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ncslqr import model, oracle
+from ncslqr import control, model, oracle, sim
+from ncslqr.errors import NonFiniteError
+from ncslqr.solver import EMPTY
 
 ONE = [[1.0]]
 
@@ -36,6 +38,24 @@ def s2_config(p1=0.5, family="gaussian"):
     cfg = s1_config(p1=p1)
     cfg["stoch"]["T"] = 1
     cfg["stoch"]["family"] = family
+    return cfg
+
+
+def divergent_config():
+    """Scalar chain, T = 3, whose rare first global mode multiplies x0 by
+    1e200: a run overflows once that mode comes up twice."""
+    cfg = s2_config()
+    one = [[1.0]]
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    cfg["modes"] = {"kappa0": 2, "kappa1": 1, "pi_m0": [0.02, 0.98], "pi_m1": [1.0]}
+    cfg["system"] = {
+        "A00": [[[1e200]], one], "B00": [one, one],
+        "A10": [one, one], "A11": [one, one], "B10": [one, one], "B11": [one, one],
+    }
+    cfg["cost"]["Q"] = [eye, eye]
+    cfg["cost"]["R"] = [eye, eye]
+    cfg["stoch"]["T"] = 3
+    cfg["stoch"]["init"]["mu_x0"] = [1.0]
     return cfg
 
 
@@ -167,6 +187,88 @@ def enumerate_expected_cost(spec, policy):
                 )
         nodes = next_nodes
     return total, mass
+
+
+def prescription(policy, t, m0, ztilde, x0, x_hat1):
+    """The common-information prescription of any decentralized linear policy.
+
+    The optimal policy goes through `control.compute_prescription`; the
+    reference policies get the same record built from their joint gains.
+    """
+    spec = policy.spec
+    if policy.name == "optimal":
+        est = control.EstimatorState(x_hat1=x_hat1)
+        return control.compute_prescription(policy.bundle, spec, t, m0, ztilde, x0, est)
+    d, m = spec.dims, spec.modes
+    v = policy.joint_gain(t, m0, ztilde) @ np.concatenate([x0, x_hat1])
+    qbar = np.zeros((m.kappa1, d.d_u1))
+    ktilde = None
+    if ztilde is EMPTY:
+        qbar[:] = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
+        ktilde = {(m0, j): policy.innovation_gain(t, m0, j) for j in range(m.kappa1)}
+    else:
+        qbar[ztilde] = v[d.d_u0:]
+    return control.Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=ktilde, ztilde=ztilde, m0=m0)
+
+
+def reference_rollout(spec, policy, seed, run_index):
+    """One run by a plain per-step loop, as a cross-check of the simulator.
+
+    Same substream and draw order as `ncslqr.sim`, but modes come from
+    `rng.choice`, the dynamics from `assemble_system` at every step, and
+    actions and estimates from the prescription, `local_action` and
+    `estimator_update` (the full-information reference applies its
+    centralized gain and copies x1 into the estimate). Raises
+    NonFiniteError at the first non-finite state or action.
+    """
+    d, m, st, T = spec.dims, spec.modes, spec.stoch, spec.T
+    rng = np.random.default_rng([int(seed), int(run_index)])
+    gaussian = st.family == "gaussian"
+    x0, x1 = st.mu_x0.copy(), st.mu_x1.copy()
+    if gaussian:
+        x0 = x0 + sim.noise_factor(st.cov_x0) @ rng.standard_normal(d.d_x0)
+        x1 = x1 + sim.noise_factor(st.cov_x1) @ rng.standard_normal(d.d_x1)
+    rec = {k: [] for k in ("x0", "x1", "m0", "m1", "gamma", "u0", "u1", "x_hat1", "stage_cost")}
+    pending = None
+    for t in range(T + 1):
+        m0 = int(rng.choice(m.kappa0, p=m.pi_m0))
+        m1 = int(rng.choice(m.kappa1, p=m.pi_m1))
+        gamma = int(rng.random() < spec.channel.p1)
+        w0, w1 = np.zeros(d.d_x0), np.zeros(d.d_x1)
+        if gaussian:
+            w0 = sim.noise_factor(st.covW0[t]) @ rng.standard_normal(d.d_x0)
+            w1 = sim.noise_factor(st.covW1[t]) @ rng.standard_normal(d.d_x1)
+
+        if t == 0:
+            x_hat1 = x1.copy() if gamma == 1 else st.mu_x1.copy()
+        elif policy.full_information:
+            x_hat1 = x1.copy()
+        else:
+            x_hat1 = control.estimator_update(
+                spec, None, *pending, x1 if gamma == 1 else None
+            ).x_hat1
+
+        if policy.full_information:
+            u = policy.centralized.K[t][(m0, m1)] @ np.concatenate([x0, x1])
+            u0, u1 = u[:d.d_u0], u[d.d_u0:]
+        else:
+            est = control.EstimatorState(x_hat1=x_hat1)
+            zt = m1 if gamma == 1 else EMPTY
+            presc = prescription(policy, t, m0, zt, x0, x_hat1)
+            u0, u1 = presc.u0, control.local_action(presc, x1, m1, est)
+            pending = (t, est, x0, m0, zt, presc)
+        x = np.concatenate([x0, x1])
+        u = np.concatenate([u0, u1])
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+            raise NonFiniteError(f"state or action non-finite at t={t}")
+        cost = float(x @ spec.cost.Q[t, m0, m1] @ x + u @ spec.cost.R[t, m0, m1] @ u)
+        for key, val in zip(rec, (x0, x1, m0, m1, gamma, u0, u1, x_hat1, cost)):
+            rec[key].append(val)
+        if t < T:
+            x_next = model.assemble_system(spec, m0, m1)[2] @ np.concatenate([x, u])
+            x0, x1 = x_next[:d.d_x0] + w0, x_next[d.d_x0:] + w1
+    rec = {k: np.array(v) for k, v in rec.items()}
+    return sim.Trajectory(**rec, total_cost=float(sum(rec["stage_cost"])))
 
 
 def battery_specs(n=20, seed=1):

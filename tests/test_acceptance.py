@@ -214,8 +214,7 @@ def test_c08_estimator_properties(instances, bundles):
         bundle = solver.solve_backward(spec)
         policy = control.OptimalPolicy(spec, bundle)
         errs = np.zeros((runs, spec.T + 1, spec.dims.d_x1))
-        for i in range(runs):
-            traj = sim.simulate_run(spec, policy, seed=77, run_index=i)
+        for i, traj in enumerate(sim.simulate_runs(spec, policy, 77, range(runs))):
             errs[i] = traj.x1 - traj.x_hat1
         mean = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-300

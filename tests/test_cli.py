@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncslqr import cli
-from conftest import long_horizon_config, random_config, s2_config
+from conftest import divergent_config, long_horizon_config, random_config, s2_config
 
 
 @pytest.fixture
@@ -87,6 +87,16 @@ class TestSimulate:
             "--runs", "50", "--seed", "1", "--out", str(b),
         ]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_divergent_run_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "divergent.json"
+        path.write_text(json.dumps(divergent_config()))
+        rc = cli.main([
+            "simulate", "--config", str(path), "--policy", "zero",
+            "--runs", "700", "--seed", "8",
+        ])
+        assert rc == 3
+        assert "run 567: state or action non-finite at t=3" in capsys.readouterr().err
 
     def test_dump_trajectories(self, s2_path, tmp_path):
         dump = tmp_path / "trajs"

@@ -3,6 +3,7 @@ import pytest
 
 from ncslqr import control, solver
 from ncslqr.solver import EMPTY
+from conftest import prescription
 
 
 @pytest.fixture
@@ -113,14 +114,40 @@ class TestCentralized:
                         )
 
 
+def _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh):
+    """u from the prescription functions (optimal) or the gain formulas."""
+    spec = policy.spec
+    d, m = spec.dims, spec.modes
+    if kind == "optimal":
+        est = control.EstimatorState(x_hat1=xh)
+        presc = control.compute_prescription(
+            policy.bundle, spec, t, m0, m1 if gamma == 1 else EMPTY, x0, est
+        )
+        return np.concatenate([presc.u0, control.local_action(presc, x1, m1, est)])
+    if kind == "zero":
+        return np.zeros(d.d_u)
+    K = policy.centralized.K[t]
+    if kind == "centralized" or gamma == 1:
+        return K[(m0, m1)] @ np.concatenate([x0, x1])
+    # Certainty equivalence: u0 from the mode-averaged gain on (x0, xhat);
+    # u1 from the true local mode's gain plus its x1 feedback on x1 - xhat.
+    common = np.concatenate([x0, xh])
+    u0 = sum(m.pi_m1[j] * K[(m0, j)][:d.d_u0] for j in range(m.kappa1)) @ common
+    Kc = K[(m0, m1)]
+    u1 = Kc[d.d_u0:] @ common + Kc[d.d_u0:, d.d_x0:] @ (x1 - xh)
+    return np.concatenate([u0, u1])
+
+
 class TestPolicyMaps:
-    """The vector and matrix paths of each policy must agree."""
+    """The compiled stage tables agree with the prescription/estimator
+    functions and with the reference policies' gain formulas."""
 
     @pytest.mark.parametrize("kind", ["optimal", "zero", "ce", "centralized"])
     def test_action_map_consistency(self, battery, kind):
         for spec in battery[:6]:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
+            tables = control.compile_policy(spec, policy)
             rng = np.random.default_rng(7)
             d = spec.dims
             for t in range(spec.T + 1):
@@ -135,10 +162,11 @@ class TestPolicyMaps:
                                 # received state; the maps assume that.
                                 xh = x1.copy()
                             xi = np.concatenate([x0, x1, xh])
-                            u0, u1 = policy.act(t, m0, m1, gamma, x0, x1, xh)
-                            theta = policy.action_map(t, m0, m1, gamma)
+                            theta = tables.theta[t, m0, m1, gamma]
+                            assert np.array_equal(policy.action_map(t, m0, m1, gamma), theta)
                             assert theta @ xi == pytest.approx(
-                                np.concatenate([u0, u1]), abs=1e-10
+                                _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh),
+                                abs=1e-10,
                             )
 
     @pytest.mark.parametrize("kind", ["optimal", "zero", "ce"])
@@ -146,6 +174,7 @@ class TestPolicyMaps:
         for spec in battery[:6]:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
+            tables = control.compile_policy(spec, policy)
             rng = np.random.default_rng(11)
             d = spec.dims
             for t in range(spec.T + 1):
@@ -156,17 +185,30 @@ class TestPolicyMaps:
                             x1 = rng.standard_normal(d.d_x1)
                             xh = x1.copy() if gamma_t == 1 else rng.standard_normal(d.d_x1)
                             xi = np.concatenate([x0, x1, xh])
-                            vec = policy.update_estimate(
-                                t, m0, m1, gamma_t, 0, x0, x1, xh, None
-                            )
-                            M = policy.mean_update_map(t, m0, m1, gamma_t)
+                            zt = m1 if gamma_t == 1 else EMPTY
+                            presc = prescription(policy, t, m0, zt, x0, xh)
+                            est = control.EstimatorState(x_hat1=xh)
+                            vec = control.estimator_update(
+                                spec, bundle, t, est, x0, m0, zt, presc, None
+                            ).x_hat1
+                            M = tables.mean_update[t, m0, m1, gamma_t]
+                            assert np.array_equal(policy.mean_update_map(t, m0, m1, gamma_t), M)
                             assert M @ xi == pytest.approx(vec, abs=1e-10)
+
+    def test_centralized_estimate_copies_state(self, s2_spec):
+        policy = control.make_policy("centralized", s2_spec)
+        assert policy.tables.mean_update is None
+        assert policy.mean_update_map(0, 0, 0, 0) is None
+        theta = policy.tables.theta
+        assert np.array_equal(theta[:, :, :, 0], theta[:, :, :, 1])
+
+    def test_tables_compiled_once(self, s2_spec):
+        policy = control.make_policy("zero", s2_spec)
+        assert policy.tables is policy.tables
 
     def test_zero_policy_is_zero(self, s2_spec):
         policy = control.make_policy("zero", s2_spec)
-        u0, u1 = policy.act(0, 0, 0, 0, np.ones(1), np.ones(1), np.zeros(1))
-        assert u0 == pytest.approx([0.0])
-        assert u1 == pytest.approx([0.0])
+        assert not policy.tables.theta.any()
 
     def test_unknown_kind(self, s2_spec):
         with pytest.raises(ValueError):

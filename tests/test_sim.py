@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncslqr import control, model, sim, solver
-from ncslqr.errors import DefinitenessError
-from conftest import rand_psd, s2_config
+from ncslqr.errors import DefinitenessError, NonFiniteError
+from conftest import divergent_config, rand_psd, reference_rollout, s2_config
 
 
 class TestNoise:
@@ -76,6 +76,21 @@ class TestDeterminism:
             for field in ("x0", "x1", "u0", "u1", "x_hat1", "stage_cost"):
                 assert np.array_equal(getattr(traj, field), getattr(one, field))
 
+    def test_chunked_mean_is_run_order_reduction(self, battery):
+        spec = battery[5]
+        bundle = solver.solve_backward(spec)
+        policy = control.make_policy("optimal", spec, bundle=bundle)
+        runs = sim._CHUNK_RUNS + 3
+        rep = sim.monte_carlo(spec, policy, runs=runs, seed=2)
+        costs = np.array([
+            sim.simulate_run(spec, policy, seed=2, run_index=i).total_cost
+            for i in range(runs)
+        ])
+        mean = float(np.sum(costs) / runs)
+        se = (float(np.sum((costs - mean) ** 2) / (runs - 1)) / runs) ** 0.5
+        assert rep.mean_cost == pytest.approx(mean, abs=0)
+        assert rep.std_err == pytest.approx(se, abs=0)
+
     def test_threads_argument_is_inert(self, s2_spec):
         policy = control.make_policy("zero", s2_spec)
         a = sim.monte_carlo(s2_spec, policy, runs=20, seed=5, threads=1)
@@ -140,6 +155,54 @@ class TestRollout:
         policy = control.make_policy("zero", s2_spec)
         rep = sim.monte_carlo(s2_spec, policy, runs=1, seed=1)
         assert rep.std_err == 0.0
+
+
+class TestReference:
+    @pytest.mark.parametrize("kind", ["optimal", "zero", "ce", "centralized"])
+    def test_batch_matches_reference_rollout(self, battery, kind):
+        for spec in battery:
+            bundle = solver.solve_backward(spec) if kind == "optimal" else None
+            policy = control.make_policy(kind, spec, bundle=bundle)
+            for i, traj in enumerate(sim.simulate_runs(spec, policy, seed=3, indices=range(6))):
+                ref = reference_rollout(spec, policy, seed=3, run_index=i)
+                for field in ("m0", "m1", "gamma"):
+                    assert np.array_equal(getattr(traj, field), getattr(ref, field))
+                for field in ("x0", "x1", "u0", "u1", "x_hat1", "stage_cost"):
+                    assert getattr(traj, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+                assert traj.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
+
+
+class TestNonFinite:
+    def _failures(self, spec, policy, seed, runs):
+        """First non-finite step of each run by the reference loop (None if none)."""
+        out = []
+        for i in range(runs):
+            try:
+                reference_rollout(spec, policy, seed, i)
+                out.append(None)
+            except NonFiniteError as exc:
+                out.append(int(str(exc).rsplit("t=", 1)[1]))
+        return out
+
+    def test_lowest_failing_run_reported(self):
+        spec = model.load_config(divergent_config())
+        policy = control.make_policy("zero", spec)
+        runs = 700
+        with np.errstate(over="ignore", invalid="ignore"):
+            fails = self._failures(spec, policy, 8, runs)
+        bad = [i for i, t in enumerate(fails) if t is not None]
+        first = bad[0]
+        # A later run fails at an earlier step, so the report must follow
+        # run order rather than step order.
+        assert any(fails[j] < fails[first] for j in bad[1:])
+        msg = f"run {first}: state or action non-finite at t={fails[first]}"
+        with pytest.raises(NonFiniteError, match=msg):
+            sim.monte_carlo(spec, policy, runs=runs, seed=8)
+        done = []
+        with pytest.raises(NonFiniteError, match=msg):
+            for traj in sim.simulate_runs(spec, policy, seed=8, indices=range(runs)):
+                done.append(traj)
+        assert len(done) == first
 
 
 class TestCsv:
