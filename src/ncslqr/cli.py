@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, evaluate-exact, validate, sweep.
-Exit codes: 0 ok, 2 config error, 3 numerical error, 1 other.
+Exit codes: 0 ok, 2 config error (or a solution bundle whose tables do not
+fit the problem's shape), 3 numerical error, 1 other.
 """
 
 import argparse
 import csv
 import json
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -59,10 +61,10 @@ def cmd_solve(args):
     if args.out:
         solver.save_bundle(bundle, args.out)
     print(f"j_star = {bundle.j_star:.12g}")
+    lo_p = matkit.min_eig(bundle.values.P).min(axis=(1, 2))
+    lo_pt = matkit.min_eig(bundle.values.Ptilde).min(axis=(1, 2))
     for t in range(spec.T + 1):
-        lo_p = min(matkit.min_eig(v) for v in bundle.values.P[t].values())
-        lo_pt = min(matkit.min_eig(v) for v in bundle.values.Ptilde[t].values())
-        print(f"t={t}: min eig P {lo_p:.3e}, min eig Ptilde {lo_pt:.3e}, e {bundle.values.e[t]:.6g}")
+        print(f"t={t}: min eig P {lo_p[t]:.3e}, min eig Ptilde {lo_pt[t]:.3e}, e {bundle.values.e[t]:.6g}")
     return EXIT_OK
 
 
@@ -73,6 +75,9 @@ def cmd_simulate(args):
     try:
         policy, _ = _build_policy(args.policy, spec, args.solution)
         report = sim.monte_carlo(spec, policy, args.runs, args.seed, threads=args.threads)
+    except ShapeError as exc:
+        print(f"solution error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonFiniteError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -115,6 +120,9 @@ def cmd_evaluate_exact(args):
                 "max_cost_decrease": stat["max_cost_decrease"],
                 "ok": stat["ok"],
             }
+    except ShapeError as exc:
+        print(f"solution error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -131,26 +139,18 @@ def _validate_checks(spec, args):
     bundle = solver.solve_backward(spec)
     yield "solve", True, f"j_star = {bundle.j_star:.9g}"
 
-    lo = min(
-        min(matkit.min_eig(v) for v in bundle.values.P[t].values())
-        for t in range(spec.T + 2)
-    )
-    lo_t = min(
-        min(matkit.min_eig(v) for v in bundle.values.Ptilde[t].values())
-        for t in range(spec.T + 2)
-    )
-    yield "psd-tables", min(lo, lo_t) >= -1e-9, f"min eigenvalue {min(lo, lo_t):.3e}"
+    lo = min(matkit.min_eig(bundle.values.P).min(), matkit.min_eig(bundle.values.Ptilde).min())
+    yield "psd-tables", lo >= -1e-9, f"min eigenvalue {lo:.3e}"
 
+    T1 = spec.T + 1
     if spec.modes.kappa1 == 1:
-        worst = 0.0
-        for t in range(spec.T + 1):
-            for m0 in range(spec.modes.kappa0):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(bundle.values.P[t][(m0, None)] - bundle.values.P[t][(m0, 0)]))),
-                    float(np.max(np.abs(bundle.values.Ptilde[t][(m0, None)] - bundle.values.Ptilde[t][(m0, 0)]))),
-                    float(np.max(np.abs(bundle.gains.K[t][(m0, None)] - bundle.gains.K[t][(m0, 0)]))),
-                )
+        v, g = bundle.values, bundle.gains
+        gaps = (
+            v.P[:T1, :, solver.EMPTY] - v.P[:T1, :, 0],
+            v.Ptilde[:T1, :, solver.EMPTY] - v.Ptilde[:T1, :, 0],
+            g.K_empty - g.K_received[:, :, 0],
+        )
+        worst = max(float(np.max(np.abs(gap))) for gap in gaps)
         yield "kappa1-collapse", worst <= 1e-12, f"max table gap {worst:.3e}"
 
     cen = control.centralized_solve(spec)
@@ -159,10 +159,7 @@ def _validate_checks(spec, args):
     else:
         spec_p1 = model.load_config({**model.problem_to_config(spec), "channel": {"p1": 1.0}})
         ref = solver.solve_backward(spec_p1)
-    worst = 0.0
-    for t in range(spec.T + 1):
-        for key, mat in cen.P[t].items():
-            worst = max(worst, float(np.max(np.abs(mat - ref.values.P[t][key]))))
+    worst = float(np.max(np.abs(cen.P[:T1] - ref.values.P[:T1, :, :solver.EMPTY])))
     yield "centralized-match", worst <= 1e-10, f"max |P - P_centralized| {worst:.3e} (at p1=1)"
 
     opt = control.OptimalPolicy(spec, bundle)
@@ -185,9 +182,15 @@ def _validate_checks(spec, args):
         errs[i] = traj.x1 - traj.x_hat1
     mean_err = errs.mean(axis=0)
     se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-12
-    ok = bool(np.all(np.abs(mean_err) <= 3.0 * se + 1e-9))
+    # One two-sided 3-SE test has level 2(1 - Phi(3)); split it over the
+    # k innovation means (Bonferroni) so the check as a whole keeps it.
+    k = mean_err.size
+    normal = statistics.NormalDist()
+    z = normal.inv_cdf(1.0 - (1.0 - normal.cdf(3.0)) / k)
+    ok = bool(np.all(np.abs(mean_err) <= z * se + 1e-9))
     yield "estimator-unbiasedness", ok, (
-        f"max |mean innovation|/SE = {float(np.max(np.abs(mean_err) / se)):.2f}"
+        f"max |mean innovation|/SE = {float(np.max(np.abs(mean_err) / se)):.2f} "
+        f"vs {z:.2f} (Bonferroni over {k} means)"
     )
 
 

@@ -1,17 +1,19 @@
 """Executable controllers built on top of a solved bundle.
 
 The optimal decentralized policy follows the solved gain tables: the global
-controller applies the (m0, ztilde)-indexed gain to vec(x0, xhat); the local
-controller adds an innovation term through the local gain when nothing was
-transmitted. Both controllers maintain the same common estimate xhat of the
-local state, updated by the three-branch recursion keyed on consecutive
-channel bits.
+controller applies the empty-branch gain K_empty[t, m0] to vec(x0, xhat),
+or the received-branch gain K_received[t, m0, m1] to vec(x0, x1) once the
+local mode m1 has arrived; the local controller adds an innovation term
+through Ktilde[t, m0, m1] when nothing was transmitted. Both controllers
+maintain the same common estimate xhat of the local state, updated by the
+three-branch recursion keyed on consecutive channel bits.
 
 Reference policies (zero input, a certainty-equivalent heuristic on the
 centralized gains, and the full-information centralized controller) live
-here too, behind the same interface, so the simulator and the exact
-evaluator can treat every policy as a family of time-varying linear maps of
-(x0, x1, xhat).
+here too, behind the same interface: every policy exposes its three gain
+arrays (`policy.gains`, a `solver.GainTables`), and `compile_policy` turns
+them into time-varying linear maps of (x0, x1, xhat) for the simulator and
+the exact evaluator.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularBlockError
+from .errors import ShapeError, SingularBlockError
 from .model import assemble_system
-from .solver import EMPTY
+from .solver import EMPTY, GainTables, gain_shapes
 
 
 @dataclass
@@ -37,9 +39,9 @@ class Prescription:
     """Per-step output of the common-information coordinator."""
 
     u0: np.ndarray
-    qbar: np.ndarray               # (kappa1, d_u1); rows for unobserved modes are 0 when ztilde != empty
-    ktilde: Optional[dict] = None  # (m0, m1) -> gain; None when ztilde != empty
-    ztilde: object = EMPTY
+    qbar: np.ndarray                     # (kappa1, d_u1); rows for unobserved modes are 0 when ztilde != EMPTY
+    ktilde: Optional[np.ndarray] = None  # (kappa1, d_u1, d_x1) innovation gains; None when ztilde != EMPTY
+    ztilde: int = EMPTY
     m0: int = 0
 
 
@@ -49,7 +51,7 @@ class Observation:
     m0: int
     gamma: int
     z: Optional[np.ndarray] = None
-    ztilde: object = EMPTY
+    ztilde: int = EMPTY
     x1: Optional[np.ndarray] = None
     m1: Optional[int] = None
 
@@ -65,24 +67,21 @@ def compute_prescription(bundle, spec, t, m0, ztilde, x0, est):
     d, m = spec.dims, spec.modes
     xin = np.concatenate([x0, est.x_hat1])
     qbar = np.zeros((m.kappa1, d.d_u1))
-    if ztilde is EMPTY:
-        v = bundle.gains.K[t][(m0, EMPTY)] @ xin
-        u0 = v[:d.d_u0]
+    if ztilde == EMPTY:
+        v = bundle.gains.K_empty[t, m0] @ xin
         qbar[:] = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
-        ktilde = {
-            (m0, m1): bundle.gains.Ktilde[t][(m0, m1)] for m1 in range(m.kappa1)
-        }
-        return Prescription(u0=u0, qbar=qbar, ktilde=ktilde, ztilde=EMPTY, m0=m0)
-    v = bundle.gains.K[t][(m0, ztilde)] @ xin
+        return Prescription(
+            u0=v[:d.d_u0], qbar=qbar, ktilde=bundle.gains.Ktilde[t, m0], ztilde=EMPTY, m0=m0
+        )
+    v = bundle.gains.K_received[t, m0, ztilde] @ xin
     qbar[ztilde] = v[d.d_u0:]
     return Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=None, ztilde=ztilde, m0=m0)
 
 
 def local_action(presc, x1, m1, est):
     """u1 = qbar(m1) plus the innovation term when nothing was transmitted."""
-    if presc.ztilde is EMPTY:
-        gain = presc.ktilde[(presc.m0, m1)]
-        return presc.qbar[m1] + gain @ (x1 - est.x_hat1)
+    if presc.ztilde == EMPTY:
+        return presc.qbar[m1] + presc.ktilde[m1] @ (x1 - est.x_hat1)
     # Successful transmission: the prescription already pins qbar(ztilde)
     # and the local mode observed by C0 is the true one.
     return presc.qbar[presc.ztilde].copy()
@@ -93,7 +92,7 @@ def estimator_update(spec, bundle, t, est, x0, m0, ztilde_t, presc, z_next):
     d, m = spec.dims, spec.modes
     if z_next is not None:
         return EstimatorState(x_hat1=np.array(z_next, dtype=float))
-    if ztilde_t is EMPTY:
+    if ztilde_t == EMPTY:
         x_next = np.zeros(d.d_x1)
         for m1 in range(m.kappa1):
             _, _, D = assemble_system(spec, m0, m1)
@@ -112,8 +111,8 @@ def estimator_update(spec, bundle, t, est, x0, m0, ztilde_t, presc, z_next):
 class CentralizedSolution:
     """Full-information switched-LQR tables; independent of the solver module."""
 
-    P: list  # t = 0..T+1, dict (m0, m1) -> (d_x, d_x)
-    K: list  # t = 0..T, dict (m0, m1) -> (d_u, d_x)
+    P: np.ndarray  # (T+2, kappa0, kappa1, d_x, d_x)
+    K: np.ndarray  # (T+1, kappa0, kappa1, d_u, d_x)
 
 
 def centralized_solve(spec):
@@ -124,35 +123,28 @@ def centralized_solve(spec):
     """
     d, m = spec.dims, spec.modes
     T = spec.T
-    P = [None] * (T + 2)
-    K = [None] * (T + 1)
-    P[T + 1] = {
-        (m0, m1): np.zeros((d.d_x, d.d_x))
-        for m0 in range(m.kappa0)
-        for m1 in range(m.kappa1)
-    }
+    systems = [[assemble_system(spec, m0, m1) for m1 in range(m.kappa1)] for m0 in range(m.kappa0)]
+    A = np.array([[s[0] for s in row] for row in systems])
+    B = np.array([[s[1] for s in row] for row in systems])
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+    weights = np.outer(m.pi_m0, m.pi_m1)
+    P = np.zeros((T + 2, m.kappa0, m.kappa1, d.d_x, d.d_x))
+    K = np.zeros((T + 1, m.kappa0, m.kappa1, d.d_u, d.d_x))
     for t in range(T, -1, -1):
-        Pbar = np.zeros((d.d_x, d.d_x))
-        for m0 in range(m.kappa0):
-            for m1 in range(m.kappa1):
-                Pbar += m.pi_m0[m0] * m.pi_m1[m1] * P[t + 1][(m0, m1)]
-        P[t], K[t] = {}, {}
-        for m0 in range(m.kappa0):
-            for m1 in range(m.kappa1):
-                A, B, _ = assemble_system(spec, m0, m1)
-                Q = spec.cost.Q[t, m0, m1]
-                R = spec.cost.R[t, m0, m1]
-                Huu = R + B.T @ Pbar @ B
-                Hux = B.T @ Pbar @ A
-                lo = float(np.linalg.eigvalsh(0.5 * (Huu + Huu.T)).min())
-                if lo <= 1e-10 * max(1.0, float(np.linalg.norm(Huu, 2))):
-                    raise SingularBlockError(
-                        f"centralized H^UU not PD at t={t}, m0={m0 + 1}, m1={m1 + 1}"
-                    )
-                Kt = -np.linalg.solve(Huu, Hux)
-                Pt = Q + A.T @ Pbar @ A - Hux.T @ np.linalg.solve(Huu, Hux)
-                P[t][(m0, m1)] = 0.5 * (Pt + Pt.T)
-                K[t][(m0, m1)] = Kt
+        Pbar = np.tensordot(weights, P[t + 1], axes=2)
+        Huu = spec.cost.R[t] + Bt @ Pbar @ B
+        Hux = Bt @ Pbar @ A
+        lo = np.linalg.eigvalsh(0.5 * (Huu + np.swapaxes(Huu, -1, -2))).min(axis=-1)
+        bad = np.argwhere(lo <= 1e-10 * np.maximum(1.0, np.linalg.norm(Huu, 2, axis=(-2, -1))))
+        if len(bad):
+            m0, m1 = bad[0]
+            raise SingularBlockError(
+                f"centralized H^UU not PD at t={t}, m0={m0 + 1}, m1={m1 + 1}"
+            )
+        G = np.linalg.solve(Huu, Hux)
+        K[t] = -G
+        Pt = spec.cost.Q[t] + At @ Pbar @ A - np.swapaxes(Hux, -1, -2) @ G
+        P[t] = 0.5 * (Pt + np.swapaxes(Pt, -1, -2))
     return CentralizedSolution(P=P, K=K)
 
 
@@ -174,16 +166,17 @@ class CompiledPolicy:
 
 
 def compile_policy(spec, policy):
-    """Stage tables of a linear policy, sliced from its gain tables.
+    """Stage tables of a linear policy, sliced from its gain arrays.
 
-    gamma_t = 1: the joint gain for the received mode acts on (x0, x1).
-    gamma_t = 0: the common gain acts on (x0, xhat), and u1 adds the
-    innovation gain on x1 - xhat. The estimate that follows a failed
-    transmission propagates xhat through the realized mode pair after a
-    success, and averages over the unobserved local mode otherwise.
+    gamma_t = 1: the received-branch gain for the realized local mode acts
+    on (x0, x1). gamma_t = 0: the empty-branch gain acts on (x0, xhat), and
+    u1 adds the innovation gain on x1 - xhat. The estimate that follows a
+    failed transmission propagates xhat through the realized mode pair
+    after a success, and averages over the unobserved local mode otherwise.
     """
     d, m = spec.dims, spec.modes
-    k0, k1, steps = m.kappa0, m.kappa1, range(spec.T + 1)
+    k0, k1 = m.kappa0, m.kappa1
+    gains = policy.gains
     n = d.d_x0 + 2 * d.d_x1
     x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, n)
     # Rows of xi picked as (x0, x1) and as (x0, xhat); products with these
@@ -191,24 +184,19 @@ def compile_policy(spec, policy):
     sel_x, sel_common = np.eye(n)[:d.d_x], np.delete(np.eye(n), x1, axis=0)
 
     D = np.array([[assemble_system(spec, i, j)[2] for j in range(k1)] for i in range(k0)])
-    received = np.array([
-        [[policy.joint_gain(t, i, j) for j in range(k1)] for i in range(k0)] for t in steps
-    ]) @ sel_x
+    received = gains.K_received @ sel_x
     theta = np.stack([received, received], axis=3)
     if policy.full_information:
         return CompiledPolicy(theta=theta, mean_update=None, D=D)
 
-    common = np.array([[policy.joint_gain(t, i, EMPTY) for i in range(k0)] for t in steps])
-    qbar = common[:, :, d.d_u0:].reshape(spec.T + 1, k0, k1, d.d_u1, d.d_x)
-    u0 = np.broadcast_to(common[:, :, None, :d.d_u0], qbar.shape[:3] + (d.d_u0, d.d_x))
+    steps = spec.T + 1
+    qbar = gains.K_empty[:, :, d.d_u0:].reshape(steps, k0, k1, d.d_u1, d.d_x)
+    u0 = np.broadcast_to(gains.K_empty[:, :, None, :d.d_u0], qbar.shape[:3] + (d.d_u0, d.d_x))
     # Actions from common information alone, for every local mode.
     blind = np.concatenate([u0, qbar], axis=-2) @ sel_common
-    innov = np.array([
-        [[policy.innovation_gain(t, i, j) for j in range(k1)] for i in range(k0)] for t in steps
-    ])
     theta[..., 0, :, :] = blind
-    theta[..., 0, d.d_u0:, x1] = innov
-    theta[..., 0, d.d_u0:, xh] -= innov
+    theta[..., 0, d.d_u0:, x1] = gains.Ktilde
+    theta[..., 0, d.d_u0:, xh] -= gains.Ktilde
 
     # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
     # success; otherwise averaged over the local mode, xhat standing in for x1.
@@ -228,25 +216,21 @@ def compile_policy(spec, policy):
 class LinearCommonPolicy:
     """Policy linear in (x0, xhat) commonly and (x1 - xhat) locally.
 
-    Subclasses provide joint_gain(t, m0, ztilde) mapping vec(x0, xhat) to
-    vec(u0, qbar(1..kappa1)) when ztilde is empty, or vec(x0, x1) to
-    vec(u0, qbar(l)) when ztilde = l, plus innovation_gain(t, m0, m1).
-    The simulator and the exact evaluator both read the policy through
-    its compiled tables (`compile_policy`), built once per policy.
+    `gains` holds its three gain arrays (see `solver`): K_empty maps
+    vec(x0, xhat) to vec(u0, qbar(1..kappa1)) when nothing was received,
+    K_received[t, m0, m1] maps vec(x0, x1) to vec(u0, u1) once m1 was
+    received, and Ktilde maps the innovation x1 - xhat to u1. The simulator
+    and the exact evaluator both read the policy through its compiled tables
+    (`compile_policy`), built once per policy.
     """
 
     name = "linear"
     # True when both controllers see the true joint state, so xhat is x1.
     full_information = False
 
-    def __init__(self, spec):
+    def __init__(self, spec, gains):
         self.spec = spec
-
-    def joint_gain(self, t, m0, ztilde):
-        raise NotImplementedError
-
-    def innovation_gain(self, t, m0, m1):
-        raise NotImplementedError
+        self.gains = gains
 
     @cached_property
     def tables(self):
@@ -265,31 +249,26 @@ class LinearCommonPolicy:
 
 
 class OptimalPolicy(LinearCommonPolicy):
-    """The solved decentralized optimum: the bundle's K and K~ tables."""
+    """The solved decentralized optimum: the bundle's gain tables."""
 
     name = "optimal"
 
     def __init__(self, spec, bundle):
-        super().__init__(spec)
+        want = gain_shapes(spec)
+        if bundle.gains.shapes() != want:
+            raise ShapeError(
+                f"solution gain tables have shapes {bundle.gains.shapes()}, "
+                f"but this problem needs {want}"
+            )
+        super().__init__(spec, bundle.gains)
         self.bundle = bundle
-
-    def joint_gain(self, t, m0, ztilde):
-        return self.bundle.gains.K[t][(m0, ztilde)]
-
-    def innovation_gain(self, t, m0, m1):
-        return self.bundle.gains.Ktilde[t][(m0, m1)]
 
 
 class ZeroPolicy(LinearCommonPolicy):
     name = "zero"
 
-    def joint_gain(self, t, m0, ztilde):
-        d, m = self.spec.dims, self.spec.modes
-        rows = d.d_u0 + (m.kappa1 * d.d_u1 if ztilde is EMPTY else d.d_u1)
-        return np.zeros((rows, d.d_x))
-
-    def innovation_gain(self, t, m0, m1):
-        return np.zeros((self.spec.dims.d_u1, self.spec.dims.d_x1))
+    def __init__(self, spec):
+        super().__init__(spec, GainTables(*(np.zeros(shape) for shape in gain_shapes(spec))))
 
 
 class CertaintyEquivalentPolicy(LinearCommonPolicy):
@@ -301,25 +280,16 @@ class CertaintyEquivalentPolicy(LinearCommonPolicy):
     name = "ce"
 
     def __init__(self, spec, centralized):
-        super().__init__(spec)
+        d, m = spec.dims, spec.modes
+        K = centralized.K
+        u0 = np.einsum("j,tkjab->tkab", m.pi_m1, K[..., :d.d_u0, :])
+        qbar = K[..., d.d_u0:, :].reshape(K.shape[:2] + (m.kappa1 * d.d_u1, d.d_x))
+        super().__init__(spec, GainTables(
+            K_empty=np.concatenate([u0, qbar], axis=2),
+            K_received=K,
+            Ktilde=K[..., d.d_u0:, d.d_x0:],
+        ))
         self.centralized = centralized
-
-    def joint_gain(self, t, m0, ztilde):
-        d, m = self.spec.dims, self.spec.modes
-        if ztilde is not EMPTY:
-            return self.centralized.K[t][(m0, ztilde)]
-        out = np.zeros((d.d_u0 + m.kappa1 * d.d_u1, d.d_x))
-        Kbar0 = np.zeros((d.d_u0, d.d_x))
-        for m1 in range(m.kappa1):
-            Kc = self.centralized.K[t][(m0, m1)]
-            Kbar0 += m.pi_m1[m1] * Kc[:d.d_u0]
-            out[d.d_u0 + m1 * d.d_u1: d.d_u0 + (m1 + 1) * d.d_u1] = Kc[d.d_u0:]
-        out[:d.d_u0] = Kbar0
-        return out
-
-    def innovation_gain(self, t, m0, m1):
-        d = self.spec.dims
-        return self.centralized.K[t][(m0, m1)][d.d_u0:, d.d_x0:]
 
 
 class CentralizedPolicy(LinearCommonPolicy):
@@ -327,18 +297,15 @@ class CentralizedPolicy(LinearCommonPolicy):
 
     Not implementable in the decentralized information structure; its
     estimate coordinate simply tracks the true local state, so only the
-    received-branch gains exist.
+    received-branch gains exist (K_empty and Ktilde are None).
     """
 
     name = "centralized"
     full_information = True
 
     def __init__(self, spec, centralized):
-        super().__init__(spec)
+        super().__init__(spec, GainTables(K_empty=None, K_received=centralized.K, Ktilde=None))
         self.centralized = centralized
-
-    def joint_gain(self, t, m0, ztilde):
-        return self.centralized.K[t][(m0, ztilde)]
 
 
 def make_policy(kind, spec, bundle=None, centralized=None):

@@ -32,11 +32,15 @@ class DimensionError(NcslqrError):
 
 
 class SingularBlockError(NcslqrError):
-    """A trailing block that must be PD for a Schur complement is not."""
+    """A trailing block that must be PD for a Schur complement is not.
 
+    `index` locates the first failing block in a stacked input (() for a
+    single matrix).
+    """
 
-class MissingEntryError(NcslqrError):
-    """A matrix collection indexed by (mode, channel output) lacks an entry."""
+    def __init__(self, msg, index=None):
+        super().__init__(msg)
+        self.index = index
 
 
 class NonFiniteError(NcslqrError):

@@ -2,10 +2,11 @@
 
 Everything here is a pure function on numpy arrays: quadratic forms, block
 partitions, Schur complements, mode-selector matrices, and definiteness
-checks with scale-free tolerances.
+checks with scale-free tolerances. Matrix arguments may be stacks of shape
+(..., n, n). A check on a stack reports the first failing matrix in C
+order; its `name` may be a function of that matrix's index.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,19 +15,6 @@ from .errors import DefinitenessError, DimensionError, SingularBlockError
 
 SYM_TOL = 1e-10
 DEF_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """View of a square matrix as [[G11, G12], [G21, G22]] split after n_top."""
-
-    n_top: int
-
-    def check(self, n):
-        if not 0 < self.n_top < n:
-            raise DimensionError(
-                f"block split {self.n_top} invalid for {n}x{n} matrix"
-            )
 
 
 class Blocks(NamedTuple):
@@ -38,40 +26,66 @@ class Blocks(NamedTuple):
 
 def sym(M):
     """Symmetrize; used after every recursion step to stop drift."""
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _scale(M):
-    return max(1.0, float(np.linalg.norm(M, 2))) if M.size else 1.0
+    """max(1, ||M||_2) for each matrix of a stack."""
+    return np.maximum(1.0, np.linalg.norm(M, 2, axis=(-2, -1)))
+
+
+def _first(bad):
+    """Index of the first True entry of a boolean stack, or None."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def _label(name, index):
+    return name(*index) if callable(name) else name
+
+
+def _symmetric_eigs(M, name, tol=SYM_TOL):
+    """(sym(M), its eigenvalues, max(1, max |eigenvalue|)) for a stack M,
+    after checking that each matrix is square and symmetric to `tol`
+    relative to that scale."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        first = (0,) * max(M.ndim - 2, 0)
+        raise DimensionError(f"{_label(name, first)} is not square: shape {M.shape}")
+    S = sym(M)
+    lam = np.linalg.eigvalsh(S)
+    scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
+    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
+    i = _first(asym > tol * scale)
+    if i is not None:
+        raise DefinitenessError(f"{_label(name, i)} is not symmetric (asymmetry {asym[i]:.3e})")
+    return S, lam, scale
 
 
 def check_symmetric(M, name="matrix", tol=SYM_TOL):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} is not square: shape {M.shape}")
-    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if asym > tol * _scale(M):
-        raise DefinitenessError(f"{name} is not symmetric (asymmetry {asym:.3e})")
-    return sym(M)
+    """sym(M), after checking that every matrix of the stack is symmetric."""
+    return _symmetric_eigs(M, name, tol)[0]
 
 
 def min_eig(M):
-    if M.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(sym(M)).min())
+    """Smallest eigenvalue of sym(M), for each matrix of a stack."""
+    return np.linalg.eigvalsh(sym(M)).min(axis=-1)
 
 
 def assert_psd(M, tol=DEF_TOL, name="matrix"):
-    M = check_symmetric(M, name)
-    lo = min_eig(M)
-    if lo < -tol * _scale(M):
-        raise DefinitenessError(f"{name} is not PSD", min_eig=lo)
+    _, lam, scale = _symmetric_eigs(M, name)
+    lo = lam[..., 0]
+    i = _first(lo < -tol * scale)
+    if i is not None:
+        raise DefinitenessError(f"{_label(name, i)} is not PSD", min_eig=lo[i])
 
 
 def assert_pd(M, tol=DEF_TOL, name="matrix"):
-    M = check_symmetric(M, name)
-    lo = min_eig(M)
-    if lo <= tol * _scale(M):
-        raise DefinitenessError(f"{name} is not PD", min_eig=lo)
+    _, lam, scale = _symmetric_eigs(M, name)
+    lo = lam[..., 0]
+    i = _first(lo <= tol * scale)
+    if i is not None:
+        raise DefinitenessError(f"{_label(name, i)} is not PD", min_eig=lo[i])
 
 
 def qf(G, x):
@@ -83,41 +97,35 @@ def qf(G, x):
 
 
 def partition(H, n_x):
-    """Split a square matrix into (XX, XU, UX, UU) blocks after row/col n_x."""
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    """Split each matrix of a stack into (XX, XU, UX, UU) blocks after row/col n_x."""
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise DimensionError(f"partition: matrix not square, shape {H.shape}")
-    if not 0 < n_x < H.shape[0]:
-        raise DimensionError(f"partition: split {n_x} invalid for size {H.shape[0]}")
-    return Blocks(H[:n_x, :n_x], H[:n_x, n_x:], H[n_x:, :n_x], H[n_x:, n_x:])
+    if not 0 < n_x < H.shape[-1]:
+        raise DimensionError(f"partition: split {n_x} invalid for size {H.shape[-1]}")
+    return Blocks(H[..., :n_x, :n_x], H[..., :n_x, n_x:], H[..., n_x:, :n_x], H[..., n_x:, n_x:])
 
 
-def schur_complement(G, part):
-    """SC(G, G22) = G11 - G12 G22^-1 G21 via a Cholesky solve of G22.
+def schur_complement(G, n_top):
+    """(SC, gain) for each matrix of a stack G = [[G11, G12], [G21, G22]]
+    split after n_top: gain = G22^-1 G21 and SC = G11 - G12 gain.
 
-    Raises SingularBlockError when G22 fails the PD test; this is the
-    numerical signature of the R-PD assumption breaking down.
+    G22 must be PD relative to max(1, ||G||_2), or SingularBlockError names
+    the first failing matrix; this is the numerical signature of the R-PD
+    assumption breaking down.
     """
-    if isinstance(part, BlockPartition):
-        part.check(G.shape[0])
-        n_top = part.n_top
-    else:
-        n_top = int(part)
     g11, g12, g21, g22 = partition(G, n_top)
-    lo = min_eig(g22)
-    if lo <= DEF_TOL * _scale(G):
-        raise SingularBlockError(
-            f"trailing block is not PD (min eigenvalue {lo:.3e})"
-        )
-    sol = np.linalg.solve(sym(g22), g21)
-    return sym(g11 - g12 @ sol)
+    gain = solve_pd(g22, g21, scale=_scale(G))
+    return sym(g11 - g12 @ gain), gain
 
 
-def solve_pd(G22, rhs, context=""):
-    """Solve G22 x = rhs with the same PD guard as schur_complement."""
+def solve_pd(G22, rhs, scale):
+    """Solve G22 x = rhs for each matrix of a stack, after checking that
+    min eig(G22) > DEF_TOL * scale (per matrix, or one number for all)."""
     lo = min_eig(G22)
-    if lo <= DEF_TOL * _scale(G22):
+    i = _first(lo <= DEF_TOL * scale)
+    if i is not None:
         raise SingularBlockError(
-            f"coefficient block is not PD{context} (min eigenvalue {lo:.3e})"
+            f"trailing block is not PD (min eigenvalue {lo[i]:.3e})", index=i
         )
     return np.linalg.solve(sym(G22), rhs)
 

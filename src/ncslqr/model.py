@@ -97,18 +97,6 @@ class SystemBlocks:
     B10: np.ndarray  # (kappa0, kappa1, d_x1, d_u0)
     B11: np.ndarray  # (kappa0, kappa1, d_x1, d_u1)
 
-    @staticmethod
-    def from_fields(dims, modes, A00, B00, A10, A11, B10, B11):
-        k0, k1 = modes.kappa0, modes.kappa1
-        return SystemBlocks(
-            A00=_as_array(A00, (k0, dims.d_x0, dims.d_x0), "system.A00"),
-            B00=_as_array(B00, (k0, dims.d_x0, dims.d_u0), "system.B00"),
-            A10=_as_array(A10, (k0, k1, dims.d_x1, dims.d_x0), "system.A10"),
-            A11=_as_array(A11, (k0, k1, dims.d_x1, dims.d_x1), "system.A11"),
-            B10=_as_array(B10, (k0, k1, dims.d_x1, dims.d_u0), "system.B10"),
-            B11=_as_array(B11, (k0, k1, dims.d_x1, dims.d_u1), "system.B11"),
-        )
-
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -119,13 +107,10 @@ class CostSpec:
     time_varying: bool = False
 
     def validate(self, name_prefix="cost"):
-        for t in range(self.Q.shape[0]):
-            for m0 in range(self.Q.shape[1]):
-                for m1 in range(self.Q.shape[2]):
-                    where = f"{name_prefix}.Q[t={t}, m0={m0 + 1}, m1={m1 + 1}]"
-                    matkit.assert_psd(self.Q[t, m0, m1], name=where)
-                    where = f"{name_prefix}.R[t={t}, m0={m0 + 1}, m1={m1 + 1}]"
-                    matkit.assert_pd(self.R[t, m0, m1], name=where)
+        # A time-invariant cost repeats one slice; check that slice alone.
+        steps = slice(None) if self.time_varying else slice(0, 1)
+        matkit.assert_psd(self.Q[steps], name=_pair_label(f"{name_prefix}.Q"))
+        matkit.assert_pd(self.R[steps], name=_pair_label(f"{name_prefix}.R"))
 
 
 @dataclass(frozen=True)
@@ -144,9 +129,8 @@ class StochasticsSpec:
             raise ShapeError(f"stoch.T must be a nonnegative integer, got {self.T!r}")
         if self.family not in ("gaussian", "zero"):
             raise ParseError(f"stoch.family must be 'gaussian' or 'zero', got {self.family!r}")
-        for t in range(self.T + 1):
-            matkit.assert_psd(self.covW0[t], name=f"stoch.covW0[t={t}]")
-            matkit.assert_psd(self.covW1[t], name=f"stoch.covW1[t={t}]")
+        matkit.assert_psd(self.covW0, name=lambda t: f"stoch.covW0[t={t}]")
+        matkit.assert_psd(self.covW1, name=lambda t: f"stoch.covW1[t={t}]")
         matkit.assert_psd(self.cov_x0, name="stoch.init.cov_x0")
         matkit.assert_psd(self.cov_x1, name="stoch.init.cov_x1")
 
@@ -231,21 +215,23 @@ def _array_to_pair_list(arr):
     return [arr[m0, m1].tolist() for m1 in range(k1) for m0 in range(k0)]
 
 
-def _broadcast_time(value, T, block_shape, name, symmetrize=False):
+def _pair_label(name):
+    """Names the (t, m0, m1) entry of a per-step, per-mode-pair stack."""
+    return lambda t, m0, m1: f"{name}[t={t}, m0={m0 + 1}, m1={m1 + 1}]"
+
+
+def _broadcast_time(value, T, block_shape, name):
+    """T+1 symmetric matrices, from one (checked once) or from T+1."""
     arr = np.asarray(value, dtype=float)
     if arr.shape == block_shape:
-        arr = np.broadcast_to(arr, (T + 1,) + block_shape).copy()
+        arr = arr[None]
     elif arr.shape != (T + 1,) + block_shape:
         raise ShapeError(
             f"{name} must have shape {block_shape} or {(T + 1,) + block_shape}, "
             f"got {arr.shape}"
         )
-    else:
-        arr = arr.copy()
-    if symmetrize:
-        for t in range(T + 1):
-            arr[t] = matkit.check_symmetric(arr[t], name=f"{name}[t={t}]")
-    return arr
+    arr = matkit.check_symmetric(arr, name=lambda t: f"{name}[t={t}]")
+    return np.broadcast_to(arr, (T + 1,) + block_shape).copy()
 
 
 def _load_cost(cost_cfg, dims, modes, T):
@@ -256,21 +242,15 @@ def _load_cost(cost_cfg, dims, modes, T):
         if time_varying:
             if not isinstance(raw, list) or len(raw) != T + 1:
                 raise ShapeError(f"cost.{key} must list T+1={T + 1} entries when time_varying")
-            per_t = [
+            arr = np.stack([
                 _pair_list_to_array(e, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}[t={t}]")
                 for t, e in enumerate(raw)
-            ]
-            arr = np.stack(per_t)
+            ])
         else:
-            pairs = _pair_list_to_array(raw, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}")
-            arr = np.broadcast_to(pairs, (T + 1,) + pairs.shape).copy()
-        for t in range(T + 1):
-            for m0 in range(modes.kappa0):
-                for m1 in range(modes.kappa1):
-                    arr[t, m0, m1] = matkit.check_symmetric(
-                        arr[t, m0, m1], name=f"cost.{key}[t={t}, m0={m0 + 1}, m1={m1 + 1}]"
-                    )
-        out[key] = arr
+            # One slice, checked once, then repeated over t.
+            arr = _pair_list_to_array(raw, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}")[None]
+        arr = matkit.check_symmetric(arr, name=_pair_label(f"cost.{key}"))
+        out[key] = np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
     return CostSpec(Q=out["Q"], R=out["R"], time_varying=time_varying)
 
 
@@ -313,10 +293,10 @@ def load_config(cfg):
     stoch = StochasticsSpec(
         T=T,
         covW0=_broadcast_time(
-            _require(stoch_cfg, "covW0", "stoch"), T, (dims.d_x0, dims.d_x0), "stoch.covW0", symmetrize=True
+            _require(stoch_cfg, "covW0", "stoch"), T, (dims.d_x0, dims.d_x0), "stoch.covW0"
         ),
         covW1=_broadcast_time(
-            _require(stoch_cfg, "covW1", "stoch"), T, (dims.d_x1, dims.d_x1), "stoch.covW1", symmetrize=True
+            _require(stoch_cfg, "covW1", "stoch"), T, (dims.d_x1, dims.d_x1), "stoch.covW1"
         ),
         mu_x0=_as_array(_require(init_cfg, "mu_x0", "stoch.init"), (dims.d_x0,), "stoch.init.mu_x0"),
         cov_x0=matkit.check_symmetric(

@@ -13,9 +13,12 @@ stage maps, however many sequences the instance has; the map for
 gamma_{t+1} = 1 is the one for 0 with its xhat rows replaced. Actions and
 estimator maps are lookups into the policy's compiled tables
 (`control.compile_policy`), the same ones the simulator steps through.
+
+The stationarity check perturbs copies of the optimal policy's gain arrays
+(`solver.GainTables`) entry by entry.
 """
 
-import copy
+import dataclasses
 
 import numpy as np
 
@@ -101,13 +104,13 @@ def _initial_moment(spec, gamma0):
     return Sigma
 
 
-def exact_expected_cost(spec, policy, return_prob=False):
-    """Exact expected total cost of a linear policy.
+def _stage_moments(spec, policy):
+    """Yield (t, gamma, w, S, M) for every (t, gamma_t, m0, m1) of positive
+    probability: S = S_t^gamma = E[xi_t xi_t' 1{gamma_t = gamma}], w =
+    pi(m0) pi(m1), and M the stage-cost matrix of that mode pair.
 
-    Carries S_t^g = E[xi_t xi_t' 1{gamma_t = g}] for g in {0, 1}. Its
-    constant-coordinate entry S_t^g[-1, -1] is P(gamma_t = g), the mass
-    that weights the injected noise. With `return_prob`, also returns the
-    probability mass reached at t = T (1 up to rounding).
+    Its constant-coordinate entry S[-1, -1] is P(gamma_t = gamma), the mass
+    that weights the injected noise.
     """
     _check_policy(policy)
     m = spec.modes
@@ -118,8 +121,6 @@ def exact_expected_cost(spec, policy, return_prob=False):
     n, _ = _selectors(spec)
 
     S = [p_gamma[g] * _initial_moment(spec, g) for g in (0, 1)]
-    total = 0.0
-    prob_mass = 0.0
     for t in range(T + 1):
         W = np.zeros((d.d_x, d.d_x))
         W[:d.d_x0, :d.d_x0] = spec.stoch.covW0[t]
@@ -137,9 +138,8 @@ def exact_expected_cost(spec, policy, return_prob=False):
                     # The stage cost depends only on (t, modes, gamma_t);
                     # gamma_next changes only the xhat rows of F and G.
                     F0, G0, _, M = build_closed_loop(spec, policy, t, m0, m1, gamma, 0)
-                    total += w * float(np.sum(M * S[gamma]))
+                    yield t, gamma, w, S[gamma], M
                     if t == T:
-                        prob_mass += w * mass
                         continue
                     for gamma_next in (0, 1):
                         pg = p_gamma[gamma_next]
@@ -153,35 +153,54 @@ def exact_expected_cost(spec, policy, return_prob=False):
                             F @ S[gamma] @ F.T + mass * (G @ W @ G.T)
                         )
         S = S_next
+
+
+def exact_expected_cost(spec, policy, return_prob=False):
+    """Exact expected total cost of a linear policy.
+
+    Sums the stage costs over the moments S_t^g, g in {0, 1}, of
+    `_stage_moments`. With `return_prob`, also returns the probability
+    mass reached at t = T (1 up to rounding).
+    """
+    total = 0.0
+    prob_mass = 0.0
+    for t, _, w, S, M in _stage_moments(spec, policy):
+        total += w * float(np.sum(M * S))
+        if t == spec.T:
+            prob_mass += w * S[-1, -1]
     if return_prob:
         return total, prob_mass
     return total
 
 
 def _perturbed_optimal(spec, bundle, deltas):
-    """Optimal policy with additive gain perturbations.
-
-    `deltas` maps ("K", t, m0, zt) or ("Ktilde", t, m0, m1) to arrays.
-    """
-    b = copy.deepcopy(bundle)
-    for key, delta in deltas.items():
-        kind, t, *idx = key
-        table = b.gains.K[t] if kind == "K" else b.gains.Ktilde[t]
-        table[tuple(idx)] = table[tuple(idx)] + delta
-    return OptimalPolicy(spec, b)
+    """Optimal policy on copies of the bundle's gain arrays plus `deltas`,
+    a map from gain-array name to an array of that array's shape."""
+    gains = dataclasses.replace(
+        bundle.gains, **{name: getattr(bundle.gains, name) + delta for name, delta in deltas.items()}
+    )
+    return OptimalPolicy(spec, dataclasses.replace(bundle, gains=gains))
 
 
-def _gain_entries(bundle):
-    for t, table in enumerate(bundle.gains.K):
-        for key, mat in table.items():
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    yield ("K", t, *key), (i, j)
-    for t, table in enumerate(bundle.gains.Ktilde):
-        for key, mat in table.items():
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    yield ("Ktilde", t, *key), (i, j)
+def _gain_entries(gains):
+    """(array name, index) of every gain entry, in the bundle file's order:
+    per (t, m0) the empty-branch gain, then the received ones; then Ktilde."""
+    steps, kappa0 = gains.K_received.shape[:2]
+    for t, m0 in np.ndindex(steps, kappa0):
+        for i, j in np.ndindex(gains.K_empty.shape[2:]):
+            yield "K_empty", (t, m0, i, j)
+        for m1, i, j in np.ndindex(gains.K_received.shape[2:]):
+            yield "K_received", (t, m0, m1, i, j)
+    for index in np.ndindex(gains.Ktilde.shape):
+        yield "Ktilde", index
+
+
+def _describe(name, index):
+    """Report entry in the bundle file's terms: table K or Ktilde, t, the
+    (m0, ztilde) key with ztilde None for the empty branch, and (row, col)."""
+    t, m0, *rest = index
+    key = [m0, None] if name == "K_empty" else [m0, rest.pop(0)]
+    return {"table": "Ktilde" if name == "Ktilde" else "K", "t": t, "index": key, "entry": rest}
 
 
 def stationarity_check(
@@ -206,7 +225,7 @@ def stationarity_check(
     base_cost = exact_expected_cost(spec, base_policy)
     tol = grad_tol * (1.0 + abs(base_cost))
 
-    entries = list(_gain_entries(bundle))
+    entries = list(_gain_entries(bundle.gains))
     rng = np.random.default_rng(seed)
     if len(entries) > max_entries:
         picks = rng.choice(len(entries), size=max_entries, replace=False)
@@ -214,35 +233,23 @@ def stationarity_check(
 
     max_grad = 0.0
     worst = None
-    for key, (i, j) in entries:
-        kind, t, *idx = key
-        table = bundle.gains.K[t] if kind == "K" else bundle.gains.Ktilde[t]
-        shape = table[tuple(idx)].shape
-        delta = np.zeros(shape)
-        delta[i, j] = eps
-        cost_hi = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {key: delta}))
-        cost_lo = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {key: -delta}))
+    for name, index in entries:
+        delta = np.zeros(getattr(bundle.gains, name).shape)
+        delta[index] = eps
+        cost_hi = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {name: delta}))
+        cost_lo = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {name: -delta}))
         grad = (cost_hi - cost_lo) / (2.0 * eps)
         if abs(grad) > max_grad:
             max_grad = abs(grad)
-            worst = {"table": kind, "t": t, "index": list(idx), "entry": [i, j]}
+            worst = _describe(name, index)
 
     max_decrease = 0.0
-    all_keys = sorted(
-        {key for key, _ in _gain_entries(bundle)},
-        key=lambda k: (k[0], k[1], str(k[2:])),
-    )
+    names = ("K_empty", "K_received", "Ktilde")
     for _ in range(n_perturbations):
-        deltas = {}
-        flat = []
-        for key in all_keys:
-            kind, t, *idx = key
-            table = bundle.gains.K[t] if kind == "K" else bundle.gains.Ktilde[t]
-            deltas[key] = rng.standard_normal(table[tuple(idx)].shape)
-            flat.append(deltas[key].ravel())
-        norm = float(np.linalg.norm(np.concatenate(flat)))
-        for key in deltas:
-            deltas[key] *= perturbation_norm / norm
+        deltas = {name: rng.standard_normal(getattr(bundle.gains, name).shape) for name in names}
+        norm = float(np.linalg.norm(np.concatenate([delta.ravel() for delta in deltas.values()])))
+        for delta in deltas.values():
+            delta *= perturbation_norm / norm
         cost_p = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, deltas))
         max_decrease = max(max_decrease, base_cost - cost_p)
 

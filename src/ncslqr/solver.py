@@ -1,9 +1,20 @@
 """Backward recursions producing value matrices, gains, constants, and J*.
 
-Value matrices P_t are indexed by (m0, ztilde) where ztilde is either None
-(nothing received over the channel) or a 0-based local-mode index. The
-per-step evaluation order is fixed: E, F, H, P, Htilde, Ptilde, K, Ktilde,
-e, so each quantity reads only t+1 tables plus already-computed t entries.
+Every table is one stacked array over t and the global mode m0. Value
+tables also run over ztilde, the local mode received over the channel:
+slots 0..kappa1-1 hold a received mode and the last slot, EMPTY = -1,
+stands for nothing received.
+
+    P           (T+2, kappa0, kappa1+1, d_x, d_x)
+    Ptilde      (T+2, kappa0, kappa1+1, d_x1, d_x1)
+    K_empty     (T+1, kappa0, d_u0 + kappa1 d_u1, d_x)  vec(x0, xhat) -> vec(u0, qbar(1..kappa1))
+    K_received  (T+1, kappa0, kappa1, d_u, d_x)         vec(x0, x1) -> vec(u0, u1)
+    Ktilde      (T+1, kappa0, kappa1, d_u1, d_x1)       x1 - xhat -> u1 innovation term
+
+Each step t reads only the t+1 tables and runs three batched blocks: the
+empty branch (over m0), the received branches (over m0, m1) and the local
+recursion (over m0, m1). Each block is one guarded solve that yields both
+the Schur complement and the gain.
 """
 
 import datetime
@@ -13,116 +24,108 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .errors import DefinitenessError, MissingEntryError, SingularBlockError
+from .errors import SingularBlockError
 from .model import assemble_system
 
 PSD_SLACK = 1e-9
 
-# ztilde values: None for "no transmission", 0-based int for a received mode.
-EMPTY = None
+# ztilde slot for "no transmission"; received local modes are 0..kappa1-1.
+EMPTY = -1
 
 
-def ztilde_values(kappa1):
-    return [EMPTY] + list(range(kappa1))
+def _T(M):
+    return np.swapaxes(M, -1, -2)
 
 
-def _get(G, m0, zt):
-    try:
-        return G[(m0, zt)]
-    except KeyError:
-        raise MissingEntryError(f"collection missing entry (m0={m0}, ztilde={zt!r})")
+def _weights(spec):
+    """w[m0, ztilde] = P(M0 = m0, Ztilde = ztilde); the EMPTY slot is the
+    failed channel."""
+    m, p1 = spec.modes, spec.channel.p1
+    w = np.empty((m.kappa0, m.kappa1 + 1))
+    w[:, :EMPTY] = p1 * np.outer(m.pi_m0, m.pi_m1)
+    w[:, EMPTY] = (1.0 - p1) * m.pi_m0
+    return w
 
 
-def op_pi_gamma(G, gamma, spec):
-    """Conditional expectation of G(M0, Ztilde) given the channel bit."""
-    m = spec.modes
-    if gamma == 0:
-        return sum(
-            _get(G, m0, EMPTY) * m.pi_m0[m0] for m0 in range(m.kappa0)
-        )
-    return sum(
-        _get(G, m0, m1) * (m.pi_m0[m0] * m.pi_m1[m1])
-        for m0 in range(m.kappa0)
-        for m1 in range(m.kappa1)
-    )
+def _branches(failed, received):
+    """(kappa0, kappa1+1, ...) stack: the EMPTY slot from `failed`, the
+    received slots from `received`."""
+    return np.concatenate([received[:, :EMPTY], failed[:, EMPTY:]], axis=1)
 
 
 def op_pi(G, spec):
-    """Expectation of G(M0, Ztilde) over modes and the channel."""
-    p1 = spec.channel.p1
-    return (1.0 - p1) * op_pi_gamma(G, 0, spec) + p1 * op_pi_gamma(G, 1, spec)
+    """Expectation of G(M0, Ztilde) over modes and the channel, for G
+    stacked as (kappa0, kappa1+1, ...)."""
+    return np.tensordot(_weights(spec), G, axes=2)
 
 
 def op_psi(G1, G2, spec):
     """Channel-split expectation: G1 on the failed branch, G2 on the successful one."""
-    p1 = spec.channel.p1
-    return (1.0 - p1) * op_pi_gamma(G1, 0, spec) + p1 * op_pi_gamma(G2, 1, spec)
+    return op_pi(_branches(G1, G2), spec)
 
 
 @dataclass(frozen=True)
 class StaticMatrices:
     """Mode-indexed matrices the recursion consumes; built once per solve."""
 
-    L: list          # per m1: selector
-    D: dict          # (m0, m1) -> [A B]
-    D11: dict        # (m0, m1) -> [A11 B11]
-    Daug: dict       # (m0, m1) -> D @ L[m1]
-    Dempty: dict     # m0 -> sum_m1 pi(m1) Daug
-    C: np.ndarray    # (T+1, k0, k1, n, n) blockdiag(Q, R)
-    C11: np.ndarray  # (T+1, k0, k1, n1, n1) blockdiag(Q11, R11)
+    L: np.ndarray       # (k1, d_x + d_u, ne) selector per m1
+    D: np.ndarray       # (k0, k1, d_x, d_x + d_u) [A B]
+    D11: np.ndarray     # (k0, k1, d_x1, d_x1 + d_u1) [A11 B11]
+    Daug: np.ndarray    # (k0, k1, d_x, ne) D @ L[m1]
+    Dempty: np.ndarray  # (k0, d_x, ne) sum_m1 pi(m1) Daug
+    C: np.ndarray       # (T+1, k0, k1, n, n) blockdiag(Q, R)
+    C11: np.ndarray     # (T+1, k0, k1, n1, n1) blockdiag(Q11, R11)
     Cempty: np.ndarray  # (T+1, k0, ne, ne) sum_m1 pi(m1) L' C L
 
 
 def build_static(spec):
     d, m = spec.dims, spec.modes
-    T = spec.T
-    L = [matkit.build_L(d, m.kappa1, m1) for m1 in range(m.kappa1)]
-    D, D11, Daug = {}, {}, {}
-    for m0 in range(m.kappa0):
-        for m1 in range(m.kappa1):
-            _, _, Dm = assemble_system(spec, m0, m1)
-            D[(m0, m1)] = Dm
-            D11[(m0, m1)] = np.hstack(
-                [spec.system.A11[m0, m1], spec.system.B11[m0, m1]]
-            )
-            Daug[(m0, m1)] = Dm @ L[m1]
-    Dempty = {
-        m0: sum(Daug[(m0, m1)] * m.pi_m1[m1] for m1 in range(m.kappa1))
-        for m0 in range(m.kappa0)
-    }
+    k0, k1 = m.kappa0, m.kappa1
+    pi1 = m.pi_m1
+    L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])
+    D = np.array([[assemble_system(spec, m0, m1)[2] for m1 in range(k1)] for m0 in range(k0)])
+    D11 = np.concatenate([spec.system.A11, spec.system.B11], axis=-1)
+    Daug = D @ L
+    Dempty = (Daug * pi1[:, None, None]).sum(axis=1)
 
-    n = d.d_x + d.d_u
-    n1 = d.d_x1 + d.d_u1
-    ne = d.d_x + d.d_u0 + m.kappa1 * d.d_u1
-    C = np.zeros((T + 1, m.kappa0, m.kappa1, n, n))
-    C11 = np.zeros((T + 1, m.kappa0, m.kappa1, n1, n1))
-    Cempty = np.zeros((T + 1, m.kappa0, ne, ne))
-    for t in range(T + 1):
-        for m0 in range(m.kappa0):
-            for m1 in range(m.kappa1):
-                Q = spec.cost.Q[t, m0, m1]
-                R = spec.cost.R[t, m0, m1]
-                C[t, m0, m1, :d.d_x, :d.d_x] = Q
-                C[t, m0, m1, d.d_x:, d.d_x:] = R
-                C11[t, m0, m1, :d.d_x1, :d.d_x1] = Q[d.d_x0:, d.d_x0:]
-                C11[t, m0, m1, d.d_x1:, d.d_x1:] = R[d.d_u0:, d.d_u0:]
-                Cempty[t, m0] += (
-                    L[m1].T @ C[t, m0, m1] @ L[m1] * m.pi_m1[m1]
-                )
+    Q, R = spec.cost.Q, spec.cost.R
+    C = np.zeros(Q.shape[:3] + (d.d_x + d.d_u,) * 2)
+    C[..., :d.d_x, :d.d_x] = Q
+    C[..., d.d_x:, d.d_x:] = R
+    C11 = np.zeros(Q.shape[:3] + (d.d_x1 + d.d_u1,) * 2)
+    C11[..., :d.d_x1, :d.d_x1] = Q[..., d.d_x0:, d.d_x0:]
+    C11[..., d.d_x1:, d.d_x1:] = R[..., d.d_u0:, d.d_u0:]
+    Cempty = np.zeros(Q.shape[:2] + (L.shape[-1],) * 2)
+    for m1 in range(k1):
+        Cempty += L[m1].T @ C[:, :, m1] @ L[m1] * pi1[m1]
     return StaticMatrices(L=L, D=D, D11=D11, Daug=Daug, Dempty=Dempty, C=C, C11=C11, Cempty=Cempty)
 
 
 @dataclass
 class ValueTables:
-    P: list       # t = 0..T+1, each dict (m0, zt) -> (d_x, d_x)
-    Ptilde: list  # t = 0..T+1, each dict (m0, zt) -> (d_x1, d_x1)
-    e: np.ndarray  # length T+2
+    P: np.ndarray       # (T+2, kappa0, kappa1+1, d_x, d_x)
+    Ptilde: np.ndarray  # (T+2, kappa0, kappa1+1, d_x1, d_x1)
+    e: np.ndarray       # (T+2,)
 
 
 @dataclass
 class GainTables:
-    K: list       # t = 0..T, dict (m0, zt) -> gain into vec(x0, mu)
-    Ktilde: list  # t = 0..T, dict (m0, m1) -> (d_u1, d_x1)
+    K_empty: np.ndarray     # (T+1, kappa0, d_u0 + kappa1 d_u1, d_x)
+    K_received: np.ndarray  # (T+1, kappa0, kappa1, d_u, d_x)
+    Ktilde: np.ndarray      # (T+1, kappa0, kappa1, d_u1, d_x1)
+
+    def shapes(self):
+        return (self.K_empty.shape, self.K_received.shape, self.Ktilde.shape)
+
+
+def gain_shapes(spec):
+    """Shapes of (K_empty, K_received, Ktilde) for a problem."""
+    d, m, steps = spec.dims, spec.modes, spec.T + 1
+    return (
+        (steps, m.kappa0, d.d_u0 + m.kappa1 * d.d_u1, d.d_x),
+        (steps, m.kappa0, m.kappa1, d.d_u, d.d_x),
+        (steps, m.kappa0, m.kappa1, d.d_u1, d.d_x1),
+    )
 
 
 @dataclass
@@ -133,104 +136,74 @@ class SolutionBundle:
     solve_metadata: dict = field(default_factory=dict)
 
 
-def _bottom_rows(M, d_x1):
-    return M[-d_x1:, :]
+def _ztilde_name(zt, kappa1):
+    return "empty" if zt == kappa1 else f"m{zt + 1}"
+
+
+def _schur(H, n_top, where):
+    """matkit.schur_complement, naming a singular block by where(*index)."""
+    try:
+        return matkit.schur_complement(H, n_top)
+    except SingularBlockError as exc:
+        raise SingularBlockError(f"{where(*exc.index)}: {exc}", index=exc.index) from exc
 
 
 def solve_backward(spec):
     """Run the coupled backward recursions and assemble the full solution."""
     d, m = spec.dims, spec.modes
-    T = spec.T
+    T, k1 = spec.T, m.kappa1
     st = build_static(spec)
-    zts = ztilde_values(m.kappa1)
+    pi1 = m.pi_m1[:, None, None]
+    De1, Da1 = st.Dempty[:, d.d_x0:], st.Daug[:, :, d.d_x0:]  # local-state rows
 
-    zero_P = np.zeros((d.d_x, d.d_x))
-    zero_Pt = np.zeros((d.d_x1, d.d_x1))
-    P = [None] * (T + 2)
-    Ptilde = [None] * (T + 2)
+    P = np.zeros((T + 2, m.kappa0, k1 + 1, d.d_x, d.d_x))
+    Ptilde = np.zeros((T + 2, m.kappa0, k1 + 1, d.d_x1, d.d_x1))
+    K_empty, K_received, Ktilde = (np.empty(s) for s in gain_shapes(spec))
     e = np.zeros(T + 2)
-    P[T + 1] = {(m0, zt): zero_P.copy() for m0 in range(m.kappa0) for zt in zts}
-    Ptilde[T + 1] = {(m0, zt): zero_Pt.copy() for m0 in range(m.kappa0) for zt in zts}
-    K = [None] * (T + 1)
-    Ktilde = [None] * (T + 1)
 
     for t in range(T, -1, -1):
         pi_next = op_pi(P[t + 1], spec)
-        P11_next = {k: v[d.d_x0:, d.d_x0:] for k, v in P[t + 1].items()}
-        psi_next = op_psi(Ptilde[t + 1], P11_next, spec)
+        psi_next = op_psi(Ptilde[t + 1], P[t + 1, ..., d.d_x0:, d.d_x0:], spec)
 
-        P[t], Ptilde[t] = {}, {}
-        K[t], Ktilde[t] = {}, {}
-        for m0 in range(m.kappa0):
-            # ztilde = empty branch
-            De = st.Dempty[m0]
-            E = De.T @ pi_next @ De
-            F = -_bottom_rows(De, d.d_x1).T @ psi_next @ _bottom_rows(De, d.d_x1)
-            for m1 in range(m.kappa1):
-                Da1 = _bottom_rows(st.Daug[(m0, m1)], d.d_x1)
-                F = F + Da1.T @ psi_next @ Da1 * m.pi_m1[m1]
-            H_empty = matkit.sym(st.Cempty[t, m0] + E + F)
-            try:
-                P[t][(m0, EMPTY)] = matkit.schur_complement(H_empty, d.d_x)
-            except SingularBlockError as exc:
-                raise SingularBlockError(
-                    f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=empty: {exc}"
-                ) from exc
-            blocks = matkit.partition(H_empty, d.d_x)
-            K[t][(m0, EMPTY)] = -matkit.solve_pd(blocks.uu, blocks.ux)
+        # ztilde = empty: u0 and every qbar(m1) from the common information.
+        E = _T(st.Dempty) @ pi_next @ st.Dempty
+        F = (_T(Da1) @ psi_next @ Da1 * pi1).sum(axis=1) - _T(De1) @ psi_next @ De1
+        P[t, :, EMPTY], gain = _schur(
+            matkit.sym(st.Cempty[t] + E + F), d.d_x,
+            lambda m0: f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=empty",
+        )
+        K_empty[t] = -gain
 
-            # ztilde = m1 branches
-            for m1 in range(m.kappa1):
-                Dm = st.D[(m0, m1)]
-                H = matkit.sym(st.C[t, m0, m1] + Dm.T @ pi_next @ Dm)
-                try:
-                    P[t][(m0, m1)] = matkit.schur_complement(H, d.d_x)
-                except SingularBlockError as exc:
-                    raise SingularBlockError(
-                        f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}: {exc}"
-                    ) from exc
-                blocks = matkit.partition(H, d.d_x)
-                K[t][(m0, m1)] = -matkit.solve_pd(blocks.uu, blocks.ux)
+        # ztilde = m1: the received local mode is known to both controllers.
+        P[t, :, :EMPTY], gain = _schur(
+            matkit.sym(st.C[t] + _T(st.D) @ pi_next @ st.D), d.d_x,
+            lambda m0, m1: f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}",
+        )
+        K_received[t] = -gain
 
-            # local value recursion
-            pt_empty = np.zeros((d.d_x1, d.d_x1))
-            for m1 in range(m.kappa1):
-                D11 = st.D11[(m0, m1)]
-                Ht = matkit.sym(st.C11[t, m0, m1] + D11.T @ psi_next @ D11)
-                try:
-                    sc = matkit.schur_complement(Ht, d.d_x1)
-                except SingularBlockError as exc:
-                    raise SingularBlockError(
-                        f"Htilde^U1U1 not PD at t={t}, m0={m0 + 1}, m1={m1 + 1}: {exc}"
-                    ) from exc
-                Ptilde[t][(m0, m1)] = sc
-                pt_empty = pt_empty + m.pi_m1[m1] * sc
-                tb = matkit.partition(Ht, d.d_x1)
-                Ktilde[t][(m0, m1)] = -matkit.solve_pd(tb.uu, tb.ux)
-            Ptilde[t][(m0, EMPTY)] = matkit.sym(pt_empty)
+        # Local value recursion.
+        sc, gain = _schur(
+            matkit.sym(st.C11[t] + _T(st.D11) @ psi_next @ st.D11), d.d_x1,
+            lambda m0, m1: f"Htilde^U1U1 not PD at t={t}, m0={m0 + 1}, m1={m1 + 1}",
+        )
+        Ptilde[t, :, :EMPTY] = sc
+        Ptilde[t, :, EMPTY] = matkit.sym((sc * pi1).sum(axis=1))
+        Ktilde[t] = -gain
 
-        for key, val in P[t].items():
-            lo = matkit.min_eig(val)
-            if lo < -PSD_SLACK * max(1.0, float(np.linalg.norm(val, 2))):
-                raise DefinitenessError(
-                    f"P at t={t}, key={key} lost positive semi-definiteness", min_eig=lo
-                )
-        for key, val in Ptilde[t].items():
-            lo = matkit.min_eig(val)
-            if lo < -PSD_SLACK * max(1.0, float(np.linalg.norm(val, 2))):
-                raise DefinitenessError(
-                    f"Ptilde at t={t}, key={key} lost positive semi-definiteness", min_eig=lo
-                )
+        for name, table in (("P", P[t]), ("Ptilde", Ptilde[t])):
+            matkit.assert_psd(
+                table, tol=PSD_SLACK,
+                name=lambda m0, zt: f"{name} at t={t}, m0={m0 + 1}, ztilde={_ztilde_name(zt, k1)}",
+            )
 
-        P00_next = {k: v[:d.d_x0, :d.d_x0] for k, v in P[t + 1].items()}
         e[t] = (
             e[t + 1]
-            + float(np.trace(op_pi(P00_next, spec) @ spec.stoch.covW0[t]))
+            + float(np.trace(pi_next[:d.d_x0, :d.d_x0] @ spec.stoch.covW0[t]))
             + float(np.trace(psi_next @ spec.stoch.covW1[t]))
         )
 
     values = ValueTables(P=P, Ptilde=Ptilde, e=e)
-    gains = GainTables(K=K, Ktilde=Ktilde)
+    gains = GainTables(K_empty=K_empty, K_received=K_received, Ktilde=Ktilde)
     j_star = analytic_cost(spec, values)
     meta = {
         "psd_slack": PSD_SLACK,
@@ -247,109 +220,81 @@ def analytic_cost(spec, values):
     On the failed-channel branch the local state enters through the prior
     belief: its covariance multiplies Ptilde_0 rather than P_0^11.
     """
-    d, m, st = spec.dims, spec.modes, spec.stoch
-    p1 = spec.channel.p1
+    d, st = spec.dims, spec.stoch
     mu = np.concatenate([st.mu_x0, st.mu_x1])
-
-    total = float(values.e[0])
-    fail = 0.0
-    for m0 in range(m.kappa0):
-        P0 = values.P[0][(m0, EMPTY)]
-        fail += m.pi_m0[m0] * (
-            matkit.qf(P0, mu)
-            + float(np.trace(P0[:d.d_x0, :d.d_x0] @ st.cov_x0))
-            + float(np.trace(values.Ptilde[0][(m0, EMPTY)] @ st.cov_x1))
-        )
-    total += (1.0 - p1) * fail
-
-    ok = 0.0
-    for m0 in range(m.kappa0):
-        for m1 in range(m.kappa1):
-            P0 = values.P[0][(m0, m1)]
-            ok += m.pi_m0[m0] * m.pi_m1[m1] * (
-                matkit.qf(P0, mu)
-                + float(np.trace(P0[:d.d_x0, :d.d_x0] @ st.cov_x0))
-                + float(np.trace(P0[d.d_x0:, d.d_x0:] @ st.cov_x1))
-            )
-    total += p1 * ok
-    return float(total)
+    P0 = values.P[0]
+    local = _branches(values.Ptilde[0], P0[..., d.d_x0:, d.d_x0:])
+    per_slot = (
+        np.einsum("i,abij,j->ab", mu, P0, mu)
+        + np.einsum("abij,ji->ab", P0[..., :d.d_x0, :d.d_x0], st.cov_x0)
+        + np.einsum("abij,ji->ab", local, st.cov_x1)
+    )
+    return float(values.e[0] + np.sum(_weights(spec) * per_slot))
 
 
 # --- serialization ----------------------------------------------------------
+#
+# A bundle file nests every table as t -> m0 (1-based) -> key, the key being
+# "empty" or "m<l>" for received local mode l (1-based); K holds the empty
+# and received gains side by side. The key order is the one bundles have
+# always been written in: Ptilde lists "empty" last except at t = T+1.
 
 
-def _zt_key(zt):
-    return "empty" if zt is EMPTY else f"m{zt + 1}"
-
-
-def _zt_from_key(key):
-    if key == "empty":
-        return EMPTY
-    return int(key[1:]) - 1
-
-
-def _tables_to_json(tables):
-    out = {}
-    for t, table in enumerate(tables):
-        out[str(t)] = {}
-        seen_m0 = sorted({k[0] for k in table})
-        for m0 in seen_m0:
-            out[str(t)][str(m0 + 1)] = {
-                _zt_key(zt): table[(mm0, zt)].tolist()
-                for (mm0, zt) in table
-                if mm0 == m0
-            }
-    return out
+def _nest(steps, kappa0, entry):
+    return {
+        str(t): {str(m0 + 1): entry(t, m0) for m0 in range(kappa0)} for t in range(steps)
+    }
 
 
 def bundle_to_json(bundle):
+    v, g = bundle.values, bundle.gains
+    steps, k0, k1 = g.K_received.shape[:3]
+    keys = [f"m{j + 1}" for j in range(k1)]
+    P, Pt = v.P.tolist(), v.Ptilde.tolist()
+    Ke, Kr, Kt = g.K_empty.tolist(), g.K_received.tolist(), g.Ktilde.tolist()
+
+    def ptilde(t, m0):
+        received = dict(zip(keys, Pt[t][m0]))
+        if t == steps:
+            return {"empty": Pt[t][m0][EMPTY], **received}
+        return {**received, "empty": Pt[t][m0][EMPTY]}
+
     return {
-        "P": _tables_to_json(bundle.values.P),
-        "Ptilde": _tables_to_json(bundle.values.Ptilde),
-        "K": _tables_to_json(bundle.gains.K),
-        "Ktilde": {
-            str(t): {
-                str(m0 + 1): {
-                    f"m{m1 + 1}": bundle.gains.Ktilde[t][(m0, m1)].tolist()
-                    for (mm0, m1) in bundle.gains.Ktilde[t]
-                    if mm0 == m0
-                }
-                for m0 in sorted({k[0] for k in bundle.gains.Ktilde[t]})
-            }
-            for t in range(len(bundle.gains.Ktilde))
-        },
-        "e": bundle.values.e.tolist(),
+        "P": _nest(steps + 1, k0, lambda t, m0: {"empty": P[t][m0][EMPTY], **dict(zip(keys, P[t][m0]))}),
+        "Ptilde": _nest(steps + 1, k0, ptilde),
+        "K": _nest(steps, k0, lambda t, m0: {"empty": Ke[t][m0], **dict(zip(keys, Kr[t][m0]))}),
+        "Ktilde": _nest(steps, k0, lambda t, m0: dict(zip(keys, Kt[t][m0]))),
+        "e": v.e.tolist(),
         "j_star": bundle.j_star,
         "solve_metadata": bundle.solve_metadata,
     }
 
 
-def _tables_from_json(obj):
-    tables = [None] * len(obj)
-    for t_key, per_m0 in obj.items():
-        table = {}
-        for m0_key, per_zt in per_m0.items():
-            m0 = int(m0_key) - 1
-            for zt_key, mat in per_zt.items():
-                table[(m0, _zt_from_key(zt_key))] = np.asarray(mat, dtype=float)
-        tables[int(t_key)] = table
-    return tables
+def _in_order(obj):
+    return [obj[k] for k in sorted(obj, key=int)]
+
+
+def _stack(table, keys):
+    """Array [t, m0, key] of a nested t -> m0 -> key table."""
+    return np.array(
+        [[[per_m0[k] for k in keys] for per_m0 in _in_order(per_t)] for per_t in _in_order(table)],
+        dtype=float,
+    )
 
 
 def bundle_from_json(obj):
-    P = _tables_from_json(obj["P"])
-    Ptilde = _tables_from_json(obj["Ptilde"])
-    K = _tables_from_json(obj["K"])
-    Ktilde = [None] * len(obj["Ktilde"])
-    for t_key, per_m0 in obj["Ktilde"].items():
-        table = {}
-        for m0_key, per_m1 in per_m0.items():
-            for m1_key, mat in per_m1.items():
-                table[(int(m0_key) - 1, int(m1_key[1:]) - 1)] = np.asarray(mat, dtype=float)
-        Ktilde[int(t_key)] = table
+    keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
     return SolutionBundle(
-        values=ValueTables(P=P, Ptilde=Ptilde, e=np.asarray(obj["e"], dtype=float)),
-        gains=GainTables(K=K, Ktilde=Ktilde),
+        values=ValueTables(
+            P=_stack(obj["P"], keys + ["empty"]),
+            Ptilde=_stack(obj["Ptilde"], keys + ["empty"]),
+            e=np.asarray(obj["e"], dtype=float),
+        ),
+        gains=GainTables(
+            K_empty=_stack(obj["K"], ["empty"])[:, :, 0],
+            K_received=_stack(obj["K"], keys),
+            Ktilde=_stack(obj["Ktilde"], keys),
+        ),
         j_star=float(obj["j_star"]),
         solve_metadata=dict(obj.get("solve_metadata", {})),
     )

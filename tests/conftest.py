@@ -41,6 +41,18 @@ def s2_config(p1=0.5, family="gaussian"):
     return cfg
 
 
+def zero_weight_mode_config():
+    """S2 with a second local mode of probability zero: nothing weights its
+    prescription qbar(2), so the empty-branch H^UU is singular."""
+    cfg = s2_config()
+    cfg["modes"] = {"kappa0": 1, "kappa1": 2, "pi_m0": [1.0], "pi_m1": [1.0, 0.0]}
+    for key in ("A10", "A11", "B10", "B11"):
+        cfg["system"][key] = cfg["system"][key] * 2
+    cfg["cost"]["Q"] = cfg["cost"]["Q"] * 2
+    cfg["cost"]["R"] = cfg["cost"]["R"] * 2
+    return cfg
+
+
 def divergent_config():
     """Scalar chain, T = 3, whose rare first global mode multiplies x0 by
     1e200: a run overflows once that mode comes up twice."""
@@ -193,20 +205,22 @@ def prescription(policy, t, m0, ztilde, x0, x_hat1):
     """The common-information prescription of any decentralized linear policy.
 
     The optimal policy goes through `control.compute_prescription`; the
-    reference policies get the same record built from their joint gains.
+    reference policies get the same record built from their gain arrays.
     """
     spec = policy.spec
     if policy.name == "optimal":
         est = control.EstimatorState(x_hat1=x_hat1)
         return control.compute_prescription(policy.bundle, spec, t, m0, ztilde, x0, est)
-    d, m = spec.dims, spec.modes
-    v = policy.joint_gain(t, m0, ztilde) @ np.concatenate([x0, x_hat1])
+    d, m, g = spec.dims, spec.modes, policy.gains
+    xin = np.concatenate([x0, x_hat1])
     qbar = np.zeros((m.kappa1, d.d_u1))
     ktilde = None
-    if ztilde is EMPTY:
+    if ztilde == EMPTY:
+        v = g.K_empty[t, m0] @ xin
         qbar[:] = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
-        ktilde = {(m0, j): policy.innovation_gain(t, m0, j) for j in range(m.kappa1)}
+        ktilde = g.Ktilde[t, m0]
     else:
+        v = g.K_received[t, m0, ztilde] @ xin
         qbar[ztilde] = v[d.d_u0:]
     return control.Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=ktilde, ztilde=ztilde, m0=m0)
 
@@ -249,7 +263,7 @@ def reference_rollout(spec, policy, seed, run_index):
             ).x_hat1
 
         if policy.full_information:
-            u = policy.centralized.K[t][(m0, m1)] @ np.concatenate([x0, x1])
+            u = policy.centralized.K[t, m0, m1] @ np.concatenate([x0, x1])
             u0, u1 = u[:d.d_u0], u[d.d_u0:]
         else:
             est = control.EstimatorState(x_hat1=x_hat1)

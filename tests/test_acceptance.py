@@ -83,9 +83,8 @@ def test_c03_psd_propagation(instances, bundles):
     worst = 0.0
     for spec, bundle in zip(instances, bundles):
         for table in (bundle.values.P, bundle.values.Ptilde):
-            for t in range(spec.T + 2):
-                for G in table[t].values():
-                    worst = min(worst, float(np.linalg.eigvalsh(0.5 * (G + G.T)).min()))
+            for G in table.reshape((-1,) + table.shape[-2:]):
+                worst = min(worst, float(np.linalg.eigvalsh(0.5 * (G + G.T)).min()))
     _report(
         "criterion 3 (PSD propagation)",
         worst >= -1e-9,
@@ -122,9 +121,8 @@ def test_c05_perfect_channel_reduction(instances, bundles):
         if spec.channel.p1 != 1.0:
             continue
         cen = control.centralized_solve(spec)
-        for t in range(spec.T + 1):
-            for key, mat in cen.P[t].items():
-                worst = max(worst, float(np.abs(mat - bundle.values.P[t][key]).max()))
+        steps = spec.T + 1
+        worst = max(worst, float(np.abs(cen.P[:steps] - bundle.values.P[:steps, :, :EMPTY]).max()))
         count += 1
     _report(
         "criterion 5 (p1=1 centralized reduction)",
@@ -139,14 +137,14 @@ def test_c06_single_local_mode_collapse(instances, bundles):
     for spec, bundle in zip(instances, bundles):
         if spec.modes.kappa1 != 1:
             continue
-        for t in range(spec.T + 1):
-            for m0 in range(spec.modes.kappa0):
-                for a, b in (
-                    (bundle.values.P[t][(m0, EMPTY)], bundle.values.P[t][(m0, 0)]),
-                    (bundle.values.Ptilde[t][(m0, EMPTY)], bundle.values.Ptilde[t][(m0, 0)]),
-                    (bundle.gains.K[t][(m0, EMPTY)], bundle.gains.K[t][(m0, 0)]),
-                ):
-                    worst = max(worst, float(np.abs(a - b).max()))
+        steps = spec.T + 1
+        P, Pt = bundle.values.P[:steps], bundle.values.Ptilde[:steps]
+        for a, b in (
+            (P[:, :, EMPTY], P[:, :, 0]),
+            (Pt[:, :, EMPTY], Pt[:, :, 0]),
+            (bundle.gains.K_empty, bundle.gains.K_received[:, :, 0]),
+        ):
+            worst = max(worst, float(np.abs(a - b).max()))
         count += 1
     _report(
         "criterion 6 (single-local-mode collapse)",
@@ -169,14 +167,12 @@ def test_c07_hand_instance_pinning():
         a = solver.solve_backward(spec)
         b = solver.solve_backward(spec)
         # Bit stability: two solves of the same instance agree exactly.
-        for t in range(3):
-            for key in a.values.P[t]:
-                assert np.array_equal(a.values.P[t][key], b.values.P[t][key])
+        assert np.array_equal(a.values.P, b.values.P)
         got = {
-            "P": a.values.P[0][(0, EMPTY)],
-            "K": a.gains.K[0][(0, EMPTY)],
-            "Pt": a.values.Ptilde[0][(0, EMPTY)],
-            "Kt": a.gains.Ktilde[0][(0, 0)],
+            "P": a.values.P[0, 0, EMPTY],
+            "K": a.gains.K_empty[0, 0],
+            "Pt": a.values.Ptilde[0, 0, EMPTY],
+            "Kt": a.gains.Ktilde[0, 0, 0],
         }
         for name, mat in expected.items():
             worst = max(worst, float(np.abs(got[name] - mat).max()))

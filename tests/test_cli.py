@@ -1,11 +1,20 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncslqr import cli
-from conftest import divergent_config, long_horizon_config, random_config, s2_config
+from ncslqr import cli, sim
+from conftest import (
+    divergent_config,
+    long_horizon_config,
+    random_config,
+    s2_config,
+    zero_weight_mode_config,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -39,6 +48,33 @@ class TestSolve:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["solve", "--config", str(path)]) == 2
+
+    def test_singular_block_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(zero_weight_mode_config()))
+        assert cli.main(["solve", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: H^UU not PD at t=1, m0=1, ztilde=empty: ")
+
+
+class TestSolutionBundle:
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_mismatched_bundle_exit_code(self, tmp_path, capsys, command):
+        paths = {}
+        for T in (2, 3):
+            cfg = s2_config()
+            cfg["stoch"]["T"] = T
+            paths[T] = tmp_path / f"t{T}.json"
+            paths[T].write_text(json.dumps(cfg))
+        bundle = tmp_path / "bundle_t2.json"
+        assert cli.main(["solve", "--config", str(paths[2]), "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        rc = cli.main([command, "--config", str(paths[3]), "--solution", str(bundle)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("solution error: ")
+        assert "(3, 1, 2, 2)" in err and "(4, 1, 2, 2)" in err
 
 
 class TestSimulate:
@@ -162,6 +198,30 @@ class TestValidate:
         rc = cli.main(["validate", "--config", str(path), "--runs", "3000"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["all_pass"]
+
+    def test_unbiasedness_corrected_for_many_means(self, capsys):
+        # The benchmark's exact-enum instance has (T+1) d_x1 = 6 innovation
+        # means. At seed 5 the largest sits at 3.16 SE: above 3, below the
+        # Bonferroni critical value.
+        path = DATA / "exact_enum_config.json"
+        rc = cli.main(["validate", "--config", str(path), "--runs", "2000", "--seed", "5"])
+        out = capsys.readouterr().out
+        assert "PASS  estimator-unbiasedness: max |mean innovation|/SE = 3.16 vs 3.51" in out
+        assert rc == 0
+
+    def test_biased_estimator_fails(self, monkeypatch, capsys):
+        real = sim.simulate_runs
+
+        def biased(*args):
+            for traj in real(*args):
+                traj.x_hat1 = traj.x_hat1 + 0.25
+                yield traj
+
+        monkeypatch.setattr(sim, "simulate_runs", biased)
+        path = DATA / "exact_enum_config.json"
+        rc = cli.main(["validate", "--config", str(path), "--runs", "2000", "--seed", "5"])
+        assert rc == 1
+        assert "FAIL  estimator-unbiasedness" in capsys.readouterr().out
 
 
 class TestSweep:

@@ -89,12 +89,12 @@ class TestPrescription:
 class TestCentralized:
     def test_s2_centralized_tables(self, s2_spec):
         sol = control.centralized_solve(s2_spec)
-        assert sol.P[2][(0, 0)] == pytest.approx(np.zeros((2, 2)))
-        assert sol.P[1][(0, 0)] == pytest.approx(np.eye(2))
-        assert sol.P[0][(0, 0)] == pytest.approx(
+        assert sol.P[2, 0, 0] == pytest.approx(np.zeros((2, 2)))
+        assert sol.P[1, 0, 0] == pytest.approx(np.eye(2))
+        assert sol.P[0, 0, 0] == pytest.approx(
             np.array([[8.0, 1.0], [1.0, 7.0]]) / 5.0, abs=1e-12
         )
-        assert sol.K[0][(0, 0)] == pytest.approx(
+        assert sol.K[0, 0, 0] == pytest.approx(
             -np.array([[3.0, 1.0], [1.0, 2.0]]) / 5.0, abs=1e-12
         )
 
@@ -106,12 +106,8 @@ class TestCentralized:
                 continue
             bundle = solver.solve_backward(spec)
             sol = control.centralized_solve(spec)
-            for t in range(spec.T + 1):
-                for m0 in range(spec.modes.kappa0):
-                    for m1 in range(spec.modes.kappa1):
-                        assert bundle.values.P[t][(m0, m1)] == pytest.approx(
-                            sol.P[t][(m0, m1)], abs=1e-10
-                        )
+            steps = spec.T + 1
+            assert bundle.values.P[:steps, :, :EMPTY] == pytest.approx(sol.P[:steps], abs=1e-10)
 
 
 def _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh):
@@ -126,14 +122,14 @@ def _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh):
         return np.concatenate([presc.u0, control.local_action(presc, x1, m1, est)])
     if kind == "zero":
         return np.zeros(d.d_u)
-    K = policy.centralized.K[t]
+    K = policy.centralized.K[t, m0]
     if kind == "centralized" or gamma == 1:
-        return K[(m0, m1)] @ np.concatenate([x0, x1])
+        return K[m1] @ np.concatenate([x0, x1])
     # Certainty equivalence: u0 from the mode-averaged gain on (x0, xhat);
     # u1 from the true local mode's gain plus its x1 feedback on x1 - xhat.
     common = np.concatenate([x0, xh])
-    u0 = sum(m.pi_m1[j] * K[(m0, j)][:d.d_u0] for j in range(m.kappa1)) @ common
-    Kc = K[(m0, m1)]
+    u0 = sum(m.pi_m1[j] * K[j][:d.d_u0] for j in range(m.kappa1)) @ common
+    Kc = K[m1]
     u1 = Kc[d.d_u0:] @ common + Kc[d.d_u0:, d.d_x0:] @ (x1 - xh)
     return np.concatenate([u0, u1])
 

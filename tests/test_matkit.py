@@ -40,24 +40,44 @@ class TestQf:
 class TestSchurComplement:
     def test_hand_2x2(self):
         G = np.array([[4.0, 2.0], [2.0, 2.0]])
-        assert matkit.schur_complement(G, 1) == pytest.approx(np.array([[2.0]]))
+        sc, gain = matkit.schur_complement(G, 1)
+        assert sc == pytest.approx(np.array([[2.0]]))
+        assert gain == pytest.approx(np.array([[1.0]]))
 
     def test_block_diagonal(self):
         G11 = np.array([[3.0, 1.0], [1.0, 2.0]])
         G = np.block([[G11, np.zeros((2, 1))], [np.zeros((1, 2)), np.array([[4.0]])]])
-        assert matkit.schur_complement(G, matkit.BlockPartition(2)) == pytest.approx(G11)
+        assert matkit.schur_complement(G, 2)[0] == pytest.approx(G11)
 
     def test_s2_stage_matrix(self):
         # H_0 of the scalar hand instance: I + D'D with D = [[1,0,1,0],[1,1,1,1]].
         D = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         H = np.eye(4) + D.T @ D
         expected = np.array([[8.0, 1.0], [1.0, 7.0]]) / 5.0
-        assert matkit.schur_complement(H, 2) == pytest.approx(expected, abs=1e-14)
+        assert matkit.schur_complement(H, 2)[0] == pytest.approx(expected, abs=1e-14)
 
     def test_singular_trailing_block(self):
         G = np.zeros((2, 2))
         with pytest.raises(SingularBlockError):
             matkit.schur_complement(G, 1)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((2, 3, 4, 4))
+        G = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(4)
+        sc, gain = matkit.schur_complement(G, 1)
+        for i, j in np.ndindex(2, 3):
+            one_sc, one_gain = matkit.schur_complement(G[i, j], 1)
+            assert sc[i, j] == pytest.approx(one_sc, rel=1e-12, abs=1e-12)
+            assert gain[i, j] == pytest.approx(one_gain, rel=1e-12, abs=1e-12)
+
+    def test_stack_reports_first_singular_index(self):
+        G = np.broadcast_to(np.eye(3), (2, 3, 3, 3)).copy()
+        G[1, 2, 1:, 1:] = 0.0
+        G[1, 1, 2, 2] = 0.0
+        with pytest.raises(SingularBlockError) as exc:
+            matkit.schur_complement(G, 1)
+        assert exc.value.index == (1, 1)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -65,7 +85,7 @@ class TestSchurComplement:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         G = A @ A.T + 1e-3 * np.eye(n)
-        sc = matkit.schur_complement(G, rng.integers(1, n))
+        sc, _ = matkit.schur_complement(G, rng.integers(1, n))
         assert matkit.min_eig(sc) >= -1e-9
 
 
@@ -132,3 +152,11 @@ class TestDefiniteness:
     def test_asymmetric_caught(self):
         with pytest.raises(DefinitenessError):
             matkit.assert_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_stack_names_first_failing_matrix(self):
+        M = np.broadcast_to(np.eye(2), (3, 2, 2, 2)).copy()
+        M[2, 0] = [[1.0, 2.0], [2.0, 1.0]]
+        M[1, 1] = [[-1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(DefinitenessError, match=r"^M\[t=1, m=1\] is not PSD") as exc:
+            matkit.assert_psd(M, name=lambda t, m: f"M[t={t}, m={m}]")
+        assert exc.value.min_eig == pytest.approx(-1.0)

@@ -80,6 +80,22 @@ class TestLoad:
         spec = model.load_config(cfg)
         assert spec.cost.Q[1, 0, 0] == pytest.approx(2.0 * np.eye(2))
 
+    def test_time_varying_cost_names_failing_entry(self):
+        eye, bad = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]
+        cfg = s2_config()
+        cfg["modes"] = {"kappa0": 2, "kappa1": 1, "pi_m0": [0.5, 0.5], "pi_m1": [1.0]}
+        for key in ("A00", "B00", "A10", "A11", "B10", "B11"):
+            cfg["system"][key] = cfg["system"][key] * 2
+        cfg["stoch"]["T"] = 2
+        # Pair lists are m1-major: entry 1 is (m0=2, m1=1).
+        cfg["cost"] = {
+            "time_varying": True,
+            "Q": [[eye, eye], [eye, eye], [eye, bad]],
+            "R": [[eye, eye]] * 3,
+        }
+        with pytest.raises(DefinitenessError, match=r"^cost\.Q\[t=2, m0=2, m1=1\] is not PSD"):
+            model.load_config(cfg)
+
     def test_roundtrip(self, s2_spec):
         again = model.load_config(model.problem_to_config(s2_spec))
         assert again.cost.Q == pytest.approx(s2_spec.cost.Q)

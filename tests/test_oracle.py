@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ncslqr import control, model, oracle, sim, solver
@@ -83,6 +84,28 @@ class TestExactEvaluation:
             assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
             assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kind", ["optimal", "zero", "ce"])
+    def test_received_moment_estimate_is_state(self, battery, kind):
+        # On gamma_t = 1 the estimate is the received state, so the xhat rows
+        # and columns of S_t^1 repeat its x1 rows and columns. The cost never
+        # reads that block (every gamma = 1 map has zero xhat columns), so
+        # only this test pins it.
+        checked = 0
+        for spec in battery:
+            if not 0.0 < spec.channel.p1 < 1.0 or spec.T == 0:
+                continue
+            d = spec.dims
+            x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, d.d_x + d.d_x1)
+            bundle = solver.solve_backward(spec) if kind == "optimal" else None
+            policy = control.make_policy(kind, spec, bundle=bundle)
+            for t, gamma, _, S, _ in oracle._stage_moments(spec, policy):
+                if gamma == 1:
+                    scale = np.abs(S).max()
+                    assert S[xh] == pytest.approx(S[x1], rel=1e-12, abs=1e-12 * scale)
+                    assert S[:, xh] == pytest.approx(S[:, x1], rel=1e-12, abs=1e-12 * scale)
+                    checked += t > 0
+        assert checked > 0
+
     def test_nonlinear_policy_rejected(self, s2_spec):
         class Lookahead:
             name = "lookahead"
@@ -105,8 +128,7 @@ class TestStationarity:
     def test_detects_broken_gain(self, battery):
         spec = battery[1]
         bundle = solver.solve_backward(spec)
-        key = (0, solver.EMPTY)
-        bundle.gains.K[0][key] = bundle.gains.K[0][key] + 0.2
+        bundle.gains.K_empty[0, 0] += 0.2
         report = oracle.stationarity_check(
             spec, bundle, n_perturbations=4, raise_on_violation=False
         )

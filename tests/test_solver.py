@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ncslqr import model, solver
+from ncslqr.errors import SingularBlockError
 from ncslqr.matkit import sym
-from conftest import s1_config, s2_config
+from conftest import s1_config, s2_config, zero_weight_mode_config
 
 EMPTY = solver.EMPTY
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def spec_with(cfg, **over):
@@ -15,26 +19,34 @@ def spec_with(cfg, **over):
     return model.load_config(cfg)
 
 
+def stacked(*per_m0):
+    """(kappa0, kappa1+1, 1, 1) table from per-m0 (received..., empty) scalars."""
+    return np.array(per_m0, dtype=float)[:, :, None, None]
+
+
 class TestOperators:
     def test_pi_scalar_single_mode(self, s1_spec):
         # kappa0 = kappa1 = 1, p1 = 0.5: Pi(G) = 0.5*G(0,empty) + 0.5*G(0,0).
-        G = {(0, EMPTY): np.array([[2.0]]), (0, 0): np.array([[4.0]])}
+        G = stacked([4.0, 2.0])
         assert solver.op_pi(G, s1_spec) == pytest.approx(np.array([[3.0]]))
 
     def test_pi_p03(self):
         spec = model.load_config(s1_config(p1=0.3))
-        G = {(0, EMPTY): np.array([[2.0]]), (0, 0): np.array([[4.0]])}
+        G = stacked([4.0, 2.0])
         assert solver.op_pi(G, spec) == pytest.approx(np.array([[2.6]]))
 
-    def test_pi_gamma_branches(self, s1_spec):
-        G = {(0, EMPTY): np.array([[2.0]]), (0, 0): np.array([[4.0]])}
-        assert solver.op_pi_gamma(G, 0, s1_spec) == pytest.approx(np.array([[2.0]]))
-        assert solver.op_pi_gamma(G, 1, s1_spec) == pytest.approx(np.array([[4.0]]))
+    def test_pi_gamma_branches(self):
+        # A certain channel bit leaves only its branch of the expectation.
+        G = stacked([4.0, 2.0])
+        fail = model.load_config(s1_config(p1=0.0))
+        success = model.load_config(s1_config(p1=1.0))
+        assert solver.op_pi(G, fail) == pytest.approx(np.array([[2.0]]))
+        assert solver.op_pi(G, success) == pytest.approx(np.array([[4.0]]))
 
     def test_psi_mixes_collections(self):
         spec = model.load_config(s1_config(p1=0.25))
-        G1 = {(0, EMPTY): np.array([[8.0]]), (0, 0): np.array([[99.0]])}
-        G2 = {(0, EMPTY): np.array([[99.0]]), (0, 0): np.array([[4.0]])}
+        G1 = stacked([99.0, 8.0])
+        G2 = stacked([4.0, 99.0])
         assert solver.op_psi(G1, G2, spec) == pytest.approx(np.array([[7.0]]))
 
     def test_pi_weights_modes(self):
@@ -45,10 +57,7 @@ class TestOperators:
         cfg["cost"]["Q"] = cfg["cost"]["Q"] * 2
         cfg["cost"]["R"] = cfg["cost"]["R"] * 2
         spec = model.load_config(cfg)
-        G = {
-            (0, EMPTY): np.array([[1.0]]), (0, 0): np.array([[1.0]]),
-            (1, EMPTY): np.array([[5.0]]), (1, 0): np.array([[5.0]]),
-        }
+        G = stacked([1.0, 1.0], [5.0, 5.0])
         assert solver.op_pi(G, spec) == pytest.approx(np.array([[4.0]]))
 
 
@@ -59,25 +68,23 @@ class TestHandInstances:
         # t = T+1 tables are identically zero; at t = T only the stage cost
         # remains, so P_T = Q = I and the last controls are free.
         for zt in (EMPTY, 0):
-            assert P[2][(0, zt)] == pytest.approx(np.zeros((2, 2)))
-            assert P[1][(0, zt)] == pytest.approx(np.eye(2), abs=1e-12)
+            assert P[2, 0, zt] == pytest.approx(np.zeros((2, 2)))
+            assert P[1, 0, zt] == pytest.approx(np.eye(2), abs=1e-12)
         # t = 0 is the genuine one-step recursion through H = I + D'D.
         expected_P = np.array([[8.0, 1.0], [1.0, 7.0]]) / 5.0
         for zt in (EMPTY, 0):
-            assert P[0][(0, zt)] == pytest.approx(expected_P, abs=1e-12)
-            assert bundle.values.Ptilde[0][(0, zt)] == pytest.approx(
+            assert P[0, 0, zt] == pytest.approx(expected_P, abs=1e-12)
+            assert bundle.values.Ptilde[0, 0, zt] == pytest.approx(
                 np.array([[1.5]]), abs=1e-12
             )
 
     def test_s2_gains(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
         expected_K = -np.array([[3.0, 1.0], [1.0, 2.0]]) / 5.0
-        for zt in (EMPTY, 0):
-            assert bundle.gains.K[0][(0, zt)] == pytest.approx(expected_K, abs=1e-12)
-            assert bundle.gains.K[1][(0, zt)] == pytest.approx(
-                np.zeros((2, 2)), abs=1e-12
-            )
-        assert bundle.gains.Ktilde[0][(0, 0)] == pytest.approx(
+        for K in (bundle.gains.K_empty[:, 0], bundle.gains.K_received[:, 0, 0]):
+            assert K[0] == pytest.approx(expected_K, abs=1e-12)
+            assert K[1] == pytest.approx(np.zeros((2, 2)), abs=1e-12)
+        assert bundle.gains.Ktilde[0, 0, 0] == pytest.approx(
             np.array([[-0.5]]), abs=1e-12
         )
 
@@ -95,7 +102,7 @@ class TestHandInstances:
         # optimal one-step value at the initial distribution.
         spec = model.load_config(s1_config(mu_x0=1.0, mu_x1=0.0, cov_x0=0.0, cov_x1=0.0))
         bundle = solver.solve_backward(spec)
-        P = bundle.values.P[0][(0, EMPTY)]
+        P = bundle.values.P[0, 0, EMPTY]
         assert bundle.j_star == pytest.approx(P[0, 0], abs=1e-12)
 
     def test_s2_p1_dependence(self):
@@ -104,11 +111,7 @@ class TestHandInstances:
         # better channel can only help.
         b_lo = solver.solve_backward(model.load_config(s2_config(p1=0.1)))
         b_hi = solver.solve_backward(model.load_config(s2_config(p1=0.9)))
-        for t in range(3):
-            for key in b_lo.values.P[t]:
-                assert b_lo.values.P[t][key] == pytest.approx(
-                    b_hi.values.P[t][key], abs=1e-12
-                )
+        assert b_lo.values.P == pytest.approx(b_hi.values.P, abs=1e-12)
         assert b_hi.j_star < b_lo.j_star
         # Linear in p1 between the two conditional branches of E[V_0].
         assert b_lo.j_star == pytest.approx(5.09, abs=1e-12)
@@ -120,12 +123,12 @@ class TestStructure:
         for spec in battery:
             bundle = solver.solve_backward(spec)
             for table in (bundle.values.P, bundle.values.Ptilde):
-                for t in range(spec.T + 2):
-                    for G in table[t].values():
-                        assert np.abs(G - G.T).max() <= 1e-10
-                        assert np.linalg.eigvalsh(sym(G)).min() >= -1e-9 * max(
-                            1.0, np.abs(G).max()
-                        )
+                assert table.shape[:3] == (spec.T + 2, spec.modes.kappa0, spec.modes.kappa1 + 1)
+                for G in table.reshape((-1,) + table.shape[-2:]):
+                    assert np.abs(G - G.T).max() <= 1e-10
+                    assert np.linalg.eigvalsh(sym(G)).min() >= -1e-9 * max(
+                        1.0, np.abs(G).max()
+                    )
 
     def test_constants_monotone(self, battery):
         for spec in battery:
@@ -140,14 +143,11 @@ class TestStructure:
             if spec.modes.kappa1 != 1:
                 continue
             bundle = solver.solve_backward(spec)
-            for t in range(spec.T + 1):
-                for m0 in range(spec.modes.kappa0):
-                    assert bundle.values.P[t][(m0, EMPTY)] == pytest.approx(
-                        bundle.values.P[t][(m0, 0)], abs=1e-12
-                    )
-                    assert bundle.gains.K[t][(m0, EMPTY)] == pytest.approx(
-                        bundle.gains.K[t][(m0, 0)], abs=1e-12
-                    )
+            P = bundle.values.P[:spec.T + 1]
+            assert P[:, :, EMPTY] == pytest.approx(P[:, :, 0], abs=1e-12)
+            assert bundle.gains.K_empty == pytest.approx(
+                bundle.gains.K_received[:, :, 0], abs=1e-12
+            )
 
     def test_gain_residual(self, battery):
         # K solves H_uu K = -H_ux; check by reconstructing H from the tables.
@@ -157,16 +157,22 @@ class TestStructure:
             d = spec.dims
             for m0 in range(spec.modes.kappa0):
                 for m1 in range(spec.modes.kappa1):
-                    Pn = solver.op_pi(
-                        {k: v for k, v in bundle.values.P[spec.T + 1].items()}, spec
-                    )
-                    H = static.C[spec.T, m0, m1] + static.D[(m0, m1)].T @ Pn @ static.D[(m0, m1)]
-                    K = bundle.gains.K[spec.T][(m0, m1)]
+                    Pn = solver.op_pi(bundle.values.P[spec.T + 1], spec)
+                    H = static.C[spec.T, m0, m1] + static.D[m0, m1].T @ Pn @ static.D[m0, m1]
+                    K = bundle.gains.K_received[spec.T, m0, m1]
                     Huu = H[d.d_x:, d.d_x:]
                     Hux = H[d.d_x:, :d.d_x]
                     assert Huu @ K + Hux == pytest.approx(
                         np.zeros_like(Hux), abs=1e-8
                     )
+
+
+class TestErrors:
+    def test_zero_weight_local_mode_is_singular(self):
+        spec = model.load_config(zero_weight_mode_config())
+        with pytest.raises(SingularBlockError) as exc:
+            solver.solve_backward(spec)
+        assert str(exc.value).startswith("H^UU not PD at t=1, m0=1, ztilde=empty: ")
 
 
 class TestSerialization:
@@ -178,13 +184,28 @@ class TestSerialization:
         again = solver.load_bundle(path)
         assert again.j_star == bundle.j_star
         assert again.values.e == pytest.approx(bundle.values.e)
-        for t in range(spec.T + 2):
-            assert set(again.values.P[t]) == set(bundle.values.P[t])
-            for key, G in bundle.values.P[t].items():
-                assert again.values.P[t][key] == pytest.approx(G)
-        for t in range(spec.T + 1):
-            for key, G in bundle.gains.Ktilde[t].items():
-                assert again.gains.Ktilde[t][key] == pytest.approx(G)
+        for name in ("P", "Ptilde"):
+            assert np.array_equal(getattr(again.values, name), getattr(bundle.values, name))
+        for name in ("K_empty", "K_received", "Ktilde"):
+            assert np.array_equal(getattr(again.gains, name), getattr(bundle.gains, name))
+
+    def test_reads_dict_era_bundle(self, s2_spec, tmp_path):
+        # data/s2_bundle.json was written (S2, p1 = 0.5) by the release that
+        # kept the tables as dicts keyed by (m0, ztilde); the file layout is
+        # unchanged, so it loads into the same tables and writes back byte
+        # for byte.
+        path = DATA / "s2_bundle.json"
+        old = solver.load_bundle(path)
+        fresh = solver.solve_backward(s2_spec)
+        for name in ("P", "Ptilde", "e"):
+            assert getattr(old.values, name) == pytest.approx(getattr(fresh.values, name), abs=1e-12)
+        assert old.gains.shapes() == solver.gain_shapes(s2_spec)
+        for name in ("K_empty", "K_received", "Ktilde"):
+            assert getattr(old.gains, name) == pytest.approx(getattr(fresh.gains, name), abs=1e-12)
+        assert old.j_star == pytest.approx(fresh.j_star, abs=1e-12)
+        again = tmp_path / "again.json"
+        solver.save_bundle(old, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_metadata_present(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
