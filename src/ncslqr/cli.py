@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, evaluate-exact, validate, sweep.
-Exit codes: 0 ok, 2 config error (or a solution bundle whose tables do not
-fit the problem's shape), 3 numerical error, 1 other.
+Exit codes: 0 ok, 2 config error, bad argument, or a solution bundle that
+cannot be read or does not fit the problem's shape, 3 numerical error,
+1 other (including an output file that cannot be written).
 """
 
 import argparse
@@ -32,6 +33,28 @@ EXIT_NUMERIC = 3
 
 CONFIG_ERRORS = (ParseError, ShapeError, ProbabilityError)
 NUMERIC_ERRORS = (SingularBlockError, DefinitenessError, NonFiniteError)
+# A --solution bundle that cannot be read (ParseError) or does not fit the
+# problem (ShapeError).
+SOLUTION_ERRORS = (ParseError, ShapeError)
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _float_list(text):
+    """argparse type: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _load_spec(path):
@@ -75,7 +98,7 @@ def cmd_simulate(args):
     try:
         policy, _ = _build_policy(args.policy, spec, args.solution)
         report = sim.monte_carlo(spec, policy, args.runs, args.seed, threads=args.threads)
-    except ShapeError as exc:
+    except SOLUTION_ERRORS as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:
@@ -120,7 +143,7 @@ def cmd_evaluate_exact(args):
                 "max_cost_decrease": stat["max_cost_decrease"],
                 "ok": stat["ok"],
             }
-    except ShapeError as exc:
+    except SOLUTION_ERRORS as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERIC_ERRORS as exc:
@@ -216,8 +239,7 @@ def cmd_sweep(args):
     if spec is None:
         return rc
     values = []
-    for v in args.values.split(","):
-        p = float(v)
+    for p in args.values:
         if p in values:
             print(f"warning: duplicate sweep value {p} ignored", file=sys.stderr)
             continue
@@ -271,7 +293,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--solution")
     p.add_argument("--policy", default="optimal", choices=["optimal", "zero", "ce", "centralized"])
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--dump-trajectories")
@@ -286,15 +308,15 @@ def build_parser():
 
     p = sub.add_parser("validate", help="run the invariant battery on one config")
     p.add_argument("--config", required=True)
-    p.add_argument("--runs", type=int, default=20000)
+    p.add_argument("--runs", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="solve and simulate across channel success rates")
     p.add_argument("--config", required=True)
     p.add_argument("--param", default="p1", choices=["p1"])
-    p.add_argument("--values", required=True)
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--values", required=True, type=_float_list)
+    p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

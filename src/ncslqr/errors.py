@@ -44,7 +44,11 @@ class SingularBlockError(NcslqrError):
 
 
 class NonFiniteError(NcslqrError):
-    """A simulated state or action left the finite range."""
+    """A simulated state or action, or a solution table being saved, is not finite."""
+
+
+class OutputError(NcslqrError):
+    """An output file could not be written."""
 
 
 class UnsupportedPolicyError(NcslqrError):

@@ -30,8 +30,9 @@ def sym(M):
 
 
 def _scale(M):
-    """max(1, ||M||_2) for each matrix of a stack."""
-    return np.maximum(1.0, np.linalg.norm(M, 2, axis=(-2, -1)))
+    """max(1, max |eigenvalue of sym(M)|) for each matrix of a stack: for a
+    symmetric M this is max(1, ||M||_2), without an SVD."""
+    return np.maximum(1.0, np.abs(np.linalg.eigvalsh(sym(M))).max(axis=-1))
 
 
 def _first(bad):
@@ -109,9 +110,10 @@ def schur_complement(G, n_top):
     """(SC, gain) for each matrix of a stack G = [[G11, G12], [G21, G22]]
     split after n_top: gain = G22^-1 G21 and SC = G11 - G12 gain.
 
-    G22 must be PD relative to max(1, ||G||_2), or SingularBlockError names
-    the first failing matrix; this is the numerical signature of the R-PD
-    assumption breaking down.
+    G is symmetric. G22 must be PD relative to max(1, ||G||_2), read off
+    the eigenvalues of G, or SingularBlockError names the first failing
+    matrix; this is the numerical signature of the R-PD assumption breaking
+    down.
     """
     g11, g12, g21, g22 = partition(G, n_top)
     gain = solve_pd(g22, g21, scale=_scale(G))

@@ -19,12 +19,13 @@ the Schur complement and the gain.
 
 import datetime
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matkit
-from .errors import SingularBlockError
+from .errors import NonFiniteError, OutputError, ParseError, SingularBlockError
 from .model import assemble_system
 
 PSD_SLACK = 1e-9
@@ -246,25 +247,27 @@ def _nest(steps, kappa0, entry):
     }
 
 
-def bundle_to_json(bundle):
+def bundle_to_json(bundle, leaf=np.ndarray.tolist):
+    """The bundle as a JSON object; `leaf` turns each table matrix, and the
+    e vector, into its JSON value."""
     v, g = bundle.values, bundle.gains
     steps, k0, k1 = g.K_received.shape[:3]
     keys = [f"m{j + 1}" for j in range(k1)]
-    P, Pt = v.P.tolist(), v.Ptilde.tolist()
-    Ke, Kr, Kt = g.K_empty.tolist(), g.K_received.tolist(), g.Ktilde.tolist()
+
+    def received(table, t, m0):
+        return {key: leaf(table[t, m0, j]) for j, key in enumerate(keys)}
 
     def ptilde(t, m0):
-        received = dict(zip(keys, Pt[t][m0]))
         if t == steps:
-            return {"empty": Pt[t][m0][EMPTY], **received}
-        return {**received, "empty": Pt[t][m0][EMPTY]}
+            return {"empty": leaf(v.Ptilde[t, m0, EMPTY]), **received(v.Ptilde, t, m0)}
+        return {**received(v.Ptilde, t, m0), "empty": leaf(v.Ptilde[t, m0, EMPTY])}
 
     return {
-        "P": _nest(steps + 1, k0, lambda t, m0: {"empty": P[t][m0][EMPTY], **dict(zip(keys, P[t][m0]))}),
+        "P": _nest(steps + 1, k0, lambda t, m0: {"empty": leaf(v.P[t, m0, EMPTY]), **received(v.P, t, m0)}),
         "Ptilde": _nest(steps + 1, k0, ptilde),
-        "K": _nest(steps, k0, lambda t, m0: {"empty": Ke[t][m0], **dict(zip(keys, Kr[t][m0]))}),
-        "Ktilde": _nest(steps, k0, lambda t, m0: dict(zip(keys, Kt[t][m0]))),
-        "e": v.e.tolist(),
+        "K": _nest(steps, k0, lambda t, m0: {"empty": leaf(g.K_empty[t, m0]), **received(g.K_received, t, m0)}),
+        "Ktilde": _nest(steps, k0, lambda t, m0: received(g.Ktilde, t, m0)),
+        "e": leaf(v.e),
         "j_star": bundle.j_star,
         "solve_metadata": bundle.solve_metadata,
     }
@@ -300,11 +303,79 @@ def bundle_from_json(obj):
     )
 
 
+# A table leaf in the dumped skeleton. save_bundle marks leaf i with the
+# string NUL + str(i), which json writes as "\u0000<i>"; of all other values
+# only a metadata string of exactly that form would read the same.
+_LEAF = re.compile(r'"\\u0000(\d+)"')
+
+
+def _layout(shape, depth):
+    """json.dumps(indent=1) text of an array of `shape` nested `depth` levels
+    deep, with one %r per element: %r is float.__repr__, which is what json
+    writes for a finite float."""
+    text = json.dumps(np.full(shape, None).tolist(), indent=1)
+    return text.replace("\n", "\n" + " " * depth).replace("null", "%r")
+
+
+def _depth(text):
+    """Indent of the last line of `text`."""
+    line = text[text.rfind("\n") + 1:]
+    return len(line) - len(line.lstrip(" "))
+
+
+def _non_finite(bundle):
+    """Where the first non-finite table entry is, or None."""
+    for name, table in {**vars(bundle.values), **vars(bundle.gains)}.items():
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            return f"solution table {name} has a non-finite entry at {tuple(bad[0].tolist())}"
+    return None
+
+
 def save_bundle(bundle, path):
-    with open(path, "w") as fh:
-        json.dump(bundle_to_json(bundle), fh, indent=1)
+    """Write exactly json.dump(bundle_to_json(bundle), fh, indent=1).
+
+    json's C encoder does not indent, so its pure-Python one would format
+    every float. Instead the tables go into the dump as index markers, and
+    each is written from a template built once per (shape, depth). A
+    non-finite entry raises NonFiniteError, since json would write it as
+    NaN or Infinity, not as its repr.
+    """
+    problem = _non_finite(bundle)
+    if problem:
+        raise NonFiniteError(problem)
+    leaves = []
+
+    def mark(a):
+        leaves.append(a)
+        return f"\0{len(leaves) - 1}"
+
+    pieces = _LEAF.split(json.dumps(bundle_to_json(bundle, leaf=mark), indent=1))
+    layouts = {}
+    try:
+        with open(path, "w") as fh:
+            for before, i in zip(pieces[0::2], pieces[1::2]):
+                fh.write(before)
+                a = leaves[int(i)]
+                key = (a.shape, _depth(before))
+                if key not in layouts:
+                    layouts[key] = _layout(*key)
+                fh.write(layouts[key] % tuple(a.ravel().tolist()))
+            fh.write(pieces[-1])
+    except OSError as exc:
+        raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
 
 def load_bundle(path):
-    with open(path) as fh:
-        return bundle_from_json(json.load(fh))
+    """Read a bundle file; any failure to read or parse it, or a non-finite
+    table entry (json reads NaN and Infinity), raises ParseError."""
+    try:
+        with open(path) as fh:
+            bundle = bundle_from_json(json.load(fh))
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError.
+        raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc
+    problem = _non_finite(bundle)
+    if problem:
+        raise ParseError(f"cannot read solution bundle {path}: {problem}")
+    return bundle

@@ -56,8 +56,59 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: H^UU not PD at t=1, m0=1, ztilde=empty: ")
 
+    def test_unwritable_bundle_exit_code(self, s2_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "bundle.json"
+        assert cli.main(["solve", "--config", s2_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write solution bundle: ")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+    @pytest.mark.parametrize("runs", ["0", "-3", "2.5", "many"])
+    def test_runs_must_be_positive_integer(self, s2_path, capsys, command, runs):
+        extra = ["--values", "0.5"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", s2_path, "--runs", runs] + extra)
+        assert exc.value.code == 2
+        assert f"argument --runs: expected a positive integer, got '{runs}'" in capsys.readouterr().err
+
+    def test_sweep_values_must_be_numbers(self, s2_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", s2_path, "--values", "0.5,abc"])
+        assert exc.value.code == 2
+        assert "argument --values: expected comma-separated numbers, got '0.5,abc'" in capsys.readouterr().err
+
 
 class TestSolutionBundle:
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("content", [None, "{broken", '{"P": {}}', "[1]"])
+    def test_unreadable_bundle_exit_code(self, s2_path, tmp_path, capsys, command, content):
+        bundle = tmp_path / "bundle.json"
+        if content is not None:
+            bundle.write_text(content)
+        rc = cli.main([command, "--config", s2_path, "--solution", str(bundle)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"solution error: cannot read solution bundle {bundle}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_non_finite_bundle_exit_code(self, s2_path, tmp_path, capsys, command):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["Ktilde"]["1"]["1"]["m1"][0][0] = float("nan")
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        assert capsys.readouterr().err == (
+            f"solution error: cannot read solution bundle {bundle}: "
+            "solution table Ktilde has a non-finite entry at (1, 0, 0, 0, 0)\n"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     def test_mismatched_bundle_exit_code(self, tmp_path, capsys, command):
         paths = {}

@@ -79,6 +79,16 @@ class TestSchurComplement:
             matkit.schur_complement(G, 1)
         assert exc.value.index == (1, 1)
 
+    def test_guard_scale_is_spectral_norm(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 4, 5, 5))
+        G = (A + np.swapaxes(A, -1, -2)) * np.array([1e-3, 1.0, 1e4])[:, None, None, None]
+        expected = np.maximum(1.0, np.linalg.norm(G, 2, axis=(-2, -1)))
+        assert matkit._scale(G) == pytest.approx(expected, rel=1e-12)
+        # A large negative eigenvalue sets the scale too: 5e-5 <= 1e-10 * 1e6.
+        with pytest.raises(SingularBlockError):
+            matkit.schur_complement(np.diag([-1e6, 5e-5]), 1)
+
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_psd_closure(self, n, seed):

@@ -1,10 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncslqr import model, solver
-from ncslqr.errors import SingularBlockError
+from ncslqr.errors import NonFiniteError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import s1_config, s2_config, zero_weight_mode_config
 
@@ -175,6 +176,26 @@ class TestErrors:
         assert str(exc.value).startswith("H^UU not PD at t=1, m0=1, ztilde=empty: ")
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.7976931348623157e308, 1.0]
+
+
+def _edge_bundle():
+    """A kappa1 = 1 bundle (T = 1, kappa0 = 2, unit dimensions) whose tables
+    cycle through floats that json writes in different notations."""
+
+    def table(*shape):
+        return np.resize(EDGE_FLOATS, shape)
+
+    return solver.SolutionBundle(
+        values=solver.ValueTables(P=table(3, 2, 2, 2, 2), Ptilde=table(3, 2, 2, 1, 1), e=table(3)),
+        gains=solver.GainTables(
+            K_empty=table(2, 2, 2, 2), K_received=table(2, 2, 1, 2, 2), Ktilde=table(2, 2, 1, 1, 1),
+        ),
+        j_star=0.1,
+        solve_metadata={"psd_slack": 1e-9, "solved_at": "2020-01-01T00:00:00+00:00"},
+    )
+
+
 class TestSerialization:
     def test_roundtrip(self, battery, tmp_path):
         spec = battery[1]
@@ -206,6 +227,32 @@ class TestSerialization:
         again = tmp_path / "again.json"
         solver.save_bundle(old, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_writes_indented_json_bytes(self, battery, tmp_path):
+        path = tmp_path / "bundle.json"
+        for spec in battery:
+            bundle = solver.solve_backward(spec)
+            solver.save_bundle(bundle, path)
+            assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
+
+    def test_writes_float_edge_cases_like_json(self, tmp_path):
+        bundle = _edge_bundle()
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)
+        text = path.read_text()
+        assert text == json.dumps(solver.bundle_to_json(bundle), indent=1)
+        assert all(f" {v!r}" in text for v in EDGE_FLOATS)
+        again = solver.load_bundle(path)
+        assert np.array_equal(np.signbit(again.values.P), np.signbit(bundle.values.P))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, tmp_path, value):
+        bundle = _edge_bundle()
+        bundle.gains.Ktilde[1, 0, 0, 0, 0] = value
+        path = tmp_path / "bundle.json"
+        with pytest.raises(NonFiniteError, match=r"Ktilde has a non-finite entry at \(1, 0, 0, 0, 0\)"):
+            solver.save_bundle(bundle, path)
+        assert not path.exists()
 
     def test_metadata_present(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)

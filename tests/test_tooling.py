@@ -5,26 +5,27 @@ the traced run without any other test noticing."""
 import ast
 import importlib
 import inspect
+import os
 from pathlib import Path
 
-from ncslqr import control, model, sim
+from ncslqr import control, model, sim, solver
 from conftest import s2_config
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
 
 
-def _wrapped():
-    """launch.WRAPPED, read from the source without importing it."""
+def _launch_constant(name):
+    """A top-level constant of launch.py, read from the source without importing it."""
     for node in ast.parse(LAUNCH.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == "WRAPPED" for target in node.targets
+            getattr(target, "id", None) == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no WRAPPED list in {LAUNCH}")
+    raise AssertionError(f"no {name} in {LAUNCH}")
 
 
 def test_wrapped_functions_resolve():
-    entries = _wrapped()
+    entries = _launch_constant("WRAPPED")
     assert ("sim", "simulate_run", "sim.simulate_run") in entries
     for mod_name, attr, _span in entries:
         mod = importlib.import_module(f"ncslqr.{mod_name}")
@@ -38,3 +39,16 @@ def test_monte_carlo_takes_positional_arguments():
     spec = model.load_config(s2_config())
     report = sim.monte_carlo(spec, control.make_policy("zero", spec), 3, 0)
     assert report.runs == 3
+
+
+def test_save_bundle_writes_its_second_positional_argument(tmp_path):
+    # launch.py counts solver.bundle_bytes as the size of args[1] once the
+    # wrapped save_bundle returns.
+    assert "solver.save_bundle" in _launch_constant("WORK_AFTER")
+    params = list(inspect.signature(solver.save_bundle).parameters.values())
+    assert [p.name for p in params] == ["bundle", "path"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    spec = model.load_config(s2_config())
+    path = str(tmp_path / "bundle.json")
+    solver.save_bundle(solver.solve_backward(spec), path)
+    assert os.path.getsize(path) > 0
