@@ -3,7 +3,10 @@
 Subcommands: solve, simulate, evaluate-exact, validate, sweep.
 Exit codes: 0 ok, 2 config error, bad argument, or a solution bundle that
 cannot be read or does not fit the problem's shape, 3 numerical error,
-1 other (including an output file that cannot be written).
+1 other: an output that cannot be written (checked before the work starts
+where its directory is missing), a failed validate check, or an
+evaluate-exact stationarity certificate that fails (its report is still
+printed).
 """
 
 import argparse
@@ -20,6 +23,7 @@ from .errors import (
     DefinitenessError,
     NcslqrError,
     NonFiniteError,
+    OutputError,
     ParseError,
     ProbabilityError,
     ShapeError,
@@ -57,6 +61,25 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _check_output(path, what):
+    """Fail before any work when `path` cannot become a file: its
+    directory is missing or it is a directory itself."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise OutputError(f"cannot write {what}: no directory {directory}")
+    if os.path.isdir(path):
+        raise OutputError(f"cannot write {what}: {path} is a directory")
+
+
+def _write_output(path, what, write):
+    """Open `path` and pass the file to `write`; OSError becomes OutputError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise OutputError(f"cannot write {what}: {exc}") from exc
+
+
 def _load_spec(path):
     try:
         return model.load_problem(path), EXIT_OK
@@ -73,6 +96,8 @@ def _build_policy(kind, spec, solution_path):
 
 
 def cmd_solve(args):
+    if args.out:
+        _check_output(args.out, "solution bundle")
     spec, rc = _load_spec(args.config)
     if spec is None:
         return rc
@@ -92,6 +117,13 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
+    if args.out:
+        _check_output(args.out, "report")
+    if args.dump_trajectories:
+        try:
+            os.makedirs(args.dump_trajectories, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot write trajectories: {exc}") from exc
     spec, rc = _load_spec(args.config)
     if spec is None:
         return rc
@@ -112,21 +144,24 @@ def cmd_simulate(args):
         [report.policy, report.runs, report.seed, repr(report.mean_cost), repr(report.std_err)],
     ]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        _write_output(args.out, "report", lambda fh: csv.writer(fh).writerows(rows))
     print(",".join(str(c) for c in rows[0]))
     print(",".join(str(c) for c in rows[1]))
     if args.dump_trajectories:
-        os.makedirs(args.dump_trajectories, exist_ok=True)
         runs = sim.simulate_runs(spec, policy, args.seed, range(args.runs))
-        for i, traj in enumerate(runs):
-            sim.trajectory_to_csv(
-                traj, os.path.join(args.dump_trajectories, f"run_{i:06d}.csv")
-            )
+        try:
+            for i, traj in enumerate(runs):
+                sim.trajectory_to_csv(
+                    traj, os.path.join(args.dump_trajectories, f"run_{i:06d}.csv")
+                )
+        except OSError as exc:
+            raise OutputError(f"cannot write trajectories: {exc}") from exc
     return EXIT_OK
 
 
 def cmd_evaluate_exact(args):
+    if args.out:
+        _check_output(args.out, "report")
     spec, rc = _load_spec(args.config)
     if spec is None:
         return rc
@@ -151,10 +186,9 @@ def cmd_evaluate_exact(args):
         return EXIT_NUMERIC
     text = json.dumps(report, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_output(args.out, "report", lambda fh: fh.write(text + "\n"))
     print(text)
-    return EXIT_OK
+    return EXIT_OTHER if "stationarity" in report and not report["stationarity"]["ok"] else EXIT_OK
 
 
 def _validate_checks(spec, args):
@@ -235,6 +269,8 @@ def cmd_validate(args):
 
 
 def cmd_sweep(args):
+    if args.out:
+        _check_output(args.out, "sweep table")
     spec, rc = _load_spec(args.config)
     if spec is None:
         return rc
@@ -263,8 +299,7 @@ def cmd_sweep(args):
             repr(float(report.mean_cost)), repr(float(report.std_err)),
         ])
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        _write_output(args.out, "sweep table", lambda fh: csv.writer(fh).writerows(rows))
     for row in rows:
         print(",".join(str(c) for c in row))
     return EXIT_OK

@@ -13,7 +13,8 @@ centralized gains, and the full-information centralized controller) live
 here too, behind the same interface: every policy exposes its three gain
 arrays (`policy.gains`, a `solver.GainTables`), and `compile_policy` turns
 them into time-varying linear maps of (x0, x1, xhat) for the simulator and
-the exact evaluator.
+the exact evaluator. Its transpose, `compile_policy_transpose`, carries the
+evaluator's exact gradient with respect to those maps back to the gains.
 """
 
 from dataclasses import dataclass
@@ -165,6 +166,16 @@ class CompiledPolicy:
     D: np.ndarray                       # (kappa0, kappa1, d_x, d_x + d_u)
 
 
+def _selectors(spec):
+    """Slices of x1 and xhat in xi = vec(x0, x1, xhat), and the 0/1 matrices
+    picking (x0, x1) and (x0, xhat) out of xi; products with them copy
+    entries exactly."""
+    d = spec.dims
+    n = d.d_x0 + 2 * d.d_x1
+    x1 = slice(d.d_x0, d.d_x)
+    return x1, slice(d.d_x, n), np.eye(n)[:d.d_x], np.delete(np.eye(n), x1, axis=0)
+
+
 def compile_policy(spec, policy):
     """Stage tables of a linear policy, sliced from its gain arrays.
 
@@ -177,11 +188,7 @@ def compile_policy(spec, policy):
     d, m = spec.dims, spec.modes
     k0, k1 = m.kappa0, m.kappa1
     gains = policy.gains
-    n = d.d_x0 + 2 * d.d_x1
-    x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, n)
-    # Rows of xi picked as (x0, x1) and as (x0, xhat); products with these
-    # 0/1 selectors copy entries exactly.
-    sel_x, sel_common = np.eye(n)[:d.d_x], np.delete(np.eye(n), x1, axis=0)
+    x1, xh, sel_x, sel_common = _selectors(spec)
 
     D = np.array([[assemble_system(spec, i, j)[2] for j in range(k1)] for i in range(k0)])
     received = gains.K_received @ sel_x
@@ -206,11 +213,42 @@ def compile_policy(spec, policy):
         states = np.broadcast_to(state_sel, acts.shape[:3] + state_sel.shape)
         return D1 @ np.concatenate([states, acts], axis=-2)
 
-    mean_update = np.empty(theta.shape[:4] + (d.d_x1, n))
+    mean_update = np.empty(theta.shape[:4] + (d.d_x1, theta.shape[-1]))
     mean_update[..., 1, :, :] = propagate(sel_x, received)
     averaged = propagate(sel_common, blind)
     mean_update[..., 0, :, :] = sum(m.pi_m1[j] * averaged[:, :, j] for j in range(k1))[:, :, None]
     return CompiledPolicy(theta=theta, mean_update=mean_update, D=D)
+
+
+def compile_policy_transpose(spec, D, theta_bar, mean_update_bar):
+    """Transpose of `compile_policy` for a decentralized policy.
+
+    `compile_policy` is affine in the gain arrays. This maps cotangents of
+    its tables (shaped like `CompiledPolicy.theta` and `.mean_update`, with
+    D its mode-pair systems) to cotangents of K_empty, K_received and
+    Ktilde, so that <tables(K) - tables(0), bars> = <K, transpose(bars)>.
+    """
+    d, m = spec.dims, spec.modes
+    steps, k0, k1 = spec.T + 1, m.kappa0, m.kappa1
+    x1, xh, sel_x, sel_common = _selectors(spec)
+    B1t = np.swapaxes(D[:, :, d.d_x0:, d.d_x:], -1, -2)
+    blind_bar, received_bar = theta_bar[..., 0, :, :], theta_bar[..., 1, :, :]
+
+    # mean_update[..., 1] = B1 @ received + const; mean_update[..., 0] is
+    # sum_j pi_m1[j] B1[:, j] @ blind[:, :, j] + const, repeated over m1.
+    received_bar = received_bar + B1t @ mean_update_bar[..., 1, :, :]
+    averaged_bar = mean_update_bar[..., 0, :, :].sum(axis=2)[:, :, None]
+    blind_bar = blind_bar + m.pi_m1[:, None, None] * (B1t @ averaged_bar)
+
+    common_bar = blind_bar @ sel_common.T
+    return GainTables(
+        K_empty=np.concatenate([
+            common_bar[:, :, :, :d.d_u0].sum(axis=2),
+            common_bar[:, :, :, d.d_u0:].reshape(steps, k0, k1 * d.d_u1, d.d_x),
+        ], axis=2),
+        K_received=received_bar @ sel_x.T,
+        Ktilde=theta_bar[..., 0, d.d_u0:, x1] - theta_bar[..., 0, d.d_u0:, xh],
+    )
 
 
 class LinearCommonPolicy:

@@ -79,8 +79,19 @@ class ChannelSpec:
         return 1.0 - self.p1
 
 
+def _numbers(value, name):
+    """`value` as a float array; ParseError unless every entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{name} must hold numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{name} has a non-finite entry")
+    return arr
+
+
 def _as_array(value, shape, name):
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, name)
     if arr.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
@@ -196,8 +207,24 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _integer(mapping, key, where):
+    """A JSON integer field; a float, a bool or any other type is a ParseError."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(mapping, key, where):
+    """A finite JSON number field, as a float."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}.{key} must be a number, got {value!r}")
+    return float(_numbers(value, f"{where}.{key}"))
+
+
 def _pair_list_to_array(entries, k0, k1, block_shape, name):
-    arr = np.asarray(entries, dtype=float)
+    arr = _numbers(entries, name)
     if arr.shape != (k0 * k1,) + block_shape:
         raise ShapeError(
             f"{name} must be a list of {k0 * k1} matrices of shape {block_shape}, "
@@ -222,7 +249,7 @@ def _pair_label(name):
 
 def _broadcast_time(value, T, block_shape, name):
     """T+1 symmetric matrices, from one (checked once) or from T+1."""
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, name)
     if arr.shape == block_shape:
         arr = arr[None]
     elif arr.shape != (T + 1,) + block_shape:
@@ -257,20 +284,15 @@ def _load_cost(cost_cfg, dims, modes, T):
 def load_config(cfg):
     """Build a validated ProblemSpec from an already-parsed config dict."""
     dims_cfg = _require(cfg, "dims", "config")
-    dims = Dims(
-        d_x0=int(_require(dims_cfg, "d_x0", "dims")),
-        d_x1=int(_require(dims_cfg, "d_x1", "dims")),
-        d_u0=int(_require(dims_cfg, "d_u0", "dims")),
-        d_u1=int(_require(dims_cfg, "d_u1", "dims")),
-    )
+    dims = Dims(**{key: _integer(dims_cfg, key, "dims") for key in ("d_x0", "d_x1", "d_u0", "d_u1")})
     modes_cfg = _require(cfg, "modes", "config")
     modes = ModeSpec(
-        kappa0=int(_require(modes_cfg, "kappa0", "modes")),
-        kappa1=int(_require(modes_cfg, "kappa1", "modes")),
-        pi_m0=np.asarray(_require(modes_cfg, "pi_m0", "modes"), dtype=float),
-        pi_m1=np.asarray(_require(modes_cfg, "pi_m1", "modes"), dtype=float),
+        kappa0=_integer(modes_cfg, "kappa0", "modes"),
+        kappa1=_integer(modes_cfg, "kappa1", "modes"),
+        pi_m0=_numbers(_require(modes_cfg, "pi_m0", "modes"), "modes.pi_m0"),
+        pi_m1=_numbers(_require(modes_cfg, "pi_m1", "modes"), "modes.pi_m1"),
     )
-    channel = ChannelSpec(p1=float(_require(_require(cfg, "channel", "config"), "p1", "channel")))
+    channel = ChannelSpec(p1=_number(_require(cfg, "channel", "config"), "p1", "channel"))
 
     sys_cfg = _require(cfg, "system", "config")
     k0, k1 = modes.kappa0, modes.kappa1
@@ -286,7 +308,7 @@ def load_config(cfg):
     )
 
     stoch_cfg = _require(cfg, "stoch", "config")
-    T = int(_require(stoch_cfg, "T", "stoch"))
+    T = _integer(stoch_cfg, "T", "stoch")
     if T < 0:
         raise ShapeError(f"stoch.T must be >= 0, got {T}")
     init_cfg = _require(stoch_cfg, "init", "stoch")

@@ -1,91 +1,170 @@
-"""Exact expected-cost evaluation by a second-moment recursion.
+"""Exact expected cost of a linear policy, and its exact gain gradient.
 
-For every mode/channel sequence the closed loop is linear in the stacked
-state xi = vec(x0, x1, xhat), so the expected stage costs follow from
-second-moment propagation. A constant coordinate is appended to xi so
-nonzero initial means ride inside the same moment recursion. The stage maps
-are indexed by consecutive channel bits because the estimator branch at
-time t depends on both gamma_t and gamma_{t+1}. Modes are i.i.d. and the
-channel is Bernoulli, so the moments need only be split on the current
-channel bit (the Markov jump linear system recursion of Costa, Fragoso &
-Marques, 2005, ch. 3): an evaluation builds at most 2 (T+1) kappa0 kappa1
-stage maps, however many sequences the instance has; the map for
-gamma_{t+1} = 1 is the one for 0 with its xhat rows replaced. Actions and
-estimator maps are lookups into the policy's compiled tables
-(`control.compile_policy`), the same ones the simulator steps through.
+A linear policy makes the closed loop linear in the stacked state xi =
+vec(x0, x1, xhat), augmented with a constant coordinate so nonzero initial
+means ride inside the same moment recursion. Modes are i.i.d. and the
+channel is Bernoulli, so the second moments need only be split on the
+current channel bit, S_t^g = E[xi_t xi_t' 1{gamma_t = g}] (the Markov jump
+linear system recursion of Costa, Fragoso & Marques, 2005, ch. 3), however
+many mode/channel sequences the instance has.
 
-The stationarity check perturbs copies of the optimal policy's gain arrays
-(`solver.GainTables`) entry by entry.
+The stage maps are built once per policy as stacked arrays over (t, mode
+pair, gamma_t), straight from its compiled tables (`control.compile_policy`,
+the ones the simulator steps through): F propagates xi when the next
+transmission fails, and M is the stage-cost matrix. When it succeeds the
+map is E F, where E copies the x1 rows into the xhat rows. Each step of the
+recursion is a few batched matmuls over the mode pairs and channel bits.
+
+The expected cost J = sum over t, pairs and g of w tr(M S_t^g) is linear in
+every moment, so one backward pass of the costates Lambda_t^g = dJ/dS_t^g
+(the dual recursion) gives dJ/dF and dJ/dM for every stage map at once,
+and the transpose of `compile_policy` carries them to the gain arrays (cf.
+the gain-gradient conditions of Levine & Athans, IEEE TAC 15(1), 1970).
+`stationarity_check` certifies every gain entry with that gradient.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .control import OptimalPolicy
+from .control import OptimalPolicy, compile_policy_transpose
 from .errors import OptimalityViolation, UnsupportedPolicyError
-from .model import assemble_system
+from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
+
+
+def _T(M):
+    return np.swapaxes(M, -1, -2)
 
 
 def _check_policy(policy):
-    if not (hasattr(policy, "action_map") and hasattr(policy, "mean_update_map")):
+    if not hasattr(policy, "tables"):
         raise UnsupportedPolicyError(
             f"policy {getattr(policy, 'name', policy)!r} does not expose linear stage maps"
         )
 
 
-def _selectors(spec):
+def _layout(spec):
+    """Size n of the augmented state, and the slices of its x1 and xhat rows."""
     d = spec.dims
-    n = d.d_x0 + 2 * d.d_x1 + 1  # augmented with a constant coordinate
-    lam_x = np.zeros((d.d_x, n))
-    lam_x[:d.d_x0, :d.d_x0] = np.eye(d.d_x0)
-    lam_x[d.d_x0:, d.d_x0:d.d_x0 + d.d_x1] = np.eye(d.d_x1)
-    return n, lam_x
+    return d.d_x0 + 2 * d.d_x1 + 1, slice(d.d_x0, d.d_x), slice(d.d_x, d.d_x + d.d_x1)
+
+
+def _stage_maps(spec, theta, mean_update, D, Q, R):
+    """(F, Theta_aug, M) for stacked nodes (t, modes, gamma_t).
+
+    The leading axes of the policy tables `theta` and `mean_update` (None
+    when xhat copies x1), of D = [A B] and of the cost weights Q and R
+    broadcast together. F propagates the augmented state when the next
+    transmission fails, Theta_aug maps it to vec(u0, u1), and M is the
+    stage-cost matrix.
+    """
+    d = spec.dims
+    n, x1, hat = _layout(spec)
+    theta_aug = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+    lead = np.broadcast_shapes(theta.shape[:-2], D.shape[:-2], Q.shape[:-2], R.shape[:-2])
+    F = np.zeros(lead + (n, n))
+    F[..., :d.d_x, :] = D[..., d.d_x:] @ theta_aug
+    F[..., :d.d_x, :d.d_x] += D[..., :d.d_x]
+    F[..., -1, -1] = 1.0
+    if mean_update is None:
+        # xhat copies x1 (always, for the full-information reference).
+        F[..., hat, :] = F[..., x1, :]
+    else:
+        F[..., hat, :-1] = mean_update
+    M = np.zeros(lead + (n, n))
+    M[...] = _T(theta_aug) @ R @ theta_aug
+    M[..., :d.d_x, :d.d_x] += Q
+    return F, theta_aug, 0.5 * (M + _T(M))
 
 
 def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
-    """Stage maps (F, G, Theta_aug, M) for one realized (t, modes, bits).
+    """Stage maps (F, G, Theta_aug, M) of one realized (t, modes, bits).
 
     F propagates the augmented state, G injects vec(w0, w1), Theta_aug maps
-    the augmented state to actions, and M is the stage-cost matrix.
+    the augmented state to actions, and M is the stage-cost matrix. This is
+    one node of the stacked maps the evaluator builds.
     """
     _check_policy(policy)
-    d = spec.dims
-    n, lam_x = _selectors(spec)
-    theta = policy.action_map(t, m0, m1, gamma_t)
-    theta_aug = np.hstack([theta, np.zeros((d.d_u, 1))])
-
-    Q = spec.cost.Q[t, m0, m1]
-    R = spec.cost.R[t, m0, m1]
-    M = lam_x.T @ Q @ lam_x + theta_aug.T @ R @ theta_aug
-
-    _, _, D = assemble_system(spec, m0, m1)
-    x_rows = D @ np.vstack([lam_x, theta_aug])  # (d_x, n)
-    F = np.zeros((n, n))
+    d, tables = spec.dims, policy.tables
+    n, x1, hat = _layout(spec)
+    node = (t, m0, m1, gamma_t)
+    F, theta_aug, M = _stage_maps(
+        spec,
+        tables.theta[node],
+        None if tables.mean_update is None else tables.mean_update[node],
+        tables.D[m0, m1],
+        spec.cost.Q[t, m0, m1],
+        spec.cost.R[t, m0, m1],
+    )
     G = np.zeros((n, d.d_x))
-    F[:d.d_x, :] = x_rows
-    G[:d.d_x, :] = np.eye(d.d_x)
-    F[-1, -1] = 1.0
-    mu_map = policy.mean_update_map(t, m0, m1, gamma_t)
-    if gamma_next == 1 or mu_map is None:
-        # xhat copies x1 (always, for the full-information reference).
-        _estimate_received(spec, F, G)
-    else:
-        F[d.d_x:d.d_x + d.d_x1, :-1] = mu_map
-    return F, G, theta_aug, 0.5 * (M + M.T)
+    G[:d.d_x] = np.eye(d.d_x)
+    if gamma_next == 1 or tables.mean_update is None:
+        F[hat], G[hat] = F[x1], G[x1]
+    return F, G, theta_aug, M
 
 
-def _estimate_received(spec, F, G):
-    """Overwrite the xhat rows of (F, G) in place with the x1 rows."""
-    d = spec.dims
-    hat = slice(d.d_x, d.d_x + d.d_x1)
-    F[hat, :] = F[d.d_x0:d.d_x, :]
-    G[hat, :] = G[d.d_x0:d.d_x, :]
+@dataclasses.dataclass(frozen=True)
+class _Stages:
+    """Stacked stage maps of one policy over (t, pair, g).
+
+    Only mode pairs and channel bits of positive probability are kept, so a
+    zero weight never multiplies an infinite entry.
+    """
+
+    pairs: np.ndarray   # (P,) flat mode-pair indices m0 * kappa1 + m1
+    w: np.ndarray       # (P,) pi(m0) pi(m1)
+    gammas: np.ndarray  # (C,) channel bits g
+    p: np.ndarray       # (C,) P(gamma = g)
+    E: np.ndarray       # (C, n, n) copies x1 into xhat when it is received, else identity
+    F: np.ndarray       # (T+1, P, C, n, n)
+    theta_aug: np.ndarray  # (T+1, P, C, d_u, n)
+    M: np.ndarray       # (T+1, P, C, n, n)
+    B: np.ndarray       # (P, 1, d_x, d_u)
+    R: np.ndarray       # (T+1, P, 1, d_u, d_u)
+    noise: np.ndarray   # (T+1, n, n) covariance of vec(w0, w1) in the x rows
+
+
+def _stages(spec, policy):
+    _check_policy(policy)
+    d, m, st, tables = spec.dims, spec.modes, spec.stoch, policy.tables
+    steps, k = spec.T + 1, m.kappa0 * m.kappa1
+    n, x1, hat = _layout(spec)
+    w = np.outer(m.pi_m0, m.pi_m1).ravel()
+    pairs = np.flatnonzero(w > 0.0)
+    p_all = np.array([1.0 - spec.channel.p1, spec.channel.p1])
+    gammas = np.flatnonzero(p_all > 0.0)
+
+    def nodes(table):
+        return table.reshape((steps, k, 2) + table.shape[4:])[:, pairs[:, None], gammas]
+
+    def per_pair(table):
+        return table.reshape(table.shape[:-4] + (k,) + table.shape[-2:])[..., pairs, None, :, :]
+
+    D, R = per_pair(tables.D), per_pair(spec.cost.R)
+    F, theta_aug, M = _stage_maps(
+        spec,
+        nodes(tables.theta),
+        None if tables.mean_update is None else nodes(tables.mean_update),
+        D,
+        per_pair(spec.cost.Q),
+        R,
+    )
+    E = np.stack([np.eye(n)] * 2)
+    E[1, hat] = E[1, x1]
+    if tables.mean_update is None:
+        E[0] = E[1]  # xhat copies x1 whatever the channel does
+    noise = np.zeros((steps, n, n))
+    noise[:, :d.d_x0, :d.d_x0] = st.covW0
+    noise[:, x1, x1] = st.covW1
+    return _Stages(
+        pairs=pairs, w=w[pairs], gammas=gammas, p=p_all[gammas], E=E[gammas],
+        F=F, theta_aug=theta_aug, M=M, B=D[..., d.d_x:], R=R, noise=noise,
+    )
 
 
 def _initial_moment(spec, gamma0):
     d, st = spec.dims, spec.stoch
-    n, _ = _selectors(spec)
+    n, _, _ = _layout(spec)
     mu = np.concatenate([st.mu_x0, st.mu_x1, st.mu_x1])
     cov = np.zeros((n - 1, n - 1))
     cov[:d.d_x0, :d.d_x0] = st.cov_x0
@@ -104,73 +183,92 @@ def _initial_moment(spec, gamma0):
     return Sigma
 
 
-def _stage_moments(spec, policy):
-    """Yield (t, gamma, w, S, M) for every (t, gamma_t, m0, m1) of positive
-    probability: S = S_t^gamma = E[xi_t xi_t' 1{gamma_t = gamma}], w =
-    pi(m0) pi(m1), and M the stage-cost matrix of that mode pair.
+def _moments(spec, stages):
+    """S[t, c] = S_t^g for g = stages.gammas[c]: E[xi_t xi_t' 1{gamma_t = g}].
 
-    Its constant-coordinate entry S[-1, -1] is P(gamma_t = gamma), the mass
-    that weights the injected noise.
+    S_{t+1}^g = P(g) E_g Y_t E_g', where Y_t sums w F S_t F' over the pairs
+    and bits of t plus the noise, weighted by the mass S_t[-1, -1].
     """
-    _check_policy(policy)
-    m = spec.modes
-    T = spec.T
-    p1 = spec.channel.p1
-    d = spec.dims
-    p_gamma = (1.0 - p1, p1)
-    n, _ = _selectors(spec)
+    w, p, E = stages.w, stages.p, stages.E
+    S = np.empty((spec.T + 1,) + E.shape)
+    S[0] = p[:, None, None] * np.stack([_initial_moment(spec, g) for g in stages.gammas])
+    for t in range(spec.T):
+        F = stages.F[t]
+        Y = np.tensordot(w, (F @ S[t] @ _T(F)).sum(axis=1), axes=1)
+        Y += w.sum() * S[t, :, -1, -1].sum() * stages.noise[t]
+        S[t + 1] = p[:, None, None] * (E @ Y @ _T(E))
+    return S
 
-    S = [p_gamma[g] * _initial_moment(spec, g) for g in (0, 1)]
-    for t in range(T + 1):
-        W = np.zeros((d.d_x, d.d_x))
-        W[:d.d_x0, :d.d_x0] = spec.stoch.covW0[t]
-        W[d.d_x0:, d.d_x0:] = spec.stoch.covW1[t]
-        S_next = [np.zeros((n, n)), np.zeros((n, n))]
-        for gamma in (0, 1):
-            if p_gamma[gamma] == 0.0:
-                continue
-            mass = S[gamma][-1, -1]
-            for m0 in range(m.kappa0):
-                for m1 in range(m.kappa1):
-                    w = m.pi_m0[m0] * m.pi_m1[m1]
-                    if w == 0.0:
-                        continue
-                    # The stage cost depends only on (t, modes, gamma_t);
-                    # gamma_next changes only the xhat rows of F and G.
-                    F0, G0, _, M = build_closed_loop(spec, policy, t, m0, m1, gamma, 0)
-                    yield t, gamma, w, S[gamma], M
-                    if t == T:
-                        continue
-                    for gamma_next in (0, 1):
-                        pg = p_gamma[gamma_next]
-                        if pg == 0.0:
-                            continue
-                        F, G = F0, G0
-                        if gamma_next == 1:
-                            F, G = F0.copy(), G0.copy()
-                            _estimate_received(spec, F, G)
-                        S_next[gamma_next] += (w * pg) * (
-                            F @ S[gamma] @ F.T + mass * (G @ W @ G.T)
-                        )
-        S = S_next
+
+def _costates(spec, stages):
+    """L[t] = dJ/dY_t for t < T, by the backward (dual) recursion.
+
+    Lambda_T^g sums w M over the pairs; then L_t = sum_g P(g) E_g'
+    Lambda_{t+1}^g E_g, and Lambda_t^g sums w (M + F' L_t F) plus the noise
+    term tr(W L_t), which lands on the constant coordinate.
+    """
+    w, p, E = stages.w, stages.p, stages.E
+    Lam = np.tensordot(w, stages.M[spec.T], axes=1)
+    L = np.empty((spec.T,) + Lam.shape[1:])
+    for t in range(spec.T - 1, -1, -1):
+        L[t] = np.tensordot(p, _T(E) @ Lam @ E, axes=1)
+        F = stages.F[t]
+        Lam = np.tensordot(w, stages.M[t] + _T(F) @ L[t] @ F, axes=1)
+        Lam[:, -1, -1] += w.sum() * np.sum(stages.noise[t] * L[t])
+    return L
+
+
+def _cost(stages, S):
+    return float(np.einsum("p,tpcij,tcij->", stages.w, stages.M, S))
 
 
 def exact_expected_cost(spec, policy, return_prob=False):
     """Exact expected total cost of a linear policy.
 
-    Sums the stage costs over the moments S_t^g, g in {0, 1}, of
-    `_stage_moments`. With `return_prob`, also returns the probability
-    mass reached at t = T (1 up to rounding).
+    Sums w tr(M S_t^g) over every stage. With `return_prob`, also returns
+    the probability mass reached at t = T (1 up to rounding).
     """
-    total = 0.0
-    prob_mass = 0.0
-    for t, _, w, S, M in _stage_moments(spec, policy):
-        total += w * float(np.sum(M * S))
-        if t == spec.T:
-            prob_mass += w * S[-1, -1]
+    stages = _stages(spec, policy)
+    S = _moments(spec, stages)
+    total = _cost(stages, S)
     if return_prob:
-        return total, prob_mass
+        return total, float(stages.w.sum() * S[-1, :, -1, -1].sum())
     return total
+
+
+def exact_gradient(spec, policy):
+    """(J, dJ/dgains): the exact expected cost of a decentralized linear
+    policy and its gradient with respect to every entry of the policy's
+    gain arrays, as a `solver.GainTables`.
+
+    With L_t the costate of `_costates`, the stage maps get dJ/dTheta_aug =
+    2 w (R Theta_aug + B' (L_t F)[x rows]) S_t^g and dJ/d(mean_update) =
+    2 w (L_t F)[xhat rows] S_t^g; the transpose of `compile_policy` sums
+    them into the gain arrays.
+    """
+    if getattr(policy, "full_information", False):
+        raise UnsupportedPolicyError(
+            f"policy {policy.name!r} has no decentralized gains to differentiate"
+        )
+    stages = _stages(spec, policy)
+    S = _moments(spec, stages)
+    L = _costates(spec, stages)
+    d, T, w = spec.dims, spec.T, stages.w[:, None, None, None]
+    _, _, hat = _layout(spec)
+    LF = L[:, None, None] @ stages.F[:T]
+    d_theta = stages.R @ stages.theta_aug
+    d_theta[:T] += _T(stages.B) @ LF[..., :d.d_x, :]
+    d_theta = 2.0 * w * (d_theta @ S[:, None])
+    d_mean = 2.0 * w * (LF[..., hat, :] @ S[:T, None])
+
+    tables = policy.tables
+    steps, k = T + 1, spec.modes.kappa0 * spec.modes.kappa1
+    theta_bar = np.zeros(tables.theta.shape)
+    mean_bar = np.zeros(tables.mean_update.shape)
+    index = (stages.pairs[:, None], stages.gammas)
+    theta_bar.reshape((steps, k, 2) + theta_bar.shape[4:])[(slice(None),) + index] = d_theta[..., :-1]
+    mean_bar.reshape((steps, k, 2) + mean_bar.shape[4:])[(slice(T),) + index] = d_mean[..., :-1]
+    return _cost(stages, S), compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
 
 
 def _perturbed_optimal(spec, bundle, deltas):
@@ -182,17 +280,30 @@ def _perturbed_optimal(spec, bundle, deltas):
     return OptimalPolicy(spec, dataclasses.replace(bundle, gains=gains))
 
 
-def _gain_entries(gains):
-    """(array name, index) of every gain entry, in the bundle file's order:
-    per (t, m0) the empty-branch gain, then the received ones; then Ktilde."""
-    steps, kappa0 = gains.K_received.shape[:2]
-    for t, m0 in np.ndindex(steps, kappa0):
-        for i, j in np.ndindex(gains.K_empty.shape[2:]):
-            yield "K_empty", (t, m0, i, j)
-        for m1, i, j in np.ndindex(gains.K_received.shape[2:]):
-            yield "K_received", (t, m0, m1, i, j)
-    for index in np.ndindex(gains.Ktilde.shape):
-        yield "Ktilde", index
+def _largest_entry(grads):
+    """(max |entry|, (array name, index)) over the three gradient arrays.
+
+    Ties go to the first entry in the bundle file's order: per (t, m0) the
+    empty-branch gain, then the received ones; then Ktilde. A NaN counts
+    as the largest.
+    """
+    steps, kappa0 = grads.K_received.shape[:2]
+    per_step = np.concatenate([
+        grads.K_empty.reshape(steps, kappa0, -1), grads.K_received.reshape(steps, kappa0, -1)
+    ], axis=2)
+    flat = np.abs(np.concatenate([per_step.ravel(), grads.Ktilde.ravel()]))
+    i = int(np.argmax(flat))
+    if i >= per_step.size:
+        name, index = "Ktilde", np.unravel_index(i - per_step.size, grads.Ktilde.shape)
+    else:
+        t, m0, j = np.unravel_index(i, per_step.shape)
+        n_empty = grads.K_empty[0, 0].size
+        if j < n_empty:
+            name, index = "K_empty", (t, m0) + np.unravel_index(j, grads.K_empty.shape[2:])
+        else:
+            rest = np.unravel_index(j - n_empty, grads.K_received.shape[2:])
+            name, index = "K_received", (t, m0) + rest
+    return float(flat[i]), (name, tuple(int(k) for k in index))
 
 
 def _describe(name, index):
@@ -206,8 +317,6 @@ def _describe(name, index):
 def stationarity_check(
     spec,
     bundle,
-    eps=1e-4,
-    max_entries=40,
     n_perturbations=20,
     perturbation_norm=1e-3,
     grad_tol=1e-6,
@@ -215,34 +324,19 @@ def stationarity_check(
     seed=0,
     raise_on_violation=True,
 ):
-    """Finite-difference optimality certificate for the solved gains.
+    """Optimality certificate for the solved gains.
 
-    Central differences of the exact cost with respect to sampled gain
-    entries must vanish, and random small gain perturbations must never
-    reduce the exact cost.
+    The exact gradient of the exact cost (`exact_gradient`) must vanish in
+    every gain entry, and random small gain perturbations must never reduce
+    the exact cost.
     """
     base_policy = OptimalPolicy(spec, bundle)
-    base_cost = exact_expected_cost(spec, base_policy)
+    base_cost, grads = exact_gradient(spec, base_policy)
     tol = grad_tol * (1.0 + abs(base_cost))
+    max_grad, (name, index) = _largest_entry(grads)
+    worst = None if max_grad == 0.0 else _describe(name, index)
 
-    entries = list(_gain_entries(bundle.gains))
     rng = np.random.default_rng(seed)
-    if len(entries) > max_entries:
-        picks = rng.choice(len(entries), size=max_entries, replace=False)
-        entries = [entries[i] for i in sorted(picks)]
-
-    max_grad = 0.0
-    worst = None
-    for name, index in entries:
-        delta = np.zeros(getattr(bundle.gains, name).shape)
-        delta[index] = eps
-        cost_hi = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {name: delta}))
-        cost_lo = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, {name: -delta}))
-        grad = (cost_hi - cost_lo) / (2.0 * eps)
-        if abs(grad) > max_grad:
-            max_grad = abs(grad)
-            worst = _describe(name, index)
-
     max_decrease = 0.0
     names = ("K_empty", "K_received", "Ktilde")
     for _ in range(n_perturbations):
@@ -260,9 +354,9 @@ def stationarity_check(
         "gradient_tolerance": tol,
         "worst_entry": worst,
         "max_cost_decrease": max_decrease,
-        "entries_checked": len(entries),
+        "entries_checked": sum(getattr(grads, name).size for name in names),
         "perturbations": n_perturbations,
-        "ok": max_grad <= tol and max_decrease <= decrease_tol,
+        "ok": bool(max_grad <= tol and max_decrease <= decrease_tol),
     }
     if raise_on_violation and not report["ok"]:
         raise OptimalityViolation(

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ncslqr import control, model, oracle, sim
+from ncslqr import control, model, sim
 from ncslqr.errors import NonFiniteError
 from ncslqr.solver import EMPTY
 
@@ -142,11 +142,43 @@ def long_horizon_config():
     return random_config(np.random.default_rng(5), p1=0.5, kappa1=2, T=60)
 
 
+def reference_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
+    """Stage maps (F, G, Theta_aug, M) of one node, built on their own.
+
+    A per-node copy of the maps the oracle stacks, written against the
+    policy's `action_map`/`mean_update_map` lookups and `assemble_system`,
+    so that the brute-force enumeration does not share the oracle's builder.
+    """
+    d = spec.dims
+    n = d.d_x0 + 2 * d.d_x1 + 1
+    lam_x = np.zeros((d.d_x, n))
+    lam_x[:, :d.d_x] = np.eye(d.d_x)
+    theta_aug = np.hstack([policy.action_map(t, m0, m1, gamma_t), np.zeros((d.d_u, 1))])
+    Q, R = spec.cost.Q[t, m0, m1], spec.cost.R[t, m0, m1]
+    M = lam_x.T @ Q @ lam_x + theta_aug.T @ R @ theta_aug
+
+    D = model.assemble_system(spec, m0, m1)[2]
+    F = np.zeros((n, n))
+    G = np.zeros((n, d.d_x))
+    F[:d.d_x, :] = D @ np.vstack([lam_x, theta_aug])
+    G[:d.d_x, :] = np.eye(d.d_x)
+    F[-1, -1] = 1.0
+    hat = slice(d.d_x, d.d_x + d.d_x1)
+    mu_map = policy.mean_update_map(t, m0, m1, gamma_t)
+    if gamma_next == 1 or mu_map is None:
+        # xhat copies x1 (always, for the full-information reference).
+        F[hat, :] = F[d.d_x0:d.d_x, :]
+        G[hat, :] = G[d.d_x0:d.d_x, :]
+    else:
+        F[hat, :-1] = mu_map
+    return F, G, theta_aug, 0.5 * (M + M.T)
+
+
 def enumerate_expected_cost(spec, policy):
     """Reference (cost, probability mass) by enumerating every mode/channel prefix.
 
     Each prefix carries its own conditional second moment of the augmented
-    state, propagated through `oracle.build_closed_loop`. The work grows as
+    state, propagated through `reference_closed_loop`. The work grows as
     (2 kappa0 kappa1)^(T+1), so this is for small instances only.
     """
     d, m, st, T = spec.dims, spec.modes, spec.stoch, spec.T
@@ -185,7 +217,7 @@ def enumerate_expected_cost(spec, policy):
             w = prob * m.pi_m0[m0] * m.pi_m1[m1]
             if w == 0.0:
                 continue
-            M = oracle.build_closed_loop(spec, policy, t, m0, m1, gamma, 0)[3]
+            M = reference_closed_loop(spec, policy, t, m0, m1, gamma, 0)[3]
             total += w * float(np.sum(M * Sigma))
             if t == T:
                 mass += w
@@ -193,7 +225,7 @@ def enumerate_expected_cost(spec, policy):
             for gamma_next in (0, 1):
                 if p_gamma[gamma_next] == 0.0:
                     continue
-                F, G, _, _ = oracle.build_closed_loop(spec, policy, t, m0, m1, gamma, gamma_next)
+                F, G, _, _ = reference_closed_loop(spec, policy, t, m0, m1, gamma, gamma_next)
                 next_nodes.append(
                     (w * p_gamma[gamma_next], F @ Sigma @ F.T + G @ W @ G.T, gamma_next)
                 )

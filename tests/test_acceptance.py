@@ -99,7 +99,7 @@ def test_c04_stationarity(instances, bundles):
         if not (0.0 < spec.channel.p1 < 1.0) or checked >= 4:
             continue
         rep = oracle.stationarity_check(
-            spec, bundle, eps=1e-4, n_perturbations=20,
+            spec, bundle, n_perturbations=20,
             perturbation_norm=1e-3, grad_tol=1e-6, decrease_tol=1e-10,
         )
         max_grad = max(max_grad, rep["max_abs_gradient"])

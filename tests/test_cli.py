@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncslqr import cli, sim
+from ncslqr import cli, sim, solver
 from conftest import (
     divergent_config,
     long_horizon_config,
@@ -63,6 +63,32 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: cannot write solution bundle: ")
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--runs", "5", "--out"],
+        ["simulate", "--runs", "5", "--dump-trajectories"],
+        ["evaluate-exact", "--out"],
+        ["sweep", "--values", "0.5", "--runs", "5", "--out"],
+    ])
+    def test_unwritable_output_fails_before_work(self, s2_path, tmp_path, capsys, monkeypatch, argv):
+        # The output's parent is a regular file, so nothing can be created
+        # under it; the command must say so before it solves anything.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+
+        def no_work(spec):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(solver, "solve_backward", no_work)
+        command, *rest = argv
+        rc = cli.main([command, "--config", s2_path] + rest + [str(blocker / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write ")
 
 
 class TestArguments:
@@ -207,6 +233,25 @@ class TestEvaluateExact:
         assert report["exact_cost"] == pytest.approx(5.05, abs=1e-10)
         assert report["rel_diff"] < 1e-10
         assert report["stationarity"]["ok"] is True
+
+    def test_failed_certificate_reports_and_exits_1(self, tmp_path, capsys):
+        # A bundle solved at p1 = 0.1 is not optimal for the p1 = 0.5 config.
+        cfg = json.loads((DATA / "exact_enum_config.json").read_text())
+        assert cfg["channel"]["p1"] == 0.5
+        cfg["channel"]["p1"] = 0.1
+        other = tmp_path / "p01.json"
+        other.write_text(json.dumps(cfg))
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", str(other), "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate-exact", "--config", str(DATA / "exact_enum_config.json"),
+            "--solution", str(bundle),
+        ])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["stationarity"]["ok"] is False
+        assert report["stationarity"]["max_abs_gradient"] > 1e-3
 
     def test_reference_policy_no_stationarity(self, s2_path, capsys):
         rc = cli.main(["evaluate-exact", "--config", s2_path, "--policy", "zero"])

@@ -198,6 +198,30 @@ class TestPolicyMaps:
         theta = policy.tables.theta
         assert np.array_equal(theta[:, :, :, 0], theta[:, :, :, 1])
 
+    def test_transpose_is_adjoint_of_compile(self, battery):
+        # compile_policy is affine in the gains; its transpose must satisfy
+        # <tables(K) - tables(0), bars> = <K, transpose(bars)>.
+        rng = np.random.default_rng(13)
+        for spec in battery:
+            zero = control.make_policy("zero", spec)
+            gains = solver.GainTables(*(rng.standard_normal(a.shape) for a in (
+                zero.gains.K_empty, zero.gains.K_received, zero.gains.Ktilde
+            )))
+            tables = control.LinearCommonPolicy(spec, gains).tables
+            theta_bar = rng.standard_normal(tables.theta.shape)
+            mean_bar = rng.standard_normal(tables.mean_update.shape)
+            lhs = (
+                np.sum((tables.theta - zero.tables.theta) * theta_bar)
+                + np.sum((tables.mean_update - zero.tables.mean_update) * mean_bar)
+            )
+            back = control.compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
+            assert back.shapes() == gains.shapes()
+            rhs = sum(
+                np.sum(getattr(gains, name) * getattr(back, name))
+                for name in ("K_empty", "K_received", "Ktilde")
+            )
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
     def test_tables_compiled_once(self, s2_spec):
         policy = control.make_policy("zero", s2_spec)
         assert policy.tables is policy.tables

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,39 @@ class TestLoad:
         cfg = s1_config()
         cfg["channel"]["p1"] = 1.5
         with pytest.raises(ProbabilityError):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("where, field", [
+        (("stoch", "init", "mu_x0"), "stoch.init.mu_x0"),
+        (("stoch", "init", "cov_x1"), "stoch.init.cov_x1"),
+        (("stoch", "covW0"), "stoch.covW0"),
+        (("cost", "Q"), "cost.Q"),
+        (("system", "A00"), "system.A00"),
+        (("system", "B11"), "system.B11"),
+        (("modes", "pi_m1"), "modes.pi_m1"),
+        (("channel", "p1"), "channel.p1"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_number_names_field(self, where, field, bad):
+        cfg = s2_config()
+        *path, key = where
+        parent = cfg
+        for name in path:
+            parent = parent[name]
+        value = np.array(parent[key], dtype=float)
+        value.flat[0] = bad
+        parent[key] = value.item() if value.ndim == 0 else value.tolist()
+        with pytest.raises(ParseError, match=rf"^{re.escape(field)}\b"):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("section, key", [
+        ("dims", "d_x0"), ("dims", "d_u1"), ("modes", "kappa0"), ("stoch", "T"),
+    ])
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+    def test_integer_fields_must_be_integers(self, section, key, value):
+        cfg = s2_config()
+        cfg[section][key] = value
+        with pytest.raises(ParseError, match=rf"^{section}\.{key} must be an integer, got {re.escape(repr(value))}$"):
             model.load_config(cfg)
 
     def test_time_varying_cost(self):

@@ -1,9 +1,18 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from ncslqr import control, model, oracle, sim, solver
-from ncslqr.errors import UnsupportedPolicyError
-from conftest import enumerate_expected_cost, long_horizon_config, s2_config
+from ncslqr.errors import OptimalityViolation, UnsupportedPolicyError
+from conftest import (
+    enumerate_expected_cost,
+    long_horizon_config,
+    reference_closed_loop,
+    s2_config,
+    zero_weight_mode_config,
+)
 
 
 class TestExactEvaluation:
@@ -84,11 +93,12 @@ class TestExactEvaluation:
             assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
             assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("kind", ["optimal", "zero", "ce"])
+    @pytest.mark.parametrize("kind", ["optimal", "zero", "ce", "centralized"])
     def test_received_moment_estimate_is_state(self, battery, kind):
         # On gamma_t = 1 the estimate is the received state, so the xhat rows
-        # and columns of S_t^1 repeat its x1 rows and columns. The cost never
-        # reads that block (every gamma = 1 map has zero xhat columns), so
+        # and columns of S_t^1 repeat its x1 rows and columns; under full
+        # information they do on gamma_t = 0 too, from t = 1 on. The cost
+        # never reads that block (every such map has zero xhat columns), so
         # only this test pins it.
         checked = 0
         for spec in battery:
@@ -98,13 +108,43 @@ class TestExactEvaluation:
             x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, d.d_x + d.d_x1)
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
-            for t, gamma, _, S, _ in oracle._stage_moments(spec, policy):
-                if gamma == 1:
-                    scale = np.abs(S).max()
-                    assert S[xh] == pytest.approx(S[x1], rel=1e-12, abs=1e-12 * scale)
-                    assert S[:, xh] == pytest.approx(S[:, x1], rel=1e-12, abs=1e-12 * scale)
-                    checked += t > 0
+            stages = oracle._stages(spec, policy)
+            moments = oracle._moments(spec, stages)
+            assert list(stages.gammas) == [0, 1]
+            for t, gamma in np.ndindex(moments.shape[:2]):
+                if gamma == 0 and (kind != "centralized" or t == 0):
+                    continue
+                S = moments[t, gamma]
+                scale = np.abs(S).max()
+                assert S[xh] == pytest.approx(S[x1], rel=1e-12, abs=1e-12 * scale)
+                assert S[:, xh] == pytest.approx(S[:, x1], rel=1e-12, abs=1e-12 * scale)
+                checked += t > 0
         assert checked > 0
+
+    @pytest.mark.parametrize("kind", ["optimal", "centralized"])
+    def test_build_closed_loop_is_one_stacked_node(self, battery, kind):
+        # The one-node builder against the test suite's own per-node copy.
+        for spec in battery[:8]:
+            bundle = solver.solve_backward(spec) if kind == "optimal" else None
+            policy = control.make_policy(kind, spec, bundle=bundle)
+            m = spec.modes
+            for node in np.ndindex(spec.T + 1, m.kappa0, m.kappa1, 2, 2):
+                got = oracle.build_closed_loop(spec, policy, *node)
+                want = reference_closed_loop(spec, policy, *node)
+                for a, b in zip(got, want):
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * np.abs(b).max())
+
+    def test_zero_weight_pairs_are_masked(self):
+        # The second local mode has probability 0, so nothing may read its
+        # stage maps: an infinite gain there must not turn the cost into NaN.
+        spec = model.load_config(zero_weight_mode_config())
+        zero = control.make_policy("zero", spec)
+        gains = dataclasses.replace(zero.gains, K_received=zero.gains.K_received.copy())
+        gains.K_received[:, :, 1] = np.inf
+        broken = control.LinearCommonPolicy(spec, gains)
+        with np.errstate(invalid="ignore"):
+            cost = oracle.exact_expected_cost(spec, broken)
+        assert cost == oracle.exact_expected_cost(spec, zero)
 
     def test_nonlinear_policy_rejected(self, s2_spec):
         class Lookahead:
@@ -118,10 +158,11 @@ class TestStationarity:
     def test_optimum_is_stationary(self, battery):
         for spec in battery[:6]:
             bundle = solver.solve_backward(spec)
-            report = oracle.stationarity_check(
-                spec, bundle, max_entries=12, n_perturbations=8
-            )
-            assert report["ok"]
+            report = oracle.stationarity_check(spec, bundle, n_perturbations=8)
+            assert report["ok"] is True
+            assert report["entries_checked"] == sum(a.size for a in (
+                bundle.gains.K_empty, bundle.gains.K_received, bundle.gains.Ktilde
+            ))
             assert report["max_abs_gradient"] <= report["gradient_tolerance"]
             assert report["max_cost_decrease"] <= 1e-10
 
@@ -132,7 +173,81 @@ class TestStationarity:
         report = oracle.stationarity_check(
             spec, bundle, n_perturbations=4, raise_on_violation=False
         )
-        assert not report["ok"]
+        assert report["ok"] is False
+        json.dumps(report)
+
+    def test_violation_raises(self, battery):
+        spec = battery[1]
+        bundle = solver.solve_backward(spec)
+        bundle.gains.Ktilde[-1, 0] += 0.2
+        with pytest.raises(OptimalityViolation) as exc:
+            oracle.stationarity_check(spec, bundle, n_perturbations=0)
+        assert exc.value.where["table"] == "Ktilde"
+
+    def test_adjoint_gradient_matches_central_differences(self, battery):
+        # J is quadratic in any single gain entry, so central differences
+        # are exact up to rounding; check every entry at perturbed gains.
+        rng = np.random.default_rng(4)
+        names = ("K_empty", "K_received", "Ktilde")
+        for spec in battery:
+            bundle = solver.solve_backward(spec)
+            gains = solver.GainTables(*(
+                a + 0.1 * rng.standard_normal(a.shape)
+                for a in (getattr(bundle.gains, name) for name in names)
+            ))
+            cost, grads = oracle.exact_gradient(spec, control.LinearCommonPolicy(spec, gains))
+            assert cost == pytest.approx(
+                oracle.exact_expected_cost(spec, control.LinearCommonPolicy(spec, gains)), rel=1e-12
+            )
+            scale = max(np.abs(getattr(grads, name)).max() for name in names)
+            assert scale > 0.0
+            for name in names:
+                base = getattr(gains, name)
+                for index in np.ndindex(base.shape):
+                    costs = []
+                    for step in (1e-4, -1e-4):
+                        moved = base.copy()
+                        moved[index] += step
+                        policy = control.LinearCommonPolicy(
+                            spec, dataclasses.replace(gains, **{name: moved})
+                        )
+                        costs.append(oracle.exact_expected_cost(spec, policy))
+                    fd = (costs[0] - costs[1]) / 2e-4
+                    assert abs(fd - getattr(grads, name)[index]) <= 1e-6 * scale
+
+    def test_costates_give_the_same_cost(self, battery):
+        # Duality of the two recursions: J = stage-0 cost + <L_0, Y_0>,
+        # where Y_0 is the moment of xi_1 before its channel bit splits it.
+        for spec in battery:
+            if spec.T == 0:
+                continue
+            bundle = solver.solve_backward(spec)
+            stages = oracle._stages(spec, control.OptimalPolicy(spec, bundle))
+            S = oracle._moments(spec, stages)
+            L = oracle._costates(spec, stages)
+            w, F = stages.w, stages.F[0]
+            Y0 = np.einsum("p,pcij->ij", w, F @ S[0] @ np.swapaxes(F, -1, -2))
+            Y0 += w.sum() * S[0, :, -1, -1].sum() * stages.noise[0]
+            stage0 = np.einsum("p,pcij,cij->", w, stages.M[0], S[0])
+            cost = oracle._cost(stages, S)
+            assert stage0 + np.sum(L[0] * Y0) == pytest.approx(cost, rel=1e-12)
+
+    def test_worst_entry_is_first_largest_in_file_order(self):
+        # Per (t, m0): K_empty, then K_received; Ktilde after every step.
+        grads = solver.GainTables(np.zeros((2, 1, 3, 2)), np.zeros((2, 1, 2, 2, 2)), np.zeros((2, 1, 2, 1, 1)))
+        grads.Ktilde[0, 0, 0] = -2.0
+        grads.K_received[1, 0, 1, 0, 1] = 2.0
+        grads.K_empty[1, 0, 2, 0] = 1.0
+        assert oracle._largest_entry(grads) == (2.0, ("K_received", (1, 0, 1, 0, 1)))
+        grads.K_empty[1, 0, 2, 0] = -2.0
+        assert oracle._largest_entry(grads) == (2.0, ("K_empty", (1, 0, 2, 0)))
+        grads.Ktilde[1, 0, 1] = np.nan
+        largest, entry = oracle._largest_entry(grads)
+        assert np.isnan(largest) and entry == ("Ktilde", (1, 0, 1, 0, 0))
+
+    def test_gradient_needs_decentralized_gains(self, s2_spec):
+        with pytest.raises(UnsupportedPolicyError):
+            oracle.exact_gradient(s2_spec, control.make_policy("centralized", s2_spec))
 
     def test_report_fields(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)

@@ -5,10 +5,11 @@ the traced run without any other test noticing."""
 import ast
 import importlib
 import inspect
+import json
 import os
 from pathlib import Path
 
-from ncslqr import control, model, sim, solver
+from ncslqr import cli, control, model, sim, solver
 from conftest import s2_config
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
@@ -52,3 +53,13 @@ def test_save_bundle_writes_its_second_positional_argument(tmp_path):
     path = str(tmp_path / "bundle.json")
     solver.save_bundle(solver.solve_backward(spec), path)
     assert os.path.getsize(path) > 0
+
+
+def test_evaluate_exact_meets_the_benchmark_check(capsys):
+    # perfbench/run.py's check_exact accepts an evaluate-exact report only
+    # when it matches j_star to 1e-8 and certifies stationarity.
+    path = Path(__file__).resolve().parent / "data" / "exact_enum_config.json"
+    assert cli.main(["evaluate-exact", "--config", str(path), "--policy", "optimal"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert isinstance(report["rel_diff"], float) and report["rel_diff"] <= 1e-8
+    assert report["stationarity"]["ok"] is True
