@@ -10,15 +10,16 @@ printed).
 """
 
 import argparse
-import csv
 import json
 import os
-import statistics
 import sys
 
 import numpy as np
 
-from . import control, matkit, model, oracle, sim, solver
+# Each command imports the rest of what it uses (control, sim, oracle,
+# statistics, and csv for an --out table) itself, so that `solve` starts
+# without them.
+from . import matkit, model, solver
 from .errors import (
     DefinitenessError,
     NcslqrError,
@@ -80,6 +81,13 @@ def _write_output(path, what, write):
         raise OutputError(f"cannot write {what}: {exc}") from exc
 
 
+def _write_rows(path, what, rows):
+    """Write `rows` to `path` as CSV, through `_write_output`."""
+    import csv
+
+    _write_output(path, what, lambda fh: csv.writer(fh).writerows(rows))
+
+
 def _load_spec(path):
     try:
         return model.load_problem(path), EXIT_OK
@@ -89,6 +97,8 @@ def _load_spec(path):
 
 
 def _build_policy(kind, spec, solution_path):
+    from . import control
+
     bundle = None
     if kind == "optimal" or solution_path:
         bundle = solver.load_bundle(solution_path) if solution_path else solver.solve_backward(spec)
@@ -117,6 +127,8 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
+    from . import sim
+
     if args.out:
         _check_output(args.out, "report")
     if args.dump_trajectories:
@@ -133,9 +145,6 @@ def cmd_simulate(args):
     except SOLUTION_ERRORS as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -144,7 +153,7 @@ def cmd_simulate(args):
         [report.policy, report.runs, report.seed, repr(report.mean_cost), repr(report.std_err)],
     ]
     if args.out:
-        _write_output(args.out, "report", lambda fh: csv.writer(fh).writerows(rows))
+        _write_rows(args.out, "report", rows)
     print(",".join(str(c) for c in rows[0]))
     print(",".join(str(c) for c in rows[1]))
     if args.dump_trajectories:
@@ -160,6 +169,8 @@ def cmd_simulate(args):
 
 
 def cmd_evaluate_exact(args):
+    from . import oracle
+
     if args.out:
         _check_output(args.out, "report")
     spec, rc = _load_spec(args.config)
@@ -193,6 +204,10 @@ def cmd_evaluate_exact(args):
 
 def _validate_checks(spec, args):
     """Invariant battery for one instance; yields (name, ok, detail)."""
+    import statistics
+
+    from . import control, oracle, sim
+
     bundle = solver.solve_backward(spec)
     yield "solve", True, f"j_star = {bundle.j_star:.9g}"
 
@@ -269,6 +284,8 @@ def cmd_validate(args):
 
 
 def cmd_sweep(args):
+    from . import control, sim
+
     if args.out:
         _check_output(args.out, "sweep table")
     spec, rc = _load_spec(args.config)
@@ -299,7 +316,7 @@ def cmd_sweep(args):
             repr(float(report.mean_cost)), repr(float(report.std_err)),
         ])
     if args.out:
-        _write_output(args.out, "sweep table", lambda fh: csv.writer(fh).writerows(rows))
+        _write_rows(args.out, "sweep table", rows)
     for row in rows:
         print(",".join(str(c) for c in row))
     return EXIT_OK

@@ -44,7 +44,9 @@ class SingularBlockError(NcslqrError):
 
 
 class NonFiniteError(NcslqrError):
-    """A simulated state or action, or a solution table being saved, is not finite."""
+    """A number that must be finite is not: an H block of the backward
+    recursion, a simulated state, action or stage cost, a Monte Carlo mean
+    or standard error, or a solution table being saved."""
 
 
 class OutputError(NcslqrError):

@@ -1,22 +1,33 @@
 """Seeded Monte Carlo engine for the closed loop.
 
-Each run owns an independent RNG substream, `default_rng([seed,
-run_index])`, so results do not depend on how runs are scheduled. Draw
-order within a run is fixed: the initial x0 and x1 normals, then per step t
-three uniforms (for m0, m1 and gamma_t) and, for t < T, the d_x0 + d_x1
-normals of (w0, w1). A mode is read off the normalized cumulative weights
-exactly as `Generator.choice` reads it, and gamma_t = 1 when its uniform
-is below p1.
+Every random number is a pure function of (seed, run, t, slot), so results
+do not depend on how runs are scheduled. The generator is Philox4x64-10
+(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
+3", SC'11), written on numpy uint64 arrays:
 
-Runs advance together in chunks of a fixed internal size, through the
-policy's compiled stage tables (`control.compile_policy`). Each row's
-arithmetic sums elementwise products over the contracted index in a fixed
-order (no BLAS gemm), so a run's trajectory does not depend on which runs
-share its chunk: `simulate_run(seed, i)` reproduces run i of any batch
-bitwise, and no result depends on chunking or on the `threads` hint.
+- the key is `SeedSequence(seed).generate_state(2, np.uint64)`;
+- the block at counter (run, t, b, 0) is four 64-bit words, and a word w
+  becomes the uniform (w >> 11) * 2**-53, as `Generator.random` computes it;
+- block 0 of slot t holds the uniforms of m0, m1 and gamma_t in its first
+  three words (the fourth is unused). A mode is read off the normalized
+  cumulative weights as `Generator.choice` reads it, and gamma_t = 1 when
+  its uniform is below p1;
+- for the gaussian family, blocks 1 .. ceil(d_x / 4) of slot t hold
+  standard normals, four per block, by Box-Muller (Box & Muller, Ann. Math.
+  Statist. 1958) on the uniform pairs (u0, u1) and (u2, u3):
+  sqrt(-2 ln(1 - u0)) * (cos 2 pi u1, sin 2 pi u1), then the same for
+  (u2, u3). The first d_x of them are the (x0, x1) noise that enters x_t:
+  the initial state at t = 0, the process noise w_{t-1} after that.
+
+Runs advance together in chunks, through the policy's compiled stage
+tables (`control.compile_policy`), and one Philox call draws a chunk's
+words for every t. Each row's arithmetic sums elementwise products over the
+contracted index in a fixed order (no BLAS gemm), so a run's trajectory
+does not depend on which runs share its chunk: `simulate_run(seed, i)`
+reproduces run i of any batch bitwise, and no result depends on chunking
+or on the `threads` hint.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +36,91 @@ from .errors import DefinitenessError, NonFiniteError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps sim.assemble_system)
 
 EIG_CLAMP = 1e-12
-# Runs stepped together. Bounds the live per-run generators (about 2.4 KB
-# each) and the batch arrays to about a MB; larger chunks are no faster.
-_CHUNK_RUNS = 256
+# Philox blocks drawn per call, which sets the runs per chunk. Larger
+# chunks spread the per-step numpy call overhead over more runs, and from
+# about 4k blocks the kernel costs about 0.25 us per block; at 8k blocks the
+# words and the kernel's temporaries peak under a MB.
+_CHUNK_BLOCKS = 8192
+
+# Philox4x64 round multipliers and Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_TWO_PI = 2.0 * np.pi
+
+
+def _mulhilo(m, b):
+    """(hi, lo) words of the 128-bit product m * b, for a 64-bit constant m
+    and a uint64 array b; the high word is built from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    lo = b * np.uint64(m)  # wraps mod 2**64
+    carry = b & _LOW32  # b's low half, then the carry into the high word
+    hi = b >> _SHIFT32  # b's high half, then the high word
+    cross_a = carry * m_hi
+    cross_b = hi * m_lo
+    carry *= m_lo
+    carry >>= _SHIFT32
+    carry += cross_a & _LOW32
+    carry += cross_b & _LOW32
+    carry >>= _SHIFT32
+    hi *= m_hi
+    cross_a >>= _SHIFT32
+    cross_b >>= _SHIFT32
+    hi += cross_a
+    hi += cross_b
+    hi += carry
+    return hi, lo
+
+
+def _philox(key, c0, c1, c2):
+    """Philox4x64-10 blocks at the counters (c0, c1, c2, 0) under `key`.
+
+    c0, c1 and c2 are uint64 arrays that broadcast together; the result
+    stacks each block's four output words on a new last axis.
+    """
+    k0, k1 = int(key[0]), int(key[1])
+    c3 = np.uint64(0)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        rk0 = np.uint64((k0 + r * _PHILOX_W[0]) % 2**64)
+        rk1 = np.uint64((k1 + r * _PHILOX_W[1]) % 2**64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ rk0, lo1, hi0 ^ c3 ^ rk1, lo0
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+
+
+def _key(seed):
+    """The Philox key of a seed."""
+    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+
+
+def _normal_blocks(spec):
+    """Philox blocks of normals per slot: ceil(d_x / 4), or 0 without noise."""
+    return 0 if spec.stoch.family == "zero" else -(-spec.dims.d_x // 4)
+
+
+def _draws(key, indices, T, normal_blocks):
+    """Uniforms (runs, T+1, 3) and standard normals (runs, T+1, 4 *
+    normal_blocks) of the runs `indices`, by the layout in the module
+    docstring."""
+    u = _philox(
+        key,
+        np.array(indices, dtype=np.uint64)[:, None, None],
+        np.arange(T + 1, dtype=np.uint64)[:, None],
+        np.arange(1 + normal_blocks, dtype=np.uint64),
+    )
+    u >>= np.uint64(11)
+    u = u.astype(float)  # drops the words
+    u *= 2.0 ** -53
+    radius = 1.0 - u[:, :, 1:, 0::2]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _TWO_PI * u[:, :, 1:, 1::2]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return u[:, :, 0, :3], normals.reshape(len(indices), T + 1, 4 * normal_blocks)
 
 
 def noise_factor(cov):
@@ -42,13 +135,6 @@ def noise_factor(cov):
     if vals.size and vals.min() < -EIG_CLAMP * scale:
         raise DefinitenessError("noise covariance is not PSD", min_eig=float(vals.min()))
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def sample_noise(cov, family, rng):
-    """One zero-mean draw with the given covariance."""
-    if family == "zero":
-        return np.zeros(cov.shape[0])
-    return noise_factor(cov) @ rng.standard_normal(cov.shape[0])
 
 
 @dataclass
@@ -101,28 +187,19 @@ def _quad(mats, vecs):
     return _rows_dot(_rows_dot(mats, vecs)[:, None, :], vecs)[:, 0]
 
 
-def _rollout(spec, policy, noise, seed, indices, record):
+def _rollout(spec, policy, noise, key, indices, record):
     """Step the runs `indices` together from t = 0 to T.
 
     Returns (totals, rec, failed): each run's total cost; the per-step
     arrays (x, u, xhat, m0, m1, gamma, stage cost), each stacked as
     (run, t, ...), or None unless `record`; and (position, t) of the first
-    run, in the order given, whose state or action went non-finite, at its
-    first such step (None if every run stayed finite).
+    run, in the order given, whose state, action or stage cost went
+    non-finite, at its first such step (None if every run stayed finite).
     """
     d, st, T = spec.dims, spec.stoch, spec.T
     tables = policy.tables
     runs = len(indices)
-    gens = [np.random.default_rng([int(seed), int(i)]) for i in indices]
-    unif = np.empty((runs, 3))
-    normal = np.empty((runs, d.d_x))
-    unif_rows, normal_rows = list(unif), list(normal)
-
-    def draw_normals():
-        for g, row in zip(gens, normal_rows):
-            g.standard_normal(out=row)
-        return normal
-
+    unif, normal = _draws(key, indices, T, _normal_blocks(spec))
     # Normalized cumulative weights, as Generator.choice builds them.
     cdf0, cdf1 = (p.cumsum() / p.cumsum()[-1] for p in (spec.modes.pi_m0, spec.modes.pi_m1))
     mu = np.concatenate([st.mu_x0, st.mu_x1])
@@ -130,31 +207,29 @@ def _rollout(spec, policy, noise, seed, indices, record):
         x = np.tile(mu, (runs, 1))
     else:
         f_init, f_w = noise
-        x = mu + _rows_dot(f_init[None], draw_normals())
+        x = mu + _rows_dot(f_init[None], normal[:, 0, :d.d_x])
     steps = []
     totals = np.zeros(runs)
     first_bad = np.full(runs, -1)
     x_hat_fail = st.mu_x1  # xhat_0 when nothing is received
     for t in range(T + 1):
-        for g, row in zip(gens, unif_rows):
-            g.random(out=row)
-        m0 = np.searchsorted(cdf0, unif[:, 0], side="right")
-        m1 = np.searchsorted(cdf1, unif[:, 1], side="right")
-        received = unif[:, 2] < spec.channel.p1
+        m0 = np.searchsorted(cdf0, unif[:, t, 0], side="right")
+        m1 = np.searchsorted(cdf1, unif[:, t, 1], side="right")
+        received = unif[:, t, 2] < spec.channel.p1
         gamma = received.astype(int)
         x_hat = np.where(received[:, None], x[:, d.d_x0:], x_hat_fail)
         xi = np.concatenate([x, x_hat], axis=1)
         u = _rows_dot(tables.theta[t, m0, m1, gamma], xi)
-        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(u).all(axis=1))
-        first_bad[bad & (first_bad < 0)] = t
         cost = _quad(spec.cost.Q[t, m0, m1], x) + _quad(spec.cost.R[t, m0, m1], u)
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(u).all(axis=1) & np.isfinite(cost))
+        first_bad[bad & (first_bad < 0)] = t
         totals += cost
         if record:
             steps.append((x, u, x_hat, m0, m1, gamma, cost))
         if t < T:
             x = _rows_dot(tables.D[m0, m1], np.concatenate([x, u], axis=1))
             if noise is not None:
-                x += _rows_dot(f_w[t][None], draw_normals())
+                x += _rows_dot(f_w[t][None], normal[:, t + 1, :d.d_x])
             if tables.mean_update is None:
                 x_hat_fail = x[:, d.d_x0:]  # xhat copies x1 under full information
             else:
@@ -165,25 +240,33 @@ def _rollout(spec, policy, noise, seed, indices, record):
     return totals, rec, failed
 
 
+def _chunk_runs(spec):
+    """Runs per chunk: those whose blocks fit in `_CHUNK_BLOCKS`, at least one."""
+    return max(1, _CHUNK_BLOCKS // ((spec.T + 1) * (1 + _normal_blocks(spec))))
+
+
 def _chunks(spec, policy, seed, indices, record):
     """Roll out runs `indices` chunk by chunk, yielding (totals, rec).
 
-    When a run goes non-finite, its chunk is cut just before it and
+    A chunk holds as many runs as fit in one call's `_CHUNK_BLOCKS` Philox
+    blocks. When a run goes non-finite, its chunk is cut just before it and
     NonFiniteError is raised for that run (the first one, in the order
     given) at its first non-finite step.
     """
     noise = _noise_factors(spec)
+    key = _key(seed)
     indices = list(indices)
-    for start in range(0, len(indices), _CHUNK_RUNS):
-        chunk = indices[start:start + _CHUNK_RUNS]
+    size = _chunk_runs(spec)
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
         with np.errstate(over="ignore", invalid="ignore"):
-            totals, rec, failed = _rollout(spec, policy, noise, seed, chunk, record)
+            totals, rec, failed = _rollout(spec, policy, noise, key, chunk, record)
         if failed is None:
             yield totals, rec
             continue
         pos, t = failed
         yield totals[:pos], rec
-        raise NonFiniteError(f"run {chunk[pos]}: state or action non-finite at t={t}")
+        raise NonFiniteError(f"run {chunk[pos]}: state, action or stage cost non-finite at t={t}")
 
 
 def simulate_runs(spec, policy, seed, indices):
@@ -213,30 +296,34 @@ def simulate_run(spec, policy, seed, run_index):
 def monte_carlo(spec, policy, runs, seed, threads=None):
     """Mean cost and standard error over independent seeded runs.
 
-    `threads` is accepted for interface stability; the per-run substreams
-    make the result identical at any level of parallelism, and the
-    aggregation below is a deterministic reduction in run order.
+    `threads` is accepted for interface stability; every draw is a function
+    of (seed, run, t, slot), so the result is identical at any level of
+    parallelism, and the aggregation below is a deterministic reduction in
+    run order. Finite costs whose sum or squared spread overflows raise
+    NonFiniteError rather than report inf or nan.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     costs = np.concatenate([
         totals for totals, _ in _chunks(spec, policy, seed, range(runs), record=False)
     ])
-    mean = float(np.sum(costs) / runs)
-    if runs == 1:
-        se = 0.0
-    else:
-        var = float(np.sum((costs - mean) ** 2) / (runs - 1))
-        se = (var / runs) ** 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.sum(costs) / runs)
+        if runs == 1:
+            se = 0.0
+        else:
+            var = float(np.sum((costs - mean) ** 2) / (runs - 1))
+            se = (var / runs) ** 0.5
+    if not (np.isfinite(mean) and np.isfinite(se)):
+        raise NonFiniteError(f"mean cost {mean!r} or its standard error {se!r} non-finite over {runs} runs")
     return McReport(policy=policy.name, runs=runs, seed=int(seed), mean_cost=mean, std_err=se)
 
 
-def trajectory_to_csv(traj, path):
-    d_x0 = traj.x0.shape[1]
-    d_x1 = traj.x1.shape[1]
-    d_u0 = traj.u0.shape[1]
-    d_u1 = traj.u1.shape[1]
-    header = (
+def _csv_layout(d_x0, d_x1, d_u0, d_u1):
+    """Header line and row template of a trajectory CSV: the bytes
+    csv.writer writes, with %d for the integer columns and %r
+    (float.__repr__) for the float ones, none of which needs quoting."""
+    names = (
         ["t"]
         + [f"x0[{i}]" for i in range(d_x0)]
         + [f"x1[{i}]" for i in range(d_x1)]
@@ -246,18 +333,19 @@ def trajectory_to_csv(traj, path):
         + [f"xhat[{i}]" for i in range(d_x1)]
         + ["stage_cost"]
     )
+    formats = ["%d"] + ["%r"] * (d_x0 + d_x1) + ["%d"] * 3 + ["%r"] * (d_u0 + d_u1 + d_x1 + 1)
+    return ",".join(names) + "\r\n", ",".join(formats) + "\r\n"
+
+
+def trajectory_to_csv(traj, path):
+    """Write one trajectory as CSV (modes 1-based) with a single write."""
+    steps = traj.x0.shape[0]
+    header, row = _csv_layout(traj.x0.shape[1], traj.x1.shape[1], traj.u0.shape[1], traj.u1.shape[1])
+    # Integer columns ride along as exact floats; %d prints them as integers.
+    table = np.column_stack([
+        np.arange(steps), traj.x0, traj.x1, traj.m0 + 1, traj.m1 + 1, traj.gamma,
+        traj.u0, traj.u1, traj.x_hat1, traj.stage_cost,
+    ])
+    text = header + (row * steps) % tuple(table.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(traj.x0.shape[0]):
-            row = (
-                [t]
-                + [repr(float(v)) for v in traj.x0[t]]
-                + [repr(float(v)) for v in traj.x1[t]]
-                + [int(traj.m0[t]) + 1, int(traj.m1[t]) + 1, int(traj.gamma[t])]
-                + [repr(float(v)) for v in traj.u0[t]]
-                + [repr(float(v)) for v in traj.u1[t]]
-                + [repr(float(v)) for v in traj.x_hat1[t]]
-                + [repr(float(traj.stage_cost[t]))]
-            )
-            writer.writerow(row)
+        fh.write(text)

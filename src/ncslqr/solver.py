@@ -141,16 +141,29 @@ def _ztilde_name(zt, kappa1):
     return "empty" if zt == kappa1 else f"m{zt + 1}"
 
 
-def _schur(H, n_top, where):
-    """matkit.schur_complement, naming a singular block by where(*index)."""
+def _schur(H, n_top, name, where):
+    """matkit.schur_complement of the stack H, after one finiteness check.
+
+    A non-finite H raises NonFiniteError and a singular one
+    SingularBlockError, each naming the first failing block as `name` at
+    where(*index).
+    """
+    if not np.isfinite(H).all():
+        i = np.argwhere(~np.isfinite(H).all(axis=(-2, -1)))[0]
+        raise NonFiniteError(f"{name} non-finite at {where(*i)}")
     try:
         return matkit.schur_complement(H, n_top)
     except SingularBlockError as exc:
-        raise SingularBlockError(f"{where(*exc.index)}: {exc}", index=exc.index) from exc
+        raise SingularBlockError(f"{name} not PD at {where(*exc.index)}: {exc}", index=exc.index) from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_backward(spec):
-    """Run the coupled backward recursions and assemble the full solution."""
+    """Run the coupled backward recursions and assemble the full solution.
+
+    Overflow is not warned about: a non-finite H block raises
+    NonFiniteError before its solve.
+    """
     d, m = spec.dims, spec.modes
     T, k1 = spec.T, m.kappa1
     st = build_static(spec)
@@ -170,22 +183,22 @@ def solve_backward(spec):
         E = _T(st.Dempty) @ pi_next @ st.Dempty
         F = (_T(Da1) @ psi_next @ Da1 * pi1).sum(axis=1) - _T(De1) @ psi_next @ De1
         P[t, :, EMPTY], gain = _schur(
-            matkit.sym(st.Cempty[t] + E + F), d.d_x,
-            lambda m0: f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=empty",
+            matkit.sym(st.Cempty[t] + E + F), d.d_x, "H^UU",
+            lambda m0: f"t={t}, m0={m0 + 1}, ztilde=empty",
         )
         K_empty[t] = -gain
 
         # ztilde = m1: the received local mode is known to both controllers.
         P[t, :, :EMPTY], gain = _schur(
-            matkit.sym(st.C[t] + _T(st.D) @ pi_next @ st.D), d.d_x,
-            lambda m0, m1: f"H^UU not PD at t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}",
+            matkit.sym(st.C[t] + _T(st.D) @ pi_next @ st.D), d.d_x, "H^UU",
+            lambda m0, m1: f"t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}",
         )
         K_received[t] = -gain
 
         # Local value recursion.
         sc, gain = _schur(
-            matkit.sym(st.C11[t] + _T(st.D11) @ psi_next @ st.D11), d.d_x1,
-            lambda m0, m1: f"Htilde^U1U1 not PD at t={t}, m0={m0 + 1}, m1={m1 + 1}",
+            matkit.sym(st.C11[t] + _T(st.D11) @ psi_next @ st.D11), d.d_x1, "Htilde^U1U1",
+            lambda m0, m1: f"t={t}, m0={m0 + 1}, m1={m1 + 1}",
         )
         Ptilde[t, :, :EMPTY] = sc
         Ptilde[t, :, EMPTY] = matkit.sym((sc * pi1).sum(axis=1))

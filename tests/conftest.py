@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -257,33 +258,65 @@ def prescription(policy, t, m0, ztilde, x0, x_hat1):
     return control.Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=ktilde, ztilde=ztilde, m0=m0)
 
 
+def philox_block(key, run, t, block):
+    """The four words of Philox block (run, t, block, 0) under `key`, by
+    numpy's own Philox4x64-10. numpy steps its counter before each block,
+    so it starts one below."""
+    counter = (run + (t << 64) + (block << 128) - 1) % 2**256
+    return np.random.Philox(counter=counter, key=key).random_raw(4)
+
+
+def reference_draws(key, run, t, count):
+    """(three uniforms, `count` standard normals) of slot t of a run, one
+    block at a time through `philox_block`, Box-Muller by `math`."""
+    def uniforms(block):
+        return [(int(w) >> 11) * 2.0 ** -53 for w in philox_block(key, run, t, block)]
+
+    normals = []
+    for block in range(1, 1 + -(-count // 4)):
+        u = uniforms(block)
+        for a, b in ((u[0], u[1]), (u[2], u[3])):
+            radius = math.sqrt(-2.0 * math.log(1.0 - a))
+            normals += [radius * math.cos(2.0 * math.pi * b), radius * math.sin(2.0 * math.pi * b)]
+    return uniforms(0)[:3], np.array(normals[:count])
+
+
 def reference_rollout(spec, policy, seed, run_index):
     """One run by a plain per-step loop, as a cross-check of the simulator.
 
-    Same substream and draw order as `ncslqr.sim`, but modes come from
-    `rng.choice`, the dynamics from `assemble_system` at every step, and
-    actions and estimates from the prescription, `local_action` and
-    `estimator_update` (the full-information reference applies its
+    The draws follow the layout in the `ncslqr.sim` docstring but come from
+    numpy's Philox (`reference_draws`); modes are picked by a scan of the
+    cumulative weights, the dynamics come from `assemble_system` at every
+    step, and actions and estimates from the prescription, `local_action`
+    and `estimator_update` (the full-information reference applies its
     centralized gain and copies x1 into the estimate). Raises
-    NonFiniteError at the first non-finite state or action.
+    NonFiniteError at the first non-finite state, action or stage cost.
     """
     d, m, st, T = spec.dims, spec.modes, spec.stoch, spec.T
-    rng = np.random.default_rng([int(seed), int(run_index)])
+    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     gaussian = st.family == "gaussian"
+    count = d.d_x if gaussian else 0
+
+    def pick(weights, u):
+        cdf = np.cumsum(weights) / np.sum(weights)
+        return next(k for k, c in enumerate(cdf) if u < c)
+
     x0, x1 = st.mu_x0.copy(), st.mu_x1.copy()
+    _, z = reference_draws(key, run_index, 0, count)
     if gaussian:
-        x0 = x0 + sim.noise_factor(st.cov_x0) @ rng.standard_normal(d.d_x0)
-        x1 = x1 + sim.noise_factor(st.cov_x1) @ rng.standard_normal(d.d_x1)
+        x0 = x0 + sim.noise_factor(st.cov_x0) @ z[:d.d_x0]
+        x1 = x1 + sim.noise_factor(st.cov_x1) @ z[d.d_x0:]
     rec = {k: [] for k in ("x0", "x1", "m0", "m1", "gamma", "u0", "u1", "x_hat1", "stage_cost")}
     pending = None
     for t in range(T + 1):
-        m0 = int(rng.choice(m.kappa0, p=m.pi_m0))
-        m1 = int(rng.choice(m.kappa1, p=m.pi_m1))
-        gamma = int(rng.random() < spec.channel.p1)
+        u_m0, u_m1, u_gamma = reference_draws(key, run_index, t, 0)[0]
+        m0, m1 = pick(m.pi_m0, u_m0), pick(m.pi_m1, u_m1)
+        gamma = int(u_gamma < spec.channel.p1)
         w0, w1 = np.zeros(d.d_x0), np.zeros(d.d_x1)
-        if gaussian:
-            w0 = sim.noise_factor(st.covW0[t]) @ rng.standard_normal(d.d_x0)
-            w1 = sim.noise_factor(st.covW1[t]) @ rng.standard_normal(d.d_x1)
+        if gaussian and t < T:
+            _, z = reference_draws(key, run_index, t + 1, count)
+            w0 = sim.noise_factor(st.covW0[t]) @ z[:d.d_x0]
+            w1 = sim.noise_factor(st.covW1[t]) @ z[d.d_x0:]
 
         if t == 0:
             x_hat1 = x1.copy() if gamma == 1 else st.mu_x1.copy()
@@ -305,11 +338,11 @@ def reference_rollout(spec, policy, seed, run_index):
             pending = (t, est, x0, m0, zt, presc)
         x = np.concatenate([x0, x1])
         u = np.concatenate([u0, u1])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-            raise NonFiniteError(f"state or action non-finite at t={t}")
         cost = float(x @ spec.cost.Q[t, m0, m1] @ x + u @ spec.cost.R[t, m0, m1] @ u)
-        for key, val in zip(rec, (x0, x1, m0, m1, gamma, u0, u1, x_hat1, cost)):
-            rec[key].append(val)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.isfinite(cost)):
+            raise NonFiniteError(f"state, action or stage cost non-finite at t={t}")
+        for name, val in zip(rec, (x0, x1, m0, m1, gamma, u0, u1, x_hat1, cost)):
+            rec[name].append(val)
         if t < T:
             x_next = model.assemble_system(spec, m0, m1)[2] @ np.concatenate([x, u])
             x0, x1 = x_next[:d.d_x0] + w0, x_next[d.d_x0:] + w1

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from ncslqr import control, model, sim, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError
-from conftest import divergent_config, rand_psd, reference_rollout, s2_config
+from conftest import (
+    divergent_config,
+    philox_block,
+    rand_psd,
+    reference_draws,
+    reference_rollout,
+    s2_config,
+)
 
 
 class TestNoise:
@@ -27,17 +34,73 @@ class TestNoise:
             sim.noise_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_zero_family(self):
-        rng = np.random.default_rng(0)
-        assert sim.sample_noise(np.eye(3), "zero", rng) == pytest.approx(np.zeros(3))
+        # The noise-free family draws no normal blocks; its modes and
+        # channel bits are the gaussian family's, and every run follows the
+        # same deterministic state path.
+        zero = model.load_config(s2_config(family="zero"))
+        gauss = model.load_config(s2_config())
+        assert sim._normal_blocks(zero) == 0 and sim._normal_blocks(gauss) == 1
+        _, normals = sim._draws(sim._key(3), [0, 1], zero.T, 0)
+        assert normals.shape == (2, zero.T + 1, 0)
+        policy = control.make_policy("zero", zero)
+        a = list(sim.simulate_runs(zero, policy, 3, range(20)))
+        b = list(sim.simulate_runs(gauss, control.make_policy("zero", gauss), 3, range(20)))
+        for ta, tb in zip(a, b):
+            for field in ("m0", "m1", "gamma"):
+                assert np.array_equal(getattr(ta, field), getattr(tb, field))
+            assert np.array_equal(ta.x0, a[0].x0) and np.array_equal(ta.x1, a[0].x1)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_sample_moments(self, seed):
-        rng = np.random.default_rng(seed)
+        # 4000 runs x 2 slots x one block of four Box-Muller normals each.
+        _, z = sim._draws(sim._key(seed), range(4000), 1, 1)
+        z = z.reshape(-1, 4)
+        assert np.abs(z.mean(axis=0)).max() < 0.05  # SE 0.011
+        assert np.abs(z.T @ z / len(z) - np.eye(4)).max() < 0.1  # SE 0.011 off the diagonal, 0.016 on it
+        assert abs(float(np.mean(z**4)) - 3.0) < 0.3  # SE 0.055: normal, not uniform, tails
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        draws = np.array([sim.sample_noise(cov, "gaussian", rng) for _ in range(4000)])
-        emp = draws.T @ draws / len(draws)
-        assert np.abs(emp - cov).max() < 0.25
+        w = z[:, :2] @ sim.noise_factor(cov).T
+        assert np.abs(w.T @ w / len(w) - cov).max() < 0.25
+
+
+class TestPhilox:
+    def test_matches_numpy_philox(self):
+        # numpy's C kernel steps its counter before each block.
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 2**64, (200, 2), dtype=np.uint64)
+        counters = rng.integers(0, 2**64, (200, 3), dtype=np.uint64)
+        counters[:3] = [[0, 0, 0], [2**64 - 1, 0, 0], [0, 2**64 - 1, 5]]
+        for key, c in zip(keys, counters):
+            words = sim._philox(key, *(np.array([v], dtype=np.uint64) for v in c))[0]
+            assert np.array_equal(words, philox_block(key, *(int(v) for v in c)))
+
+    def test_broadcast_blocks_match_single_blocks(self):
+        key = sim._key(11)
+        runs = np.array([0, 5, 2**40], dtype=np.uint64)[:, None, None]
+        grid = sim._philox(key, runs, np.arange(3, dtype=np.uint64)[:, None], np.arange(2, dtype=np.uint64))
+        assert grid.shape == (3, 3, 2, 4)
+        for i, run in enumerate(runs.ravel()):
+            for t in range(3):
+                for b in range(2):
+                    one = sim._philox(key, *(np.array([v], dtype=np.uint64) for v in (run, t, b)))
+                    assert np.array_equal(grid[i, t, b], one[0])
+
+    def test_draws_follow_the_documented_layout(self):
+        key = sim._key(4)
+        unif, normals = sim._draws(key, [3, 9], 2, 2)
+        for i, run in enumerate([3, 9]):
+            for t in range(3):
+                u, z = reference_draws(key, run, t, 8)
+                assert unif[i, t].tolist() == u
+                assert normals[i, t] == pytest.approx(z, rel=1e-14, abs=1e-15)
+
+    def test_draws_do_not_depend_on_the_batch(self):
+        key = sim._key(5)
+        unif, normals = sim._draws(key, range(600), 3, 2)
+        for run in (0, 1, 299, 599):
+            u1, z1 = sim._draws(key, [run], 3, 2)
+            assert np.array_equal(unif[run], u1[0]) and np.array_equal(normals[run], z1[0])
 
 
 class TestDeterminism:
@@ -80,7 +143,7 @@ class TestDeterminism:
         spec = battery[5]
         bundle = solver.solve_backward(spec)
         policy = control.make_policy("optimal", spec, bundle=bundle)
-        runs = sim._CHUNK_RUNS + 3
+        runs = sim._chunk_runs(spec) + 3
         rep = sim.monte_carlo(spec, policy, runs=runs, seed=2)
         costs = np.array([
             sim.simulate_run(spec, policy, seed=2, run_index=i).total_cost
@@ -189,20 +252,45 @@ class TestNonFinite:
         policy = control.make_policy("zero", spec)
         runs = 700
         with np.errstate(over="ignore", invalid="ignore"):
-            fails = self._failures(spec, policy, 8, runs)
+            fails = self._failures(spec, policy, 9, runs)
         bad = [i for i, t in enumerate(fails) if t is not None]
         first = bad[0]
         # A later run fails at an earlier step, so the report must follow
         # run order rather than step order.
         assert any(fails[j] < fails[first] for j in bad[1:])
-        msg = f"run {first}: state or action non-finite at t={fails[first]}"
+        msg = f"run {first}: state, action or stage cost non-finite at t={fails[first]}"
         with pytest.raises(NonFiniteError, match=msg):
-            sim.monte_carlo(spec, policy, runs=runs, seed=8)
+            sim.monte_carlo(spec, policy, runs=runs, seed=9)
         done = []
         with pytest.raises(NonFiniteError, match=msg):
-            for traj in sim.simulate_runs(spec, policy, seed=8, indices=range(runs)):
+            for traj in sim.simulate_runs(spec, policy, seed=9, indices=range(runs)):
                 done.append(traj)
         assert len(done) == first
+
+    def test_overflowing_stage_cost_is_non_finite(self):
+        # Run 3 at seed 8 meets the rare 1e200 mode once: x and u stay
+        # finite while x0**2 overflows the stage cost.
+        spec = model.load_config(divergent_config())
+        policy = control.make_policy("zero", spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, (x, u, *_, cost), failed = sim._rollout(
+                spec, policy, sim._noise_factors(spec), sim._key(8), [3], record=True
+            )
+        assert failed == (0, 1)
+        assert np.isfinite(x[0, 1]).all() and np.isfinite(u[0, 1]).all()
+        assert not np.isfinite(cost[0, 1])
+        with pytest.raises(NonFiniteError, match="run 3: state, action or stage cost non-finite at t=1"):
+            sim.monte_carlo(spec, policy, runs=100, seed=8)
+
+    def test_overflowing_spread_is_non_finite(self):
+        # A 1e100 mode keeps every stage cost finite (up to about 1e200)
+        # but the squared deviations behind the standard error overflow.
+        cfg = divergent_config()
+        cfg["system"]["A00"][0] = [[1e100]]
+        spec = model.load_config(cfg)
+        policy = control.make_policy("zero", spec)
+        with pytest.raises(NonFiniteError, match="standard error inf non-finite over 100 runs"):
+            sim.monte_carlo(spec, policy, runs=100, seed=8)
 
 
 class TestCsv:
@@ -220,3 +308,52 @@ class TestCsv:
             assert float(row["x0[0]"]) == traj.x0[t, 0]
             assert float(row["stage_cost"]) == traj.stage_cost[t]
             assert int(row["m0"]) == traj.m0[t] + 1  # modes are 1-based on disk
+
+    @staticmethod
+    def _csv_writer_bytes(traj, path):
+        """The trajectory written row by row through csv.writer."""
+        d_x0, d_x1, d_u0, d_u1 = (a.shape[1] for a in (traj.x0, traj.x1, traj.u0, traj.u1))
+        header = (
+            ["t"] + [f"x0[{i}]" for i in range(d_x0)] + [f"x1[{i}]" for i in range(d_x1)]
+            + ["m0", "m1", "gamma"] + [f"u0[{i}]" for i in range(d_u0)]
+            + [f"u1[{i}]" for i in range(d_u1)] + [f"xhat[{i}]" for i in range(d_x1)]
+            + ["stage_cost"]
+        )
+
+        def floats(a):
+            return [repr(float(v)) for v in a]
+
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for t in range(traj.x0.shape[0]):
+                writer.writerow(
+                    [t] + floats(traj.x0[t]) + floats(traj.x1[t])
+                    + [int(traj.m0[t]) + 1, int(traj.m1[t]) + 1, int(traj.gamma[t])]
+                    + floats(traj.u0[t]) + floats(traj.u1[t]) + floats(traj.x_hat1[t])
+                    + [repr(float(traj.stage_cost[t]))]
+                )
+        return path.read_bytes()
+
+    def test_template_writes_csv_writer_bytes(self, battery, tmp_path):
+        for k, spec in enumerate(battery):
+            policy = control.make_policy("optimal", spec, bundle=solver.solve_backward(spec))
+            for i, traj in enumerate(sim.simulate_runs(spec, policy, seed=k, indices=range(3))):
+                path = tmp_path / f"run_{k}_{i}.csv"
+                sim.trajectory_to_csv(traj, path)
+                assert path.read_bytes() == self._csv_writer_bytes(traj, tmp_path / "ref.csv")
+
+    def test_template_keeps_float_reprs(self, tmp_path):
+        special = [-0.0, 5e-324, 1e16, 0.1]
+        traj = sim.Trajectory(
+            x0=np.array([[-0.0, 5e-324], [1e16, 0.1]]), x1=np.array([[0.1], [-0.0]]),
+            m0=np.array([0, 1]), m1=np.array([2, 0]), gamma=np.array([1, 0]),
+            u0=np.array([[1e16], [5e-324]]), u1=np.array([[-1.5e-300], [2.0]]),
+            x_hat1=np.array([[1e16], [0.1]]), stage_cost=np.array([0.1, 1e16]), total_cost=1e16,
+        )
+        path = tmp_path / "special.csv"
+        sim.trajectory_to_csv(traj, path)
+        text = path.read_bytes()
+        assert text == self._csv_writer_bytes(traj, tmp_path / "ref.csv")
+        assert text.count(b"\r\n") == 3
+        assert all(repr(v).encode() in text for v in special)
