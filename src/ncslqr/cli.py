@@ -43,15 +43,21 @@ NUMERIC_ERRORS = (SingularBlockError, DefinitenessError, NonFiniteError)
 SOLUTION_ERRORS = (ParseError, ShapeError)
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, what):
+    """argparse type: an integer >= `low`, described as `what` when refused."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _float_list(text):
@@ -331,7 +337,9 @@ def build_parser():
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("NCSLQR_THREADS", "1")),
+        # A string default goes through `type`, so a bad NCSLQR_THREADS is
+        # a usage error like a bad --threads.
+        default=os.environ.get("NCSLQR_THREADS", "1"),
         help="worker count hint (results are identical at any value)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,7 +354,7 @@ def build_parser():
     p.add_argument("--solution")
     p.add_argument("--policy", default="optimal", choices=["optimal", "zero", "ce", "centralized"])
     p.add_argument("--runs", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out")
     p.add_argument("--dump-trajectories")
     p.set_defaults(func=cmd_simulate)
@@ -361,7 +369,7 @@ def build_parser():
     p = sub.add_parser("validate", help="run the invariant battery on one config")
     p.add_argument("--config", required=True)
     p.add_argument("--runs", type=_positive_int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="solve and simulate across channel success rates")
@@ -369,7 +377,7 @@ def build_parser():
     p.add_argument("--param", default="p1", choices=["p1"])
     p.add_argument("--values", required=True, type=_float_list)
     p.add_argument("--runs", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
     return parser

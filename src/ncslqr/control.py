@@ -274,17 +274,6 @@ class LinearCommonPolicy:
     def tables(self):
         return compile_policy(self.spec, self)
 
-    def action_map(self, t, m0, m1, gamma):
-        """u = Theta @ xi for the realized (m0, m1, gamma)."""
-        return self.tables.theta[t, m0, m1, gamma]
-
-    def mean_update_map(self, t, m0, m1, gamma):
-        """xhat_{t+1} = M @ xi when the next transmission fails; None when
-        xhat copies x1 regardless of the channel."""
-        if self.tables.mean_update is None:
-            return None
-        return self.tables.mean_update[t, m0, m1, gamma]
-
 
 class OptimalPolicy(LinearCommonPolicy):
     """The solved decentralized optimum: the bundle's gain tables."""

@@ -1,8 +1,8 @@
 """Small dense-matrix utilities the backward recursions are written in.
 
-Everything here is a pure function on numpy arrays: quadratic forms, block
-partitions, Schur complements, mode-selector matrices, and definiteness
-checks with scale-free tolerances. Matrix arguments may be stacks of shape
+Everything here is a pure function on numpy arrays: block partitions,
+Schur complements, mode-selector matrices, and definiteness checks with
+scale-free tolerances. Matrix arguments may be stacks of shape
 (..., n, n). A check on a stack reports the first failing matrix in C
 order; its `name` may be a function of that matrix's index.
 """
@@ -45,9 +45,9 @@ def _label(name, index):
     return name(*index) if callable(name) else name
 
 
-def _symmetric_eigs(M, name, tol=SYM_TOL):
+def _symmetric_eigs(M, name):
     """(sym(M), its eigenvalues, max(1, max |eigenvalue|)) for a stack M,
-    after checking that each matrix is square and symmetric to `tol`
+    after checking that each matrix is square and symmetric to SYM_TOL
     relative to that scale."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -57,15 +57,10 @@ def _symmetric_eigs(M, name, tol=SYM_TOL):
     lam = np.linalg.eigvalsh(S)
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
     asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
-    i = _first(asym > tol * scale)
+    i = _first(asym > SYM_TOL * scale)
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not symmetric (asymmetry {asym[i]:.3e})")
     return S, lam, scale
-
-
-def check_symmetric(M, name="matrix", tol=SYM_TOL):
-    """sym(M), after checking that every matrix of the stack is symmetric."""
-    return _symmetric_eigs(M, name, tol)[0]
 
 
 def min_eig(M):
@@ -74,27 +69,25 @@ def min_eig(M):
 
 
 def assert_psd(M, tol=DEF_TOL, name="matrix"):
-    _, lam, scale = _symmetric_eigs(M, name)
+    """sym(M), after checking that each matrix of the stack is symmetric and
+    PSD: min eigenvalue >= -tol * max(1, max |eigenvalue|)."""
+    S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
     i = _first(lo < -tol * scale)
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PSD", min_eig=lo[i])
+    return S
 
 
 def assert_pd(M, tol=DEF_TOL, name="matrix"):
-    _, lam, scale = _symmetric_eigs(M, name)
+    """sym(M), after checking that each matrix of the stack is symmetric and
+    PD: min eigenvalue > tol * max(1, max |eigenvalue|)."""
+    S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
     i = _first(lo <= tol * scale)
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PD", min_eig=lo[i])
-
-
-def qf(G, x):
-    """Quadratic form x'Gx."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if G.shape != (x.size, x.size):
-        raise DimensionError(f"qf: G {G.shape} does not match vector of size {x.size}")
-    return float(x @ G @ x)
+    return S
 
 
 def partition(H, n_x):

@@ -5,11 +5,16 @@ B10, B11 per mode pair), never full A/B matrices, so the block-triangular
 structure of the dynamics is guaranteed by construction. Mode values are
 1-based in config files and 0-based everywhere inside the package; the
 loader converts exactly once.
+
+The loader (`load_config`) is the one place that checks a problem, Q PSD,
+R PD and every noise covariance PSD included, each under one rule
+(`matkit.assert_psd`/`assert_pd`) that the simulator shares. The spec
+dataclasses are plain records that check nothing; build them through the
+loader.
 """
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +30,6 @@ class Dims:
     d_x1: int
     d_u0: int
     d_u1: int
-
-    def __post_init__(self):
-        for name in ("d_x0", "d_x1", "d_u0", "d_u1"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ShapeError(f"dims.{name} must be a positive integer, got {v!r}")
 
     @property
     def d_x(self):
@@ -48,35 +47,10 @@ class ModeSpec:
     pi_m0: np.ndarray
     pi_m1: np.ndarray
 
-    def __post_init__(self):
-        for name in ("kappa0", "kappa1"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ShapeError(f"modes.{name} must be a positive integer, got {v!r}")
-        for name, kappa in (("pi_m0", self.kappa0), ("pi_m1", self.kappa1)):
-            p = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, p)
-            if p.size != kappa:
-                raise ShapeError(f"modes.{name} must have length {kappa}, got {p.size}")
-            if np.any(p < 0):
-                raise ProbabilityError(f"modes.{name} has a negative entry")
-            if abs(p.sum() - 1.0) > PROB_TOL:
-                raise ProbabilityError(
-                    f"modes.{name} sums to {p.sum():.15g}, expected 1"
-                )
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
     p1: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ProbabilityError(f"channel.p1 must be in [0, 1], got {self.p1}")
-
-    @property
-    def p0(self):
-        return 1.0 - self.p1
 
 
 def _numbers(value, name):
@@ -117,12 +91,6 @@ class CostSpec:
     R: np.ndarray
     time_varying: bool = False
 
-    def validate(self, name_prefix="cost"):
-        # A time-invariant cost repeats one slice; check that slice alone.
-        steps = slice(None) if self.time_varying else slice(0, 1)
-        matkit.assert_psd(self.Q[steps], name=_pair_label(f"{name_prefix}.Q"))
-        matkit.assert_pd(self.R[steps], name=_pair_label(f"{name_prefix}.R"))
-
 
 @dataclass(frozen=True)
 class StochasticsSpec:
@@ -135,16 +103,6 @@ class StochasticsSpec:
     cov_x1: np.ndarray
     family: str = "gaussian"
 
-    def validate(self):
-        if not (isinstance(self.T, int) and self.T >= 0):
-            raise ShapeError(f"stoch.T must be a nonnegative integer, got {self.T!r}")
-        if self.family not in ("gaussian", "zero"):
-            raise ParseError(f"stoch.family must be 'gaussian' or 'zero', got {self.family!r}")
-        matkit.assert_psd(self.covW0, name=lambda t: f"stoch.covW0[t={t}]")
-        matkit.assert_psd(self.covW1, name=lambda t: f"stoch.covW1[t={t}]")
-        matkit.assert_psd(self.cov_x0, name="stoch.init.cov_x0")
-        matkit.assert_psd(self.cov_x1, name="stoch.init.cov_x1")
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -154,25 +112,6 @@ class ProblemSpec:
     system: SystemBlocks
     cost: CostSpec
     stoch: StochasticsSpec
-    source: Optional[dict] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        self.cost.validate()
-        self.stoch.validate()
-        d = self.dims
-        expect = {
-            "cost.Q": (self.cost.Q, (self.stoch.T + 1, self.modes.kappa0, self.modes.kappa1, d.d_x, d.d_x)),
-            "cost.R": (self.cost.R, (self.stoch.T + 1, self.modes.kappa0, self.modes.kappa1, d.d_u, d.d_u)),
-            "stoch.covW0": (self.stoch.covW0, (self.stoch.T + 1, d.d_x0, d.d_x0)),
-            "stoch.covW1": (self.stoch.covW1, (self.stoch.T + 1, d.d_x1, d.d_x1)),
-            "stoch.mu_x0": (self.stoch.mu_x0, (d.d_x0,)),
-            "stoch.mu_x1": (self.stoch.mu_x1, (d.d_x1,)),
-            "stoch.cov_x0": (self.stoch.cov_x0, (d.d_x0, d.d_x0)),
-            "stoch.cov_x1": (self.stoch.cov_x1, (d.d_x1, d.d_x1)),
-        }
-        for name, (arr, shape) in expect.items():
-            if arr.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
 
     @property
     def T(self):
@@ -197,6 +136,13 @@ def assemble_system(spec, m0, m1):
 
 # --- config file handling ---------------------------------------------------
 #
+# `load_config` checks each field once, as it reads it, for presence, type,
+# finiteness, shape and range. Symmetry and definiteness come last, by one
+# eigendecomposition per given matrix (a time-invariant weight or covariance
+# is checked before it is repeated over t), so that a config with a
+# structural fault reports it (exit code 2) before a numerical one (exit
+# code 3).
+#
 # Mode-pair lists in config files are flat and m1-major: the entry for
 # (m0, m1), both 1-based, sits at index (m1 - 1) * kappa0 + (m0 - 1).
 
@@ -215,12 +161,33 @@ def _integer(mapping, key, where):
     return value
 
 
+def _positive(mapping, key, where):
+    """A JSON integer field that is at least 1."""
+    value = _integer(mapping, key, where)
+    if value < 1:
+        raise ShapeError(f"{where}.{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def _number(mapping, key, where):
     """A finite JSON number field, as a float."""
     value = _require(mapping, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}.{key} must be a number, got {value!r}")
     return float(_numbers(value, f"{where}.{key}"))
+
+
+def _distribution(modes_cfg, key, kappa):
+    """modes.<key>: kappa nonnegative probabilities that sum to one."""
+    name = f"modes.{key}"
+    p = _numbers(_require(modes_cfg, key, "modes"), name).reshape(-1)
+    if p.size != kappa:
+        raise ShapeError(f"{name} must have length {kappa}, got {p.size}")
+    if np.any(p < 0):
+        raise ProbabilityError(f"{name} has a negative entry")
+    if abs(p.sum() - 1.0) > PROB_TOL:
+        raise ProbabilityError(f"{name} sums to {p.sum():.15g}, expected 1")
+    return p
 
 
 def _pair_list_to_array(entries, k0, k1, block_shape, name):
@@ -247,23 +214,36 @@ def _pair_label(name):
     return lambda t, m0, m1: f"{name}[t={t}, m0={m0 + 1}, m1={m1 + 1}]"
 
 
-def _broadcast_time(value, T, block_shape, name):
-    """T+1 symmetric matrices, from one (checked once) or from T+1."""
+def _step_label(name):
+    """Names the t entry of a per-step stack."""
+    return lambda t: f"{name}[t={t}]"
+
+
+def _steps(value, T, block_shape, name):
+    """The matrices given for every step: a stack of one, or of T+1."""
     arr = _numbers(value, name)
     if arr.shape == block_shape:
-        arr = arr[None]
-    elif arr.shape != (T + 1,) + block_shape:
+        return arr[None]
+    if arr.shape != (T + 1,) + block_shape:
         raise ShapeError(
             f"{name} must have shape {block_shape} or {(T + 1,) + block_shape}, "
             f"got {arr.shape}"
         )
-    arr = matkit.check_symmetric(arr, name=lambda t: f"{name}[t={t}]")
-    return np.broadcast_to(arr, (T + 1,) + block_shape).copy()
+    return arr
+
+
+def _over_time(arr, T):
+    """A stack of one step or of T+1 steps, as T+1 steps."""
+    return np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
 
 
 def _load_cost(cost_cfg, dims, modes, T):
-    time_varying = bool(cost_cfg.get("time_varying", False))
-    out = {}
+    """(time_varying, Q, R), the weights stacked over (t, m0, m1) with a
+    single t when they are time-invariant."""
+    time_varying = cost_cfg.get("time_varying", False) if isinstance(cost_cfg, dict) else False
+    if not isinstance(time_varying, bool):
+        raise ParseError(f"cost.time_varying must be true or false, got {time_varying!r}")
+    stacks = []
     for key, n in (("Q", dims.d_x), ("R", dims.d_u)):
         raw = _require(cost_cfg, key, "cost")
         if time_varying:
@@ -274,28 +254,23 @@ def _load_cost(cost_cfg, dims, modes, T):
                 for t, e in enumerate(raw)
             ])
         else:
-            # One slice, checked once, then repeated over t.
             arr = _pair_list_to_array(raw, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}")[None]
-        arr = matkit.check_symmetric(arr, name=_pair_label(f"cost.{key}"))
-        out[key] = np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
-    return CostSpec(Q=out["Q"], R=out["R"], time_varying=time_varying)
+        stacks.append(arr)
+    return time_varying, *stacks
 
 
 def load_config(cfg):
     """Build a validated ProblemSpec from an already-parsed config dict."""
     dims_cfg = _require(cfg, "dims", "config")
-    dims = Dims(**{key: _integer(dims_cfg, key, "dims") for key in ("d_x0", "d_x1", "d_u0", "d_u1")})
+    dims = Dims(*(_positive(dims_cfg, key, "dims") for key in ("d_x0", "d_x1", "d_u0", "d_u1")))
     modes_cfg = _require(cfg, "modes", "config")
-    modes = ModeSpec(
-        kappa0=_integer(modes_cfg, "kappa0", "modes"),
-        kappa1=_integer(modes_cfg, "kappa1", "modes"),
-        pi_m0=_numbers(_require(modes_cfg, "pi_m0", "modes"), "modes.pi_m0"),
-        pi_m1=_numbers(_require(modes_cfg, "pi_m1", "modes"), "modes.pi_m1"),
-    )
-    channel = ChannelSpec(p1=_number(_require(cfg, "channel", "config"), "p1", "channel"))
+    k0, k1 = _positive(modes_cfg, "kappa0", "modes"), _positive(modes_cfg, "kappa1", "modes")
+    modes = ModeSpec(k0, k1, _distribution(modes_cfg, "pi_m0", k0), _distribution(modes_cfg, "pi_m1", k1))
+    p1 = _number(_require(cfg, "channel", "config"), "p1", "channel")
+    if not 0.0 <= p1 <= 1.0:
+        raise ProbabilityError(f"channel.p1 must be in [0, 1], got {p1}")
 
     sys_cfg = _require(cfg, "system", "config")
-    k0, k1 = modes.kappa0, modes.kappa1
     A00 = _as_array(_require(sys_cfg, "A00", "system"), (k0, dims.d_x0, dims.d_x0), "system.A00")
     B00 = _as_array(_require(sys_cfg, "B00", "system"), (k0, dims.d_x0, dims.d_u0), "system.B00")
     system = SystemBlocks(
@@ -311,30 +286,34 @@ def load_config(cfg):
     T = _integer(stoch_cfg, "T", "stoch")
     if T < 0:
         raise ShapeError(f"stoch.T must be >= 0, got {T}")
+    family = str(stoch_cfg.get("family", "gaussian"))
+    if family not in ("gaussian", "zero"):
+        raise ParseError(f"stoch.family must be 'gaussian' or 'zero', got {family!r}")
     init_cfg = _require(stoch_cfg, "init", "stoch")
+    covW0 = _steps(_require(stoch_cfg, "covW0", "stoch"), T, (dims.d_x0, dims.d_x0), "stoch.covW0")
+    covW1 = _steps(_require(stoch_cfg, "covW1", "stoch"), T, (dims.d_x1, dims.d_x1), "stoch.covW1")
+    mu_x0 = _as_array(_require(init_cfg, "mu_x0", "stoch.init"), (dims.d_x0,), "stoch.init.mu_x0")
+    cov_x0 = _as_array(_require(init_cfg, "cov_x0", "stoch.init"), (dims.d_x0, dims.d_x0), "stoch.init.cov_x0")
+    mu_x1 = _as_array(_require(init_cfg, "mu_x1", "stoch.init"), (dims.d_x1,), "stoch.init.mu_x1")
+    cov_x1 = _as_array(_require(init_cfg, "cov_x1", "stoch.init"), (dims.d_x1, dims.d_x1), "stoch.init.cov_x1")
+    time_varying, Q, R = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
+
+    cost = CostSpec(
+        Q=_over_time(matkit.assert_psd(Q, name=_pair_label("cost.Q")), T),
+        R=_over_time(matkit.assert_pd(R, name=_pair_label("cost.R")), T),
+        time_varying=time_varying,
+    )
     stoch = StochasticsSpec(
         T=T,
-        covW0=_broadcast_time(
-            _require(stoch_cfg, "covW0", "stoch"), T, (dims.d_x0, dims.d_x0), "stoch.covW0"
-        ),
-        covW1=_broadcast_time(
-            _require(stoch_cfg, "covW1", "stoch"), T, (dims.d_x1, dims.d_x1), "stoch.covW1"
-        ),
-        mu_x0=_as_array(_require(init_cfg, "mu_x0", "stoch.init"), (dims.d_x0,), "stoch.init.mu_x0"),
-        cov_x0=matkit.check_symmetric(
-            _as_array(_require(init_cfg, "cov_x0", "stoch.init"), (dims.d_x0, dims.d_x0), "stoch.init.cov_x0"),
-            name="stoch.init.cov_x0",
-        ),
-        mu_x1=_as_array(_require(init_cfg, "mu_x1", "stoch.init"), (dims.d_x1,), "stoch.init.mu_x1"),
-        cov_x1=matkit.check_symmetric(
-            _as_array(_require(init_cfg, "cov_x1", "stoch.init"), (dims.d_x1, dims.d_x1), "stoch.init.cov_x1"),
-            name="stoch.init.cov_x1",
-        ),
-        family=str(stoch_cfg.get("family", "gaussian")),
+        covW0=_over_time(matkit.assert_psd(covW0, name=_step_label("stoch.covW0")), T),
+        covW1=_over_time(matkit.assert_psd(covW1, name=_step_label("stoch.covW1")), T),
+        mu_x0=mu_x0,
+        cov_x0=matkit.assert_psd(cov_x0, name="stoch.init.cov_x0"),
+        mu_x1=mu_x1,
+        cov_x1=matkit.assert_psd(cov_x1, name="stoch.init.cov_x1"),
+        family=family,
     )
-
-    cost = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
-    return ProblemSpec(dims=dims, modes=modes, channel=channel, system=system, cost=cost, stoch=stoch, source=cfg)
+    return ProblemSpec(dims, modes, ChannelSpec(p1), system, cost, stoch)
 
 
 def load_problem(path):

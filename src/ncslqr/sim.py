@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, NonFiniteError
+from . import matkit
+from .errors import NonFiniteError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps sim.assemble_system)
 
-EIG_CLAMP = 1e-12
 # Philox blocks drawn per call, which sets the runs per chunk. Larger
 # chunks spread the per-step numpy call overhead over more runs, and from
 # about 4k blocks the kernel costs about 0.25 us per block; at 8k blocks the
@@ -124,17 +124,13 @@ def _draws(key, indices, T, normal_blocks):
 
 
 def noise_factor(cov):
-    """Square root of a PSD covariance via eigendecomposition.
-
-    Slightly negative eigenvalues (within 1e-12 of zero, scaled) are
-    clamped so rank-deficient noise is accepted.
+    """Square roots F (F F' = cov) of a stack of covariances, by one
+    eigendecomposition. The covariances must pass `matkit.assert_psd`, the
+    rule the loader checks them by; the slightly negative eigenvalues it
+    lets through are clipped to zero, so rank-deficient noise is accepted.
     """
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
-    if vals.size and vals.min() < -EIG_CLAMP * scale:
-        raise DefinitenessError("noise covariance is not PSD", min_eig=float(vals.min()))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    vals, vecs = np.linalg.eigh(matkit.assert_psd(cov, name="noise covariance"))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 @dataclass
@@ -167,9 +163,8 @@ def _noise_factors(spec):
     if st.family == "zero":
         return None
     f = np.zeros((st.T + 2, d.d_x, d.d_x))
-    for k, (c0, c1) in enumerate([(st.cov_x0, st.cov_x1), *zip(st.covW0, st.covW1)]):
-        f[k, :d.d_x0, :d.d_x0] = noise_factor(c0)
-        f[k, d.d_x0:, d.d_x0:] = noise_factor(c1)
+    f[:, :d.d_x0, :d.d_x0] = noise_factor(np.concatenate([st.cov_x0[None], st.covW0]))
+    f[:, d.d_x0:, d.d_x0:] = noise_factor(np.concatenate([st.cov_x1[None], st.covW1]))
     return f[0], f[1:]
 
 

@@ -138,6 +138,22 @@ class TestArguments:
         assert exc.value.code == 2
         assert f"argument --runs: expected a positive integer, got '{runs}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_non_negative_integer(self, s2_path, capsys, command, seed):
+        extra = ["--values", "0.5"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", s2_path, "--seed", seed] + extra)
+        assert exc.value.code == 2
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
+
+    def test_threads_environment_must_be_integer(self, s2_path, capsys, monkeypatch):
+        monkeypatch.setenv("NCSLQR_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", s2_path, "--runs", "5"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
+
     def test_sweep_values_must_be_numbers(self, s2_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", s2_path, "--values", "0.5,abc"])
@@ -334,6 +350,19 @@ class TestValidate:
             "estimator-unbiasedness",
         } <= names
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--runs", "200"], ["validate", "--runs", "3000"],
+    ])
+    def test_noise_within_psd_tolerance_accepted(self, tmp_path, capsys, command):
+        # -5e-11 passes the loader's PSD rule, and the simulator factors
+        # covariances by the same rule.
+        cfg = s2_config()
+        cfg["stoch"]["covW0"] = [[-5e-11]]
+        path = tmp_path / "near_psd.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(command + ["--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_random_instance(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

@@ -159,7 +159,7 @@ class TestPolicyMaps:
                                 xh = x1.copy()
                             xi = np.concatenate([x0, x1, xh])
                             theta = tables.theta[t, m0, m1, gamma]
-                            assert np.array_equal(policy.action_map(t, m0, m1, gamma), theta)
+                            assert np.array_equal(policy.tables.theta[t, m0, m1, gamma], theta)
                             assert theta @ xi == pytest.approx(
                                 _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh),
                                 abs=1e-10,
@@ -188,13 +188,12 @@ class TestPolicyMaps:
                                 spec, bundle, t, est, x0, m0, zt, presc, None
                             ).x_hat1
                             M = tables.mean_update[t, m0, m1, gamma_t]
-                            assert np.array_equal(policy.mean_update_map(t, m0, m1, gamma_t), M)
+                            assert np.array_equal(policy.tables.mean_update[t, m0, m1, gamma_t], M)
                             assert M @ xi == pytest.approx(vec, abs=1e-10)
 
     def test_centralized_estimate_copies_state(self, s2_spec):
         policy = control.make_policy("centralized", s2_spec)
         assert policy.tables.mean_update is None
-        assert policy.mean_update_map(0, 0, 0, 0) is None
         theta = policy.tables.theta
         assert np.array_equal(theta[:, :, :, 0], theta[:, :, :, 1])
 

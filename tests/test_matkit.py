@@ -8,35 +8,6 @@ from ncslqr.errors import DefinitenessError, DimensionError, SingularBlockError
 from ncslqr.model import Dims
 
 
-def rand_sym(rng, n):
-    A = rng.standard_normal((n, n))
-    return 0.5 * (A + A.T)
-
-
-class TestQf:
-    def test_identity(self):
-        assert matkit.qf(np.eye(2), [3.0, 4.0]) == pytest.approx(25.0)
-
-    def test_zero_vector(self):
-        assert matkit.qf(np.array([[2.0, 1.0], [1.0, 5.0]]), [0.0, 0.0]) == 0.0
-
-    def test_diagonal(self):
-        assert matkit.qf(np.diag([2.0, 3.0]), [1.0, 2.0]) == pytest.approx(14.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matkit.qf(np.eye(2), [1.0, 2.0, 3.0])
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_trace_form(self, n, seed):
-        rng = np.random.default_rng(seed)
-        G = rand_sym(rng, n)
-        x = rng.standard_normal(n)
-        expected = float(np.trace(G @ np.outer(x, x)))
-        assert matkit.qf(G, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
 class TestSchurComplement:
     def test_hand_2x2(self):
         G = np.array([[4.0, 2.0], [2.0, 2.0]])

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from ncslqr.errors import (
     ShapeError,
 )
 from conftest import s1_config, s2_config
+
+DATA = Path(__file__).resolve().parent / "data"
+ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
+INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
 
 
 class TestLoad:
@@ -101,6 +106,50 @@ class TestLoad:
         cfg = s2_config()
         cfg[section][key] = value
         with pytest.raises(ParseError, match=rf"^{section}\.{key} must be an integer, got {re.escape(repr(value))}$"):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("section, key", [
+        ("dims", "d_x0"), ("dims", "d_u1"), ("modes", "kappa0"), ("modes", "kappa1"),
+    ])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sizes_must_be_positive(self, section, key, value):
+        cfg = s2_config()
+        cfg[section][key] = value
+        with pytest.raises(ShapeError, match=rf"^{section}\.{key} must be a positive integer, got {value}$"):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("family", ["cauchy", 3])
+    def test_unknown_noise_family(self, family):
+        cfg = s2_config()
+        cfg["stoch"]["family"] = family
+        with pytest.raises(ParseError, match=rf"^stoch\.family must be 'gaussian' or 'zero', got '{family}'$"):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("field, per_step, label", [
+        ("covW0", False, "stoch.covW0[t=0]"),
+        ("covW0", True, "stoch.covW0[t=2]"),
+        ("covW1", False, "stoch.covW1[t=0]"),
+        ("covW1", True, "stoch.covW1[t=2]"),
+        ("cov_x0", False, "stoch.init.cov_x0"),
+        ("cov_x1", False, "stoch.init.cov_x1"),
+    ], ids=["covW0", "covW0-per-step", "covW1", "covW1-per-step", "cov_x0", "cov_x1"])
+    @pytest.mark.parametrize("bad, fault", [
+        (ASYMMETRIC, "not symmetric"), (INDEFINITE, "not PSD"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_bad_covariance_refused_at_load(self, field, per_step, label, bad, fault):
+        # T = 2 and 2x2 noise blocks; a per-step list is bad at its last step.
+        cfg = json.loads((DATA / "exact_enum_config.json").read_text())
+        value = [np.eye(2).tolist()] * cfg["stoch"]["T"] + [bad] if per_step else bad
+        section = cfg["stoch"] if field.startswith("covW") else cfg["stoch"]["init"]
+        section[field] = value
+        with pytest.raises(DefinitenessError, match=rf"^{re.escape(label)} is {fault} "):
+            model.load_config(cfg)
+
+    @pytest.mark.parametrize("value", ["false", "no", None, 0, 1])
+    def test_time_varying_must_be_boolean(self, value):
+        cfg = s2_config()
+        cfg["cost"]["time_varying"] = value
+        with pytest.raises(ParseError, match=rf"^cost\.time_varying must be true or false, got {re.escape(repr(value))}$"):
             model.load_config(cfg)
 
     def test_time_varying_cost(self):

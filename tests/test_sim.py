@@ -33,6 +33,28 @@ class TestNoise:
         with pytest.raises(DefinitenessError):
             sim.noise_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(4)
+        covs = np.stack([rand_psd(rng, 3) for _ in range(5)])
+        F = sim.noise_factor(covs)
+        for cov, f in zip(covs, F):
+            assert np.array_equal(f, sim.noise_factor(cov))
+
+    @pytest.mark.parametrize("lam, accepted", [(-5e-11, True), (-2e-10, False)])
+    def test_same_psd_rule_as_loader(self, lam, accepted):
+        # A covariance the loader accepts is one the simulator can factor.
+        cfg = s2_config()
+        cfg["stoch"]["covW0"] = [[lam]]
+        if accepted:
+            spec = model.load_config(cfg)
+            assert np.array_equal(sim._noise_factors(spec)[1][:, 0, 0], [0.0, 0.0])
+            assert sim.noise_factor(np.array([[lam]])) == 0.0
+        else:
+            with pytest.raises(DefinitenessError, match=r"^stoch\.covW0\[t=0\] is not PSD"):
+                model.load_config(cfg)
+            with pytest.raises(DefinitenessError, match=r"^noise covariance is not PSD"):
+                sim.noise_factor(np.array([[lam]]))
+
     def test_zero_family(self):
         # The noise-free family draws no normal blocks; its modes and
         # channel bits are the gaussian family's, and every run follows the

@@ -7,8 +7,10 @@ import importlib
 import inspect
 import json
 import os
+import sys
 from pathlib import Path
 
+import ncslqr
 from ncslqr import cli, control, model, sim, solver
 from conftest import s2_config
 
@@ -63,3 +65,17 @@ def test_evaluate_exact_meets_the_benchmark_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert isinstance(report["rel_diff"], float) and report["rel_diff"] <= 1e-8
     assert report["stationarity"]["ok"] is True
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # numpy is the only declared runtime dependency.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ncslqr"}
+    for path in sorted(Path(ncslqr.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(roots) <= allowed, f"{path.name} imports {roots}"
