@@ -125,10 +125,8 @@ def cmd_solve(args):
     if args.out:
         solver.save_bundle(bundle, args.out)
     print(f"j_star = {bundle.j_star:.12g}")
-    lo_p = matkit.min_eig(bundle.values.P).min(axis=(1, 2))
-    lo_pt = matkit.min_eig(bundle.values.Ptilde).min(axis=(1, 2))
-    for t in range(spec.T + 1):
-        print(f"t={t}: min eig P {lo_p[t]:.3e}, min eig Ptilde {lo_pt[t]:.3e}, e {bundle.values.e[t]:.6g}")
+    for t, (lo_p, lo_pt) in enumerate(bundle.stage_min_eig):
+        print(f"t={t}: min eig P {lo_p:.3e}, min eig Ptilde {lo_pt:.3e}, e {bundle.values.e[t]:.6g}")
     return EXIT_OK
 
 
@@ -336,7 +334,7 @@ def build_parser():
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         # A string default goes through `type`, so a bad NCSLQR_THREADS is
         # a usage error like a bad --threads.
         default=os.environ.get("NCSLQR_THREADS", "1"),

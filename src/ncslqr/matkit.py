@@ -68,15 +68,22 @@ def min_eig(M):
     return np.linalg.eigvalsh(sym(M)).min(axis=-1)
 
 
-def assert_psd(M, tol=DEF_TOL, name="matrix"):
-    """sym(M), after checking that each matrix of the stack is symmetric and
-    PSD: min eigenvalue >= -tol * max(1, max |eigenvalue|)."""
+def checked_psd(M, tol, name):
+    """(sym(M), min eigenvalue per matrix), after the assert_psd check; the
+    minima are min_eig(M), bitwise, from the one eigendecomposition that
+    check makes."""
     S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
     i = _first(lo < -tol * scale)
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PSD", min_eig=lo[i])
-    return S
+    return S, lo
+
+
+def assert_psd(M, tol=DEF_TOL, name="matrix"):
+    """sym(M), after checking that each matrix of the stack is symmetric and
+    PSD: min eigenvalue >= -tol * max(1, max |eigenvalue|)."""
+    return checked_psd(M, tol, name)[0]
 
 
 def assert_pd(M, tol=DEF_TOL, name="matrix"):
@@ -107,17 +114,34 @@ def schur_complement(G, n_top):
     the eigenvalues of G, or SingularBlockError names the first failing
     matrix; this is the numerical signature of the R-PD assumption breaking
     down.
+
+    The eigenvalues of G are computed only when a cheaper bound cannot
+    decide: ||G||_2 <= ||G||_F, so b = max(1, ||G||_F (1 + 1e-9)) is at
+    least the exact scale (the factor covers rounding in both). A block
+    with min eig(G22) > DEF_TOL * b passes the exact check too, so when
+    every block clears b the decision is already made; otherwise the exact
+    scale decides, as it always did.
     """
     g11, g12, g21, g22 = partition(G, n_top)
-    gain = solve_pd(g22, g21, scale=_scale(G))
+    frobenius = np.sqrt(np.einsum("...ij,...ij->...", G, G))
+    bound = np.maximum(1.0, frobenius * (1.0 + 1e-9))
+    gain = solve_pd(g22, g21, bound, lambda: _scale(G))
     return sym(g11 - g12 @ gain), gain
 
 
-def solve_pd(G22, rhs, scale):
+def solve_pd(G22, rhs, bound, exact_scale):
     """Solve G22 x = rhs for each matrix of a stack, after checking that
-    min eig(G22) > DEF_TOL * scale (per matrix, or one number for all)."""
+    min eig(G22) > DEF_TOL * exact_scale() per matrix.
+
+    `bound` is an upper bound on the exact scale, per matrix; exact_scale()
+    computes that scale and is called only if some matrix fails the check
+    against the bound.
+    """
     lo = min_eig(G22)
-    i = _first(lo <= DEF_TOL * scale)
+    bad = lo <= DEF_TOL * bound
+    if bad.any():
+        bad = lo <= DEF_TOL * exact_scale()
+    i = _first(bad)
     if i is not None:
         raise SingularBlockError(
             f"trailing block is not PD (min eigenvalue {lo[i]:.3e})", index=i

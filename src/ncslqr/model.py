@@ -178,11 +178,12 @@ def _number(mapping, key, where):
 
 
 def _distribution(modes_cfg, key, kappa):
-    """modes.<key>: kappa nonnegative probabilities that sum to one."""
+    """modes.<key>: a flat list of kappa nonnegative probabilities that sum
+    to one."""
     name = f"modes.{key}"
-    p = _numbers(_require(modes_cfg, key, "modes"), name).reshape(-1)
-    if p.size != kappa:
-        raise ShapeError(f"{name} must have length {kappa}, got {p.size}")
+    p = _numbers(_require(modes_cfg, key, "modes"), name)
+    if p.shape != (kappa,):
+        raise ShapeError(f"{name} must be a list of length {kappa}, got shape {p.shape}")
     if np.any(p < 0):
         raise ProbabilityError(f"{name} has a negative entry")
     if abs(p.sum() - 1.0) > PROB_TOL:

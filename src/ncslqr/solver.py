@@ -135,6 +135,9 @@ class SolutionBundle:
     gains: GainTables
     j_star: float
     solve_metadata: dict = field(default_factory=dict)
+    # (T+1, 2): min eig of P[t] and of Ptilde[t] over (m0, ztilde), kept
+    # from solve_backward's PSD check. Not serialised; None when loaded.
+    stage_min_eig: np.ndarray | None = None
 
 
 def _ztilde_name(zt, kappa1):
@@ -174,6 +177,7 @@ def solve_backward(spec):
     Ptilde = np.zeros((T + 2, m.kappa0, k1 + 1, d.d_x1, d.d_x1))
     K_empty, K_received, Ktilde = (np.empty(s) for s in gain_shapes(spec))
     e = np.zeros(T + 2)
+    stage_min_eig = np.empty((T + 1, 2))
 
     for t in range(T, -1, -1):
         pi_next = op_pi(P[t + 1], spec)
@@ -204,11 +208,11 @@ def solve_backward(spec):
         Ptilde[t, :, EMPTY] = matkit.sym((sc * pi1).sum(axis=1))
         Ktilde[t] = -gain
 
-        for name, table in (("P", P[t]), ("Ptilde", Ptilde[t])):
-            matkit.assert_psd(
-                table, tol=PSD_SLACK,
-                name=lambda m0, zt: f"{name} at t={t}, m0={m0 + 1}, ztilde={_ztilde_name(zt, k1)}",
-            )
+        for j, (name, table) in enumerate((("P", P[t]), ("Ptilde", Ptilde[t]))):
+            stage_min_eig[t, j] = matkit.checked_psd(
+                table, PSD_SLACK,
+                lambda m0, zt: f"{name} at t={t}, m0={m0 + 1}, ztilde={_ztilde_name(zt, k1)}",
+            )[1].min()
 
         e[t] = (
             e[t + 1]
@@ -223,7 +227,9 @@ def solve_backward(spec):
         "psd_slack": PSD_SLACK,
         "solved_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return SolutionBundle(values=values, gains=gains, j_star=j_star, solve_metadata=meta)
+    return SolutionBundle(
+        values=values, gains=gains, j_star=j_star, solve_metadata=meta, stage_min_eig=stage_min_eig,
+    )
 
 
 def analytic_cost(spec, values):
@@ -322,12 +328,38 @@ def bundle_from_json(obj):
 _LEAF = re.compile(r'"\\u0000(\d+)"')
 
 
+# Values formatted together in save_bundle: enough that a slab repeats
+# many of its values, few enough that its strings stay small next to the
+# tables. A single larger leaf is a slab of its own.
+_SLAB_VALUES = 16384
+
+
 def _layout(shape, depth):
     """json.dumps(indent=1) text of an array of `shape` nested `depth` levels
-    deep, with one %r per element: %r is float.__repr__, which is what json
-    writes for a finite float."""
+    deep, with one %s per element."""
     text = json.dumps(np.full(shape, None).tolist(), indent=1)
-    return text.replace("\n", "\n" + " " * depth).replace("null", "%r")
+    return text.replace("\n", "\n" + " " * depth).replace("null", "%s")
+
+
+def _slabs(sizes, limit):
+    """(start, stop) runs of consecutive leaves of total size <= limit."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > limit:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if sizes:
+        yield start, len(sizes)
+
+
+def _reprs(values):
+    """float.__repr__ of each entry of a float64 vector, which is what json
+    writes for a finite float, with one repr per distinct bit pattern, so
+    that -0.0 and 0.0 stay apart."""
+    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[where].tolist()
 
 
 def _depth(text):
@@ -350,9 +382,12 @@ def save_bundle(bundle, path):
 
     json's C encoder does not indent, so its pure-Python one would format
     every float. Instead the tables go into the dump as index markers, and
-    each is written from a template built once per (shape, depth). A
-    non-finite entry raises NonFiniteError, since json would write it as
-    NaN or Infinity, not as its repr.
+    each is written from a template built once per (shape, depth). The
+    leaves are formatted in slabs of at most _SLAB_VALUES values, one repr
+    per distinct value in each slab: symmetric tables and repeated slots
+    hold many copies. The bytes are the same as json's. A non-finite entry
+    raises NonFiniteError, since json would write it as NaN or Infinity,
+    not as its repr.
     """
     problem = _non_finite(bundle)
     if problem:
@@ -364,16 +399,21 @@ def save_bundle(bundle, path):
         return f"\0{len(leaves) - 1}"
 
     pieces = _LEAF.split(json.dumps(bundle_to_json(bundle, leaf=mark), indent=1))
+    before, order = pieces[0:-1:2], [leaves[int(i)] for i in pieces[1::2]]
     layouts = {}
     try:
         with open(path, "w") as fh:
-            for before, i in zip(pieces[0::2], pieces[1::2]):
-                fh.write(before)
-                a = leaves[int(i)]
-                key = (a.shape, _depth(before))
-                if key not in layouts:
-                    layouts[key] = _layout(*key)
-                fh.write(layouts[key] % tuple(a.ravel().tolist()))
+            for start, stop in _slabs([a.size for a in order], _SLAB_VALUES):
+                text = _reprs(np.concatenate([a.ravel() for a in order[start:stop]], dtype=float))
+                at = 0
+                for k in range(start, stop):
+                    fh.write(before[k])
+                    a = order[k]
+                    key = (a.shape, _depth(before[k]))
+                    if key not in layouts:
+                        layouts[key] = _layout(*key)
+                    fh.write(layouts[key] % tuple(text[at:at + a.size]))
+                    at += a.size
             fh.write(pieces[-1])
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ncslqr
-from ncslqr import cli, control, model, sim, solver
+from ncslqr import cli, control, matkit, model, sim, solver
 from ncslqr.errors import NonFiniteError
 from conftest import (
     divergent_config,
@@ -52,6 +52,24 @@ def s2_path(tmp_path):
 
 
 class TestSolve:
+    def test_stage_report_is_min_eig_of_tables(self, battery, tmp_path, capsys):
+        # The report reads the eigenvalues solve_backward's PSD check took;
+        # they are the ones matkit.min_eig gives on the whole stacks.
+        path = tmp_path / "cfg.json"
+        for spec in battery:
+            path.write_text(json.dumps(model.problem_to_config(spec)))
+            assert cli.main(["solve", "--config", str(path)]) == 0
+            bundle = solver.solve_backward(model.load_problem(path))
+            steps = spec.T + 1
+            lo_p = matkit.min_eig(bundle.values.P).min(axis=(1, 2))[:steps]
+            lo_pt = matkit.min_eig(bundle.values.Ptilde).min(axis=(1, 2))[:steps]
+            assert np.array_equal(bundle.stage_min_eig, np.stack([lo_p, lo_pt], axis=1))
+            e = bundle.values.e
+            assert capsys.readouterr().out.splitlines() == [f"j_star = {bundle.j_star:.12g}"] + [
+                f"t={t}: min eig P {lo_p[t]:.3e}, min eig Ptilde {lo_pt[t]:.3e}, e {e[t]:.6g}"
+                for t in range(steps)
+            ]
+
     def test_prints_cost_and_writes_bundle(self, s2_path, tmp_path, capsys):
         out = tmp_path / "bundle.json"
         rc = cli.main(["solve", "--config", s2_path, "--out", str(out)])
@@ -152,7 +170,21 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--config", s2_path, "--runs", "5"])
         assert exc.value.code == 2
-        assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
+        assert "argument --threads: expected a positive integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_must_be_positive_integer(self, s2_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads", threads, "simulate", "--config", s2_path, "--runs", "5"])
+        assert exc.value.code == 2
+        assert f"argument --threads: expected a positive integer, got '{threads}'" in capsys.readouterr().err
+
+    def test_threads_environment_must_be_positive(self, s2_path, capsys, monkeypatch):
+        monkeypatch.setenv("NCSLQR_THREADS", "-1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", s2_path, "--runs", "5"])
+        assert exc.value.code == 2
+        assert "argument --threads: expected a positive integer, got '-1'" in capsys.readouterr().err
 
     def test_sweep_values_must_be_numbers(self, s2_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,25 @@ from ncslqr.errors import DefinitenessError, DimensionError, SingularBlockError
 from ncslqr.model import Dims
 
 
+def _near_guard(rng, n, n_top, rank_one):
+    """Symmetric n x n G whose trailing block's min eigenvalue lies within a
+    factor of 10 of DEF_TOL * max(1, ||G||_2), on either side. A rank-one G
+    (split at n_top = n - 1) has ||G||_F = ||G||_2."""
+    norm = 10.0 ** rng.uniform(-2, 6)
+    target = 10.0 ** rng.uniform(-1, 1) * matkit.DEF_TOL
+    if rank_one:
+        last = np.sqrt(target * max(1.0, norm) / norm)
+        head = rng.standard_normal(n - 1)
+        u = np.append(head / np.linalg.norm(head) * np.sqrt(1.0 - last**2), last)
+        return norm * np.outer(u, u)
+    A = rng.standard_normal((n, n))
+    G = norm * (A + A.T) / 2
+    trailing = np.eye(n - n_top)
+    G[n_top:, n_top:] -= matkit.min_eig(G[n_top:, n_top:]) * trailing
+    G[n_top:, n_top:] += target * matkit._scale(G) * trailing
+    return G
+
+
 class TestSchurComplement:
     def test_hand_2x2(self):
         G = np.array([[4.0, 2.0], [2.0, 2.0]])
@@ -59,6 +78,35 @@ class TestSchurComplement:
         # A large negative eigenvalue sets the scale too: 5e-5 <= 1e-10 * 1e6.
         with pytest.raises(SingularBlockError):
             matkit.schur_complement(np.diag([-1e6, 5e-5]), 1)
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_guard_decision_is_exact(self, n, seed, rank_one):
+        rng = np.random.default_rng(seed)
+        n_top = n - 1 if rank_one else int(rng.integers(1, n))
+        G = np.array([_near_guard(rng, n, n_top, rank_one) for _ in range(4)])
+        lo = matkit.min_eig(G[:, n_top:, n_top:])
+        bad = np.flatnonzero(lo <= matkit.DEF_TOL * matkit._scale(G))
+        if len(bad) == 0:
+            matkit.schur_complement(G, n_top)
+            return
+        with pytest.raises(SingularBlockError) as exc:
+            matkit.schur_complement(G, n_top)
+        assert exc.value.index == (bad[0],)
+        assert str(exc.value) == f"trailing block is not PD (min eigenvalue {lo[bad[0]]:.3e})"
+
+    def test_exact_scale_decides_between_bound_and_norm(self, monkeypatch):
+        # ||G||_2 = 1e6 and ||G||_F = 1.41e6: min eig 1.2e-4 fails against
+        # the Frobenius bound but passes the exact guard, 1e-10 * 1e6.
+        G = np.diag([1e6, 1e6, 1.2e-4])
+        matkit.schur_complement(G, 2)
+        # Every block clears the bound, so the eigenvalues of G are not needed.
+        monkeypatch.setattr(matkit, "_scale", None)
+        matkit.schur_complement(np.diag([1e6, 1e6, 1.5e-4]), 2)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -69,6 +69,22 @@ class TestLoad:
         with pytest.raises(ShapeError, match="A10"):
             model.load_config(cfg)
 
+    @pytest.mark.parametrize("key", ["pi_m0", "pi_m1"])
+    @pytest.mark.parametrize("value", [[[1.0]], 1.0])
+    def test_mode_distribution_must_be_flat_list(self, key, value):
+        cfg = s1_config()
+        cfg["modes"][key] = value
+        with pytest.raises(ShapeError, match=rf"^modes\.{key} must be a list of length 1, got shape"):
+            model.load_config(cfg)
+
+    def test_nested_mode_distribution_rejected(self):
+        # Each row of [[p], [q]] is one probability: the right count and
+        # sum, but not a flat list.
+        cfg = json.loads((DATA / "exact_enum_config.json").read_text())
+        cfg["modes"]["pi_m0"] = [[p] for p in cfg["modes"]["pi_m0"]]
+        with pytest.raises(ShapeError, match=r"^modes\.pi_m0 must be a list of length 2, got shape \(2, 1\)$"):
+            model.load_config(cfg)
+
     def test_bad_channel(self):
         cfg = s1_config()
         cfg["channel"]["p1"] = 1.5

@@ -179,12 +179,13 @@ class TestErrors:
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.7976931348623157e308, 1.0]
 
 
-def _edge_bundle():
+def _edge_bundle(floats=EDGE_FLOATS):
     """A kappa1 = 1 bundle (T = 1, kappa0 = 2, unit dimensions) whose tables
-    cycle through floats that json writes in different notations."""
+    cycle through `floats`, by default floats that json writes in different
+    notations."""
 
     def table(*shape):
-        return np.resize(EDGE_FLOATS, shape)
+        return np.resize(floats, shape)
 
     return solver.SolutionBundle(
         values=solver.ValueTables(P=table(3, 2, 2, 2, 2), Ptilde=table(3, 2, 2, 1, 1), e=table(3)),
@@ -203,6 +204,7 @@ class TestSerialization:
         path = tmp_path / "bundle.json"
         solver.save_bundle(bundle, path)
         again = solver.load_bundle(path)
+        assert again.stage_min_eig is None
         assert again.j_star == bundle.j_star
         assert again.values.e == pytest.approx(bundle.values.e)
         for name in ("P", "Ptilde"):
@@ -244,6 +246,22 @@ class TestSerialization:
         assert all(f" {v!r}" in text for v in EDGE_FLOATS)
         again = solver.load_bundle(path)
         assert np.array_equal(np.signbit(again.values.P), np.signbit(bundle.values.P))
+
+    @pytest.mark.parametrize("slab", [1, 3, 10, 100, 10**6])
+    def test_slabs_write_json_bytes(self, battery, tmp_path, monkeypatch, slab):
+        # Leaves of 1, 2 and 4 values cycle through 7 floats, so each value
+        # recurs within and across slabs; 0.0 and -0.0 are the same number
+        # but not the same text.
+        monkeypatch.setattr(solver, "_SLAB_VALUES", slab)
+        path = tmp_path / "bundle.json"
+        for bundle in (
+            _edge_bundle([0.0, -0.0, 5e-324, 0.1, -0.0, -5e-324, 0.0]),
+            solver.solve_backward(battery[3]),
+        ):
+            solver.save_bundle(bundle, path)
+            assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
+            again = solver.load_bundle(path)
+            assert np.array_equal(np.signbit(again.values.P), np.signbit(bundle.values.P))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, tmp_path, value):
