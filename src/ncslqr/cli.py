@@ -58,6 +58,8 @@ def _int_at_least(low, what):
 
 _positive_int = _int_at_least(1, "a positive integer")
 _nonnegative_int = _int_at_least(0, "a non-negative integer")
+# validate's Monte Carlo checks need a standard error, so at least two runs.
+_two_or_more_int = _int_at_least(2, "an integer >= 2")
 
 
 def _float_list(text):
@@ -366,7 +368,7 @@ def build_parser():
 
     p = sub.add_parser("validate", help="run the invariant battery on one config")
     p.add_argument("--config", required=True)
-    p.add_argument("--runs", type=_positive_int, default=20000)
+    p.add_argument("--runs", type=_two_or_more_int, default=20000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_validate)
 

@@ -27,9 +27,10 @@ import dataclasses
 
 import numpy as np
 
-from .control import OptimalPolicy, compile_policy_transpose
+from .control import LinearCommonPolicy, OptimalPolicy, compile_policy_transpose
 from .errors import OptimalityViolation, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
+from .solver import GainTables
 
 
 def _T(M):
@@ -271,15 +272,6 @@ def exact_gradient(spec, policy):
     return _cost(stages, S), compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
 
 
-def _perturbed_optimal(spec, bundle, deltas):
-    """Optimal policy on copies of the bundle's gain arrays plus `deltas`,
-    a map from gain-array name to an array of that array's shape."""
-    gains = dataclasses.replace(
-        bundle.gains, **{name: getattr(bundle.gains, name) + delta for name, delta in deltas.items()}
-    )
-    return OptimalPolicy(spec, dataclasses.replace(bundle, gains=gains))
-
-
 def _largest_entry(grads):
     """(max |entry|, (array name, index)) over the three gradient arrays.
 
@@ -344,7 +336,8 @@ def stationarity_check(
         norm = float(np.linalg.norm(np.concatenate([delta.ravel() for delta in deltas.values()])))
         for delta in deltas.values():
             delta *= perturbation_norm / norm
-        cost_p = exact_expected_cost(spec, _perturbed_optimal(spec, bundle, deltas))
+        gains = GainTables(**{name: getattr(bundle.gains, name) + deltas[name] for name in names})
+        cost_p = exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
         max_decrease = max(max_decrease, base_cost - cost_p)
 
     report = {

@@ -3,7 +3,7 @@
 Every random number is a pure function of (seed, run, t, slot), so results
 do not depend on how runs are scheduled. The generator is Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
-3", SC'11), written on numpy uint64 arrays:
+3", SC'11), drawn from numpy's own `np.random.Philox`:
 
 - the key is `SeedSequence(seed).generate_state(2, np.uint64)`;
 - the block at counter (run, t, b, 0) is four 64-bit words, and a word w
@@ -20,12 +20,13 @@ do not depend on how runs are scheduled. The generator is Philox4x64-10
   the initial state at t = 0, the process noise w_{t-1} after that.
 
 Runs advance together in chunks, through the policy's compiled stage
-tables (`control.compile_policy`), and one Philox call draws a chunk's
-words for every t. Each row's arithmetic sums elementwise products over the
-contracted index in a fixed order (no BLAS gemm), so a run's trajectory
-does not depend on which runs share its chunk: `simulate_run(seed, i)`
-reproduces run i of any batch bitwise, and no result depends on chunking
-or on the `threads` hint.
+tables (`control.compile_policy`), and a chunk's words come from one
+`random_raw` call per (t, block) for each stretch of consecutive runs.
+Each row's arithmetic sums elementwise products over the contracted index
+in a fixed order (no BLAS gemm), so a run's trajectory does not depend on
+which runs share its chunk: `simulate_run(seed, i)` reproduces run i of
+any batch bitwise, and no result depends on chunking or on the `threads`
+hint.
 """
 
 from dataclasses import dataclass
@@ -36,59 +37,14 @@ from . import matkit
 from .errors import NonFiniteError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps sim.assemble_system)
 
-# Philox blocks drawn per call, which sets the runs per chunk. Larger
-# chunks spread the per-step numpy call overhead over more runs, and from
-# about 4k blocks the kernel costs about 0.25 us per block; at 8k blocks the
-# words and the kernel's temporaries peak under a MB.
+# Philox blocks drawn per chunk, which sets the runs per chunk. A chunk
+# costs one numpy call per (t, block) and per step, whatever its size, so
+# larger chunks spread that overhead over more runs; at 8k blocks a
+# chunk's words (256 kB) and the uniforms and normals made from them stay
+# under a MB.
 _CHUNK_BLOCKS = 8192
 
-# Philox4x64 round multipliers and Weyl key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 _TWO_PI = 2.0 * np.pi
-
-
-def _mulhilo(m, b):
-    """(hi, lo) words of the 128-bit product m * b, for a 64-bit constant m
-    and a uint64 array b; the high word is built from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    lo = b * np.uint64(m)  # wraps mod 2**64
-    carry = b & _LOW32  # b's low half, then the carry into the high word
-    hi = b >> _SHIFT32  # b's high half, then the high word
-    cross_a = carry * m_hi
-    cross_b = hi * m_lo
-    carry *= m_lo
-    carry >>= _SHIFT32
-    carry += cross_a & _LOW32
-    carry += cross_b & _LOW32
-    carry >>= _SHIFT32
-    hi *= m_hi
-    cross_a >>= _SHIFT32
-    cross_b >>= _SHIFT32
-    hi += cross_a
-    hi += cross_b
-    hi += carry
-    return hi, lo
-
-
-def _philox(key, c0, c1, c2):
-    """Philox4x64-10 blocks at the counters (c0, c1, c2, 0) under `key`.
-
-    c0, c1 and c2 are uint64 arrays that broadcast together; the result
-    stacks each block's four output words on a new last axis.
-    """
-    k0, k1 = int(key[0]), int(key[1])
-    c3 = np.uint64(0)
-    for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        rk0 = np.uint64((k0 + r * _PHILOX_W[0]) % 2**64)
-        rk1 = np.uint64((k1 + r * _PHILOX_W[1]) % 2**64)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ rk0, lo1, hi0 ^ c3 ^ rk1, lo0
-    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
 
 
 def _key(seed):
@@ -101,16 +57,34 @@ def _normal_blocks(spec):
     return 0 if spec.stoch.family == "zero" else -(-spec.dims.d_x // 4)
 
 
+def _words(key, indices, T, blocks):
+    """Philox words (runs, T+1, blocks, 4): the block at counter (run, t,
+    b, 0) for each run in `indices`, slot t and block b.
+
+    numpy's Philox steps c0 first, and steps it before each block, so a
+    stretch of consecutive runs is one draw per (t, b) that starts one
+    below (run, t, b, 0), read as a 256-bit integer.
+    """
+    runs = np.asarray(indices, dtype=np.uint64)
+    words = np.empty((len(runs), T + 1, blocks, 4), dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    counter = 0  # the generator's counter as a 256-bit integer
+    cuts = (np.flatnonzero(np.diff(runs) != 1) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(runs)]):
+        for t in range(T + 1):
+            for b in range(blocks):
+                start = int(runs[lo]) + (t << 64) + (b << 128) - 1
+                bits.advance((start - counter) % 2**256)
+                words[lo:hi, t, b] = bits.random_raw(4 * (hi - lo)).reshape(-1, 4)
+                counter = start + hi - lo
+    return words
+
+
 def _draws(key, indices, T, normal_blocks):
     """Uniforms (runs, T+1, 3) and standard normals (runs, T+1, 4 *
     normal_blocks) of the runs `indices`, by the layout in the module
     docstring."""
-    u = _philox(
-        key,
-        np.array(indices, dtype=np.uint64)[:, None, None],
-        np.arange(T + 1, dtype=np.uint64)[:, None],
-        np.arange(1 + normal_blocks, dtype=np.uint64),
-    )
+    u = _words(key, indices, T, 1 + normal_blocks)
     u >>= np.uint64(11)
     u = u.astype(float)  # drops the words
     u *= 2.0 ** -53

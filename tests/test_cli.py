@@ -154,7 +154,17 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", s2_path, "--runs", runs] + extra)
         assert exc.value.code == 2
-        assert f"argument --runs: expected a positive integer, got '{runs}'" in capsys.readouterr().err
+        want = "an integer >= 2" if command == "validate" else "a positive integer"
+        assert f"argument --runs: expected {want}, got '{runs}'" in capsys.readouterr().err
+
+    def test_validate_needs_two_runs(self, s2_path, capsys):
+        # Both Monte Carlo checks divide by a standard error.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--config", s2_path, "--runs", "1"])
+        assert exc.value.code == 2
+        assert "argument --runs: expected an integer >= 2, got '1'" in capsys.readouterr().err
+        cli.main(["validate", "--config", s2_path, "--runs", "2"])
+        assert "nan" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
