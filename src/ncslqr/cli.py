@@ -147,13 +147,15 @@ def cmd_simulate(args):
         return rc
     try:
         policy, _ = _build_policy(args.policy, spec, args.solution)
-        report = sim.monte_carlo(spec, policy, args.runs, args.seed, threads=args.threads)
+        report = sim.monte_carlo(spec, policy, args.runs, args.seed, dump=args.dump_trajectories)
     except SOLUTION_ERRORS as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # only the trajectory dump writes files
+        raise OutputError(f"cannot write trajectories: {exc}") from exc
     rows = [
         ["policy", "runs", "seed", "mean_cost", "std_err"],
         [report.policy, report.runs, report.seed, repr(report.mean_cost), repr(report.std_err)],
@@ -162,15 +164,6 @@ def cmd_simulate(args):
         _write_rows(args.out, "report", rows)
     print(",".join(str(c) for c in rows[0]))
     print(",".join(str(c) for c in rows[1]))
-    if args.dump_trajectories:
-        runs = sim.simulate_runs(spec, policy, args.seed, range(args.runs))
-        try:
-            for i, traj in enumerate(runs):
-                sim.trajectory_to_csv(
-                    traj, os.path.join(args.dump_trajectories, f"run_{i:06d}.csv")
-                )
-        except OSError as exc:
-            raise OutputError(f"cannot write trajectories: {exc}") from exc
     return EXIT_OK
 
 
@@ -255,9 +248,7 @@ def _validate_checks(spec, args):
     )
 
     runs = min(args.runs, 2000)
-    errs = np.zeros((runs, spec.T + 1, spec.dims.d_x1))
-    for i, traj in enumerate(sim.simulate_runs(spec, opt, args.seed + 1, range(runs))):
-        errs[i] = traj.x1 - traj.x_hat1
+    errs = np.concatenate([b.x1 - b.x_hat1 for b in sim.rollouts(spec, opt, args.seed + 1, range(runs))])
     mean_err = errs.mean(axis=0)
     se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-12
     # One two-sided 3-SE test has level 2(1 - Phi(3)); split it over the
@@ -311,7 +302,7 @@ def cmd_sweep(args):
             bundle = solver.solve_backward(spec_p)
             policy = control.OptimalPolicy(spec_p, bundle)
             report = sim.monte_carlo(spec_p, policy, args.runs, args.seed)
-        except (ProbabilityError,) + CONFIG_ERRORS as exc:
+        except CONFIG_ERRORS as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except NUMERIC_ERRORS as exc:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError, SingularBlockError
+from .errors import NonFiniteError, ShapeError, SingularBlockError
 from .model import assemble_system
 from .solver import EMPTY, GainTables, gain_shapes
 
@@ -116,11 +116,14 @@ class CentralizedSolution:
     K: np.ndarray  # (T+1, kappa0, kappa1, d_u, d_x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def centralized_solve(spec):
     """Standard switched-LQR backward recursion with i.i.d. modes.
 
     Written directly against numpy (no shared code with the decentralized
-    recursion) so it can serve as a cross-check oracle at p1 = 1.
+    recursion) so it can serve as a cross-check oracle at p1 = 1. Overflow
+    is not warned about: a non-finite H block raises NonFiniteError before
+    its PD guard.
     """
     d, m = spec.dims, spec.modes
     T = spec.T
@@ -135,6 +138,12 @@ def centralized_solve(spec):
         Pbar = np.tensordot(weights, P[t + 1], axes=2)
         Huu = spec.cost.R[t] + Bt @ Pbar @ B
         Hux = Bt @ Pbar @ A
+        Hxx = spec.cost.Q[t] + At @ Pbar @ A
+        finite = [np.isfinite(H).all(axis=(-2, -1)) for H in (Huu, Hux, Hxx)]
+        bad = np.argwhere(~np.logical_and.reduce(finite))
+        if len(bad):
+            m0, m1 = bad[0]
+            raise NonFiniteError(f"centralized H non-finite at t={t}, m0={m0 + 1}, m1={m1 + 1}")
         lo = np.linalg.eigvalsh(0.5 * (Huu + np.swapaxes(Huu, -1, -2))).min(axis=-1)
         bad = np.argwhere(lo <= 1e-10 * np.maximum(1.0, np.linalg.norm(Huu, 2, axis=(-2, -1))))
         if len(bad):
@@ -144,7 +153,7 @@ def centralized_solve(spec):
             )
         G = np.linalg.solve(Huu, Hux)
         K[t] = -G
-        Pt = spec.cost.Q[t] + At @ Pbar @ A - np.swapaxes(Hux, -1, -2) @ G
+        Pt = Hxx - np.swapaxes(Hux, -1, -2) @ G
         P[t] = 0.5 * (Pt + np.swapaxes(Pt, -1, -2))
     return CentralizedSolution(P=P, K=K)
 

@@ -25,11 +25,11 @@ tables (`control.compile_policy`), and a chunk's words come from one
 Each row's arithmetic sums elementwise products over the contracted index
 in a fixed order (no BLAS gemm), so a run's trajectory does not depend on
 which runs share its chunk: `simulate_run(seed, i)` reproduces run i of
-any batch bitwise, and no result depends on chunking or on the `threads`
-hint.
+any batch bitwise, and no result depends on chunking.
 """
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,16 +109,22 @@ def noise_factor(cov):
 
 @dataclass
 class Trajectory:
-    x0: np.ndarray        # (T+1, d_x0)
-    x1: np.ndarray        # (T+1, d_x1)
-    m0: np.ndarray        # (T+1,) int
-    m1: np.ndarray        # (T+1,) int
-    gamma: np.ndarray     # (T+1,) int
-    u0: np.ndarray        # (T+1, d_u0)
-    u1: np.ndarray        # (T+1, d_u1)
-    x_hat1: np.ndarray    # (T+1, d_x1)
-    stage_cost: np.ndarray  # (T+1,)
-    total_cost: float
+    """Recorded runs, each field stacked on a leading run axis; batch[k]
+    is run k, a Trajectory without that axis."""
+
+    x0: np.ndarray        # (runs, T+1, d_x0)
+    x1: np.ndarray        # (runs, T+1, d_x1)
+    m0: np.ndarray        # (runs, T+1) int
+    m1: np.ndarray        # (runs, T+1) int
+    gamma: np.ndarray     # (runs, T+1) int
+    u0: np.ndarray        # (runs, T+1, d_u0)
+    u1: np.ndarray        # (runs, T+1, d_u1)
+    x_hat1: np.ndarray    # (runs, T+1, d_x1)
+    stage_cost: np.ndarray  # (runs, T+1)
+    total_cost: np.ndarray  # (runs,)
+
+    def __getitem__(self, k):
+        return Trajectory(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 @dataclass
@@ -214,14 +220,16 @@ def _chunk_runs(spec):
     return max(1, _CHUNK_BLOCKS // ((spec.T + 1) * (1 + _normal_blocks(spec))))
 
 
-def _chunks(spec, policy, seed, indices, record):
-    """Roll out runs `indices` chunk by chunk, yielding (totals, rec).
+def rollouts(spec, policy, seed, indices, record=True):
+    """Roll out runs `indices` chunk by chunk, yielding each chunk's runs as
+    one stacked Trajectory, or only their total costs unless `record`.
 
     A chunk holds as many runs as fit in one call's `_CHUNK_BLOCKS` Philox
     blocks. When a run goes non-finite, its chunk is cut just before it and
     NonFiniteError is raised for that run (the first one, in the order
     given) at its first non-finite step.
     """
+    d = spec.dims
     noise = _noise_factors(spec)
     key = _key(seed)
     indices = list(indices)
@@ -230,52 +238,48 @@ def _chunks(spec, policy, seed, indices, record):
         chunk = indices[start:start + size]
         with np.errstate(over="ignore", invalid="ignore"):
             totals, rec, failed = _rollout(spec, policy, noise, key, chunk, record)
-        if failed is None:
-            yield totals, rec
-            continue
-        pos, t = failed
-        yield totals[:pos], rec
-        raise NonFiniteError(f"run {chunk[pos]}: state, action or stage cost non-finite at t={t}")
-
-
-def simulate_runs(spec, policy, seed, indices):
-    """Yield one recorded rollout per run index, stepping them in chunks.
-
-    Each trajectory is deterministic given (seed, run_index) and identical
-    to what `simulate_run` returns for that index.
-    """
-    d = spec.dims
-    for totals, (x, u, x_hat, m0, m1, gamma, cost) in _chunks(
-        spec, policy, seed, indices, record=True
-    ):
-        for k, total in enumerate(totals):
-            yield Trajectory(
-                x0=x[k, :, :d.d_x0], x1=x[k, :, d.d_x0:],
-                m0=m0[k], m1=m1[k], gamma=gamma[k],
-                u0=u[k, :, :d.d_u0], u1=u[k, :, d.d_u0:],
-                x_hat1=x_hat[k], stage_cost=cost[k], total_cost=float(total),
+        if record:
+            x, u, x_hat, m0, m1, gamma, cost = rec
+            batch = Trajectory(
+                x0=x[:, :, :d.d_x0], x1=x[:, :, d.d_x0:], m0=m0, m1=m1, gamma=gamma,
+                u0=u[:, :, :d.d_u0], u1=u[:, :, d.d_u0:],
+                x_hat1=x_hat, stage_cost=cost, total_cost=totals,
             )
+        else:
+            batch = totals
+        done = len(chunk) if failed is None else failed[0]
+        if done:
+            yield batch[:done]
+        if failed is not None:
+            raise NonFiniteError(f"run {chunk[done]}: state, action or stage cost non-finite at t={failed[1]}")
 
 
 def simulate_run(spec, policy, seed, run_index):
     """One recorded rollout; deterministic given (seed, run_index)."""
-    return next(simulate_runs(spec, policy, seed, [run_index]))
+    return next(rollouts(spec, policy, seed, [run_index]))[0]
 
 
-def monte_carlo(spec, policy, runs, seed, threads=None):
+def monte_carlo(spec, policy, runs, seed, dump=None):
     """Mean cost and standard error over independent seeded runs.
 
-    `threads` is accepted for interface stability; every draw is a function
-    of (seed, run, t, slot), so the result is identical at any level of
-    parallelism, and the aggregation below is a deterministic reduction in
-    run order. Finite costs whose sum or squared spread overflows raise
-    NonFiniteError rather than report inf or nan.
+    Every draw is a function of (seed, run, t, slot), and the aggregation
+    below is a deterministic reduction in run order. Finite costs whose sum
+    or squared spread overflows raise NonFiniteError rather than report inf
+    or nan. Given a `dump` directory, run i is written there as
+    `run_{i:06d}.csv` once its chunk completes, so a non-finite run leaves
+    exactly the files of the runs before it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    costs = np.concatenate([
-        totals for totals, _ in _chunks(spec, policy, seed, range(runs), record=False)
-    ])
+    costs = []
+    for batch in rollouts(spec, policy, seed, range(runs), record=dump is not None):
+        if dump is not None:
+            done = sum(map(len, costs))
+            for k in range(len(batch.total_cost)):
+                trajectory_to_csv(batch[k], os.path.join(dump, f"run_{done + k:06d}.csv"))
+            batch = batch.total_cost
+        costs.append(batch)
+    costs = np.concatenate(costs)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.sum(costs) / runs)
         if runs == 1:

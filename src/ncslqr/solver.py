@@ -17,14 +17,13 @@ recursion (over m0, m1). Each block is one guarded solve that yields both
 the Schur complement and the gain.
 """
 
-import datetime
 import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matkit
+from . import __version__, matkit
 from .errors import NonFiniteError, OutputError, ParseError, SingularBlockError
 from .model import assemble_system
 
@@ -225,7 +224,8 @@ def solve_backward(spec):
     j_star = analytic_cost(spec, values)
     meta = {
         "psd_slack": PSD_SLACK,
-        "solved_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "ncslqr_version": __version__,
+        "numpy_version": np.__version__,
     }
     return SolutionBundle(
         values=values, gains=gains, j_star=j_star, solve_metadata=meta, stage_min_eig=stage_min_eig,

@@ -209,9 +209,7 @@ def test_c08_estimator_properties(instances, bundles):
     for spec in targets:
         bundle = solver.solve_backward(spec)
         policy = control.OptimalPolicy(spec, bundle)
-        errs = np.zeros((runs, spec.T + 1, spec.dims.d_x1))
-        for i, traj in enumerate(sim.simulate_runs(spec, policy, 77, range(runs))):
-            errs[i] = traj.x1 - traj.x_hat1
+        errs = np.concatenate([b.x1 - b.x_hat1 for b in sim.rollouts(spec, policy, 77, range(runs))])
         mean = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-300
         worst_sigma = max(worst_sigma, float(np.abs(mean / se).max()))

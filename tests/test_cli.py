@@ -111,6 +111,15 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "numerical error: H^UU non-finite at t=2, m0=1, ztilde=empty\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("policy", ["ce", "centralized"])
+    def test_non_finite_centralized_reference_exit_code(self, divergent_path, capsys, command, policy):
+        # The same overflow reaches the centralized recursion's t=2 H.
+        assert cli.main([command, "--config", divergent_path, "--policy", policy]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: centralized H non-finite at t=2, m0=1, m1=1\n"
+
     def test_unwritable_bundle_exit_code(self, s2_path, tmp_path, capsys):
         out = tmp_path / "missing" / "bundle.json"
         assert cli.main(["solve", "--config", s2_path, "--out", str(out)]) == 1
@@ -331,6 +340,69 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2  # T + 1 steps
 
+    def test_dump_rolls_each_run_out_once(self, s2_path, tmp_path, monkeypatch, capsys):
+        # Ten runs per chunk: 25 runs take three rollouts, which give both
+        # the report and every CSV.
+        assert cli.main(["simulate", "--config", s2_path, "--runs", "25", "--seed", "4"]) == 0
+        report = capsys.readouterr().out
+        monkeypatch.setattr(sim, "_CHUNK_BLOCKS", 40)
+        real, chunks = sim._rollout, []
+
+        def counted(spec, policy, noise, key, indices, record):
+            chunks.append((list(indices), record))
+            return real(spec, policy, noise, key, indices, record)
+
+        monkeypatch.setattr(sim, "_rollout", counted)
+        dump = tmp_path / "trajs"
+        assert cli.main([
+            "simulate", "--config", s2_path, "--runs", "25", "--seed", "4",
+            "--dump-trajectories", str(dump),
+        ]) == 0
+        assert capsys.readouterr().out == report
+        assert chunks == [(list(range(0, 10)), True), (list(range(10, 20)), True), (list(range(20, 25)), True)]
+        assert sorted(p.name for p in dump.iterdir()) == [f"run_{i:06d}.csv" for i in range(25)]
+        spec = model.load_problem(s2_path)
+        policy = control.make_policy("optimal", spec, bundle=solver.solve_backward(spec))
+        for i in (0, 9, 10, 24):
+            sim.trajectory_to_csv(sim.simulate_run(spec, policy, 4, i), tmp_path / "ref.csv")
+            assert (dump / f"run_{i:06d}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_unwritable_trajectory_fails_without_report(self, s2_path, tmp_path, capsys):
+        # The report prints only after the last chunk's CSVs are written.
+        dump, out = tmp_path / "trajs", tmp_path / "mc.csv"
+        (dump / "run_000003.csv").mkdir(parents=True)
+        rc = cli.main([
+            "simulate", "--config", s2_path, "--runs", "6", "--out", str(out),
+            "--dump-trajectories", str(dump),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write trajectories: ")
+        assert not out.exists()
+        assert sorted(p.name for p in dump.iterdir()) == [f"run_{i:06d}.csv" for i in range(4)]
+        assert (dump / "run_000003.csv").is_dir()
+
+    @pytest.mark.parametrize("chunk_blocks", [sim._CHUNK_BLOCKS, 16])
+    def test_divergent_dump_keeps_the_runs_before_it(
+        self, divergent_path, tmp_path, monkeypatch, capsys, chunk_blocks
+    ):
+        # Run 3 goes non-finite at seed 8; at 16 blocks a chunk holds two
+        # runs, so the failing chunk still writes run 2.
+        monkeypatch.setattr(sim, "_CHUNK_BLOCKS", chunk_blocks)
+        dump, out = tmp_path / "trajs", tmp_path / "mc.csv"
+        rc = cli.main([
+            "simulate", "--config", divergent_path, "--policy", "zero", "--runs", "100",
+            "--seed", "8", "--out", str(out), "--dump-trajectories", str(dump),
+        ])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: run 3: state, action or stage cost non-finite at t=1\n"
+        assert not out.exists()
+        assert sorted(p.name for p in dump.iterdir()) == [f"run_{i:06d}.csv" for i in range(3)]
+
 
 class TestEvaluateExact:
     def test_optimal_report(self, s2_path, capsys):
@@ -426,14 +498,15 @@ class TestValidate:
         assert rc == 0
 
     def test_biased_estimator_fails(self, monkeypatch, capsys):
-        real = sim.simulate_runs
+        real = sim.rollouts
 
-        def biased(*args):
-            for traj in real(*args):
-                traj.x_hat1 = traj.x_hat1 + 0.25
-                yield traj
+        def biased(spec, policy, seed, indices, record=True):
+            for batch in real(spec, policy, seed, indices, record):
+                if record:
+                    batch.x_hat1 = batch.x_hat1 + 0.25
+                yield batch
 
-        monkeypatch.setattr(sim, "simulate_runs", biased)
+        monkeypatch.setattr(sim, "rollouts", biased)
         path = DATA / "exact_enum_config.json"
         rc = cli.main(["validate", "--config", str(path), "--runs", "2000", "--seed", "5"])
         assert rc == 1

@@ -154,6 +154,56 @@ class TestExactEvaluation:
             oracle.exact_expected_cost(s2_spec, Lookahead())
 
 
+def _innovation_means(spec, policy):
+    """E[(x1 - xhat) 1{gamma_t = g}] for every t and g, read off the
+    oracle's moments S_t^g = E[xi xi' 1{gamma_t = g}]: the last coordinate
+    of xi is the constant one, so its column holds the first moments. Also
+    returns the scale of xi, the root of its largest second moment."""
+    S = oracle._moments(spec, oracle._stages(spec, policy))
+    _, x1, hat = oracle._layout(spec)
+    scale = float(np.sqrt(np.diagonal(S, axis1=-2, axis2=-1).max()))
+    return S[:, :, x1, -1] - S[:, :, hat, -1], scale
+
+
+class TestEstimatorExactlyUnbiased:
+    """The exact companion of c08 and validate's Monte Carlo check: the
+    common estimate is the conditional mean of x1, so every innovation mean
+    vanishes up to rounding."""
+
+    @staticmethod
+    def _specs(battery):
+        cfg = s2_config()
+        cfg["stoch"]["init"]["mu_x1"] = [1.5]
+        specs = [model.load_config(cfg)] + list(battery)
+        assert all(np.any(spec.stoch.mu_x1 != 0.0) for spec in specs)
+        return specs
+
+    @pytest.mark.parametrize("kind", ["optimal", "ce", "zero"])
+    def test_innovation_means_vanish(self, battery, kind):
+        for spec in self._specs(battery):
+            bundle = solver.solve_backward(spec) if kind == "optimal" else None
+            means, scale = _innovation_means(spec, control.make_policy(kind, spec, bundle=bundle))
+            assert np.abs(means).max() <= 1e-12 * scale
+
+    def test_estimate_without_the_mode_average_is_biased(self, battery):
+        # The mutant propagates xhat through the first local mode's system
+        # in place of the pi_m1 average after a failed transmission.
+        caught = 0
+        for spec in self._specs(battery):
+            if spec.modes.kappa1 < 2 or spec.channel.p1 == 1.0:
+                continue
+            policy = control.OptimalPolicy(spec, solver.solve_backward(spec))
+            first = dataclasses.replace(
+                spec, modes=dataclasses.replace(spec.modes, pi_m1=np.eye(spec.modes.kappa1)[0]),
+            )
+            mutant = control.LinearCommonPolicy(spec, policy.gains)
+            mutant.tables = control.compile_policy(first, policy)
+            means, scale = _innovation_means(spec, mutant)
+            assert np.abs(means).max() > 1e-3 * scale
+            caught += 1
+        assert caught >= 3
+
+
 class TestStationarity:
     def test_optimum_is_stationary(self, battery):
         for spec in battery[:6]:

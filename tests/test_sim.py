@@ -65,12 +65,11 @@ class TestNoise:
         _, normals = sim._draws(sim._key(3), [0, 1], zero.T, 0)
         assert normals.shape == (2, zero.T + 1, 0)
         policy = control.make_policy("zero", zero)
-        a = list(sim.simulate_runs(zero, policy, 3, range(20)))
-        b = list(sim.simulate_runs(gauss, control.make_policy("zero", gauss), 3, range(20)))
-        for ta, tb in zip(a, b):
-            for field in ("m0", "m1", "gamma"):
-                assert np.array_equal(getattr(ta, field), getattr(tb, field))
-            assert np.array_equal(ta.x0, a[0].x0) and np.array_equal(ta.x1, a[0].x1)
+        a = next(sim.rollouts(zero, policy, 3, range(20)))
+        b = next(sim.rollouts(gauss, control.make_policy("zero", gauss), 3, range(20)))
+        for field in ("m0", "m1", "gamma"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.x0 == a.x0[:1]).all() and (a.x1 == a.x1[:1]).all()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -153,11 +152,25 @@ class TestDeterminism:
     def test_batch_matches_single_runs(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
         policy = control.make_policy("optimal", s2_spec, bundle=bundle)
-        batch = list(sim.simulate_runs(s2_spec, policy, seed=5, indices=[4, 0, 7]))
-        for i, traj in zip([4, 0, 7], batch):
+        batch = next(sim.rollouts(s2_spec, policy, seed=5, indices=[4, 0, 7]))
+        for k, i in enumerate([4, 0, 7]):
             one = sim.simulate_run(s2_spec, policy, seed=5, run_index=i)
-            for field in ("x0", "x1", "u0", "u1", "x_hat1", "stage_cost"):
-                assert np.array_equal(getattr(traj, field), getattr(one, field))
+            for field in ("x0", "x1", "m0", "m1", "gamma", "u0", "u1", "x_hat1", "stage_cost", "total_cost"):
+                assert np.array_equal(getattr(batch[k], field), getattr(one, field))
+
+    def test_chunks_stack_their_runs(self, battery):
+        # Runs split into chunks of _chunk_runs; run k of a chunk is batch[k],
+        # and record=False yields the same totals.
+        spec = battery[5]
+        policy = control.make_policy("zero", spec)
+        size = sim._chunk_runs(spec)
+        batches = list(sim.rollouts(spec, policy, 2, range(size + 3)))
+        assert [b.total_cost.shape for b in batches] == [(size,), (3,)]
+        assert batches[1].x1.shape == (3, spec.T + 1, spec.dims.d_x1)
+        last = sim.simulate_run(spec, policy, 2, size + 2)
+        assert np.array_equal(batches[1][2].u1, last.u1) and batches[1][2].total_cost == last.total_cost
+        totals = list(sim.rollouts(spec, policy, 2, range(size + 3), record=False))
+        assert all(np.array_equal(t, b.total_cost) for t, b in zip(totals, batches))
 
     def test_chunked_mean_is_run_order_reduction(self, battery):
         spec = battery[5]
@@ -173,13 +186,6 @@ class TestDeterminism:
         se = (float(np.sum((costs - mean) ** 2) / (runs - 1)) / runs) ** 0.5
         assert rep.mean_cost == pytest.approx(mean, abs=0)
         assert rep.std_err == pytest.approx(se, abs=0)
-
-    def test_threads_argument_is_inert(self, s2_spec):
-        policy = control.make_policy("zero", s2_spec)
-        a = sim.monte_carlo(s2_spec, policy, runs=20, seed=5, threads=1)
-        b = sim.monte_carlo(s2_spec, policy, runs=20, seed=5, threads=8)
-        assert a.mean_cost == b.mean_cost
-        assert a.std_err == b.std_err
 
 
 class TestRollout:
@@ -246,8 +252,9 @@ class TestReference:
         for spec in battery:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
-            for i, traj in enumerate(sim.simulate_runs(spec, policy, seed=3, indices=range(6))):
-                ref = reference_rollout(spec, policy, seed=3, run_index=i)
+            batch = next(sim.rollouts(spec, policy, seed=3, indices=range(6)))
+            for i in range(6):
+                traj, ref = batch[i], reference_rollout(spec, policy, seed=3, run_index=i)
                 for field in ("m0", "m1", "gamma"):
                     assert np.array_equal(getattr(traj, field), getattr(ref, field))
                 for field in ("x0", "x1", "u0", "u1", "x_hat1", "stage_cost"):
@@ -281,11 +288,12 @@ class TestNonFinite:
         msg = f"run {first}: state, action or stage cost non-finite at t={fails[first]}"
         with pytest.raises(NonFiniteError, match=msg):
             sim.monte_carlo(spec, policy, runs=runs, seed=9)
-        done = []
-        with pytest.raises(NonFiniteError, match=msg):
-            for traj in sim.simulate_runs(spec, policy, seed=9, indices=range(runs)):
-                done.append(traj)
-        assert len(done) == first
+        for record in (True, False):
+            done = 0
+            with pytest.raises(NonFiniteError, match=msg):
+                for batch in sim.rollouts(spec, policy, seed=9, indices=range(runs), record=record):
+                    done += len(batch.total_cost if record else batch)
+            assert done == first
 
     def test_overflowing_stage_cost_is_non_finite(self):
         # Run 3 at seed 8 meets the rare 1e200 mode once: x and u stay
@@ -358,7 +366,9 @@ class TestCsv:
     def test_template_writes_csv_writer_bytes(self, battery, tmp_path):
         for k, spec in enumerate(battery):
             policy = control.make_policy("optimal", spec, bundle=solver.solve_backward(spec))
-            for i, traj in enumerate(sim.simulate_runs(spec, policy, seed=k, indices=range(3))):
+            batch = next(sim.rollouts(spec, policy, seed=k, indices=range(3)))
+            for i in range(3):
+                traj = batch[i]
                 path = tmp_path / f"run_{k}_{i}.csv"
                 sim.trajectory_to_csv(traj, path)
                 assert path.read_bytes() == self._csv_writer_bytes(traj, tmp_path / "ref.csv")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncslqr
 from ncslqr import model, solver
 from ncslqr.errors import NonFiniteError, SingularBlockError
 from ncslqr.matkit import sym
@@ -274,4 +275,14 @@ class TestSerialization:
 
     def test_metadata_present(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
-        assert "solved_at" in bundle.solve_metadata
+        assert bundle.solve_metadata == {
+            "psd_slack": solver.PSD_SLACK,
+            "ncslqr_version": ncslqr.__version__,
+            "numpy_version": np.__version__,
+        }
+
+    def test_two_solves_write_the_same_bytes(self, s2_spec, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            solver.save_bundle(solver.solve_backward(s2_spec), path)
+        assert a.read_bytes() == b.read_bytes()

@@ -57,6 +57,19 @@ def test_save_bundle_writes_its_second_positional_argument(tmp_path):
     assert os.path.getsize(path) > 0
 
 
+def test_trajectory_to_csv_writes_its_second_positional_argument(tmp_path):
+    # launch.py counts sim.csv_bytes as the size of args[1] once the
+    # wrapped trajectory_to_csv returns.
+    assert "sim.trajectory_to_csv" in _launch_constant("WORK_AFTER")
+    params = list(inspect.signature(sim.trajectory_to_csv).parameters.values())
+    assert [p.name for p in params] == ["traj", "path"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    spec = model.load_config(s2_config())
+    path = str(tmp_path / "run.csv")
+    sim.trajectory_to_csv(sim.simulate_run(spec, control.make_policy("zero", spec), 0, 0), path)
+    assert os.path.getsize(path) > 0
+
+
 def test_evaluate_exact_meets_the_benchmark_check(capsys):
     # perfbench/run.py's check_exact accepts an evaluate-exact report only
     # when it matches j_star to 1e-8 and certifies stationarity.
