@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, evaluate-exact, validate, sweep.
-Exit codes: 0 ok, 2 config error, bad argument, or a solution bundle that
-cannot be read or does not fit the problem's shape, 3 numerical error,
-1 other: an output that cannot be written (checked before the work starts
-where its directory is missing), a failed validate check, or an
-evaluate-exact stationarity certificate that fails (its report is still
-printed).
+Commands let package errors rise to `main`, which prints one stderr line
+`<prefix>: <message>` and exits by the first matching row of ERRORS:
+`solution error` 2 (an unreadable or ill-fitting --solution bundle),
+`config error` 2 (ParseError, ShapeError, ProbabilityError), `numerical
+error` 3 (SingularBlockError, DefinitenessError, NonFiniteError) and `error`
+1 (any other NcslqrError). A bad argument exits 2 through argparse; a failed
+validate check or stationarity certificate exits 1 after its report.
 """
 
 import argparse
@@ -33,14 +34,19 @@ from .errors import (
 
 EXIT_OK = 0
 EXIT_OTHER = 1
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 
-CONFIG_ERRORS = (ParseError, ShapeError, ProbabilityError)
-NUMERIC_ERRORS = (SingularBlockError, DefinitenessError, NonFiniteError)
-# A --solution bundle that cannot be read (ParseError) or does not fit the
-# problem (ShapeError).
-SOLUTION_ERRORS = (ParseError, ShapeError)
+
+class SolutionError(NcslqrError):
+    """A --solution bundle that cannot be read or does not fit the problem."""
+
+
+# (error types, stderr prefix, exit code); `main` uses the first matching row.
+ERRORS = (
+    (SolutionError, "solution error", 2),
+    ((ParseError, ShapeError, ProbabilityError), "config error", 2),
+    ((SingularBlockError, DefinitenessError, NonFiniteError), "numerical error", 3),
+    (NcslqrError, "error", 1),
+)
 
 
 def _int_at_least(low, what):
@@ -89,41 +95,36 @@ def _write_output(path, what, write):
         raise OutputError(f"cannot write {what}: {exc}") from exc
 
 
-def _write_rows(path, what, rows):
-    """Write `rows` to `path` as CSV, through `_write_output`."""
-    import csv
+def _report_rows(rows, path, what):
+    """Write `rows` as CSV to `path`, if given, through `_write_output`;
+    then print them."""
+    if path:
+        import csv
 
-    _write_output(path, what, lambda fh: csv.writer(fh).writerows(rows))
-
-
-def _load_spec(path):
-    try:
-        return model.load_problem(path), EXIT_OK
-    except (ParseError, ShapeError, ProbabilityError, DefinitenessError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
+        _write_output(path, what, lambda fh: csv.writer(fh).writerows(rows))
+    for row in rows:
+        print(",".join(str(c) for c in row))
 
 
 def _build_policy(kind, spec, solution_path):
+    """(policy, bundle); a `solution_path` bundle's ParseError or
+    ShapeError becomes a SolutionError."""
     from . import control
 
-    bundle = None
-    if kind == "optimal" or solution_path:
-        bundle = solver.load_bundle(solution_path) if solution_path else solver.solve_backward(spec)
-    return control.make_policy(kind, spec, bundle=bundle), bundle
+    if not solution_path:
+        bundle = solver.solve_backward(spec) if kind == "optimal" else None
+        return control.make_policy(kind, spec, bundle=bundle), bundle
+    try:
+        bundle = solver.load_bundle(solution_path)
+        return control.make_policy(kind, spec, bundle=bundle), bundle
+    except (ParseError, ShapeError) as exc:
+        raise SolutionError(exc) from exc
 
 
 def cmd_solve(args):
     if args.out:
         _check_output(args.out, "solution bundle")
-    spec, rc = _load_spec(args.config)
-    if spec is None:
-        return rc
-    try:
-        bundle = solver.solve_backward(spec)
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    bundle = solver.solve_backward(model.load_problem(args.config))
     if args.out:
         solver.save_bundle(bundle, args.out)
     print(f"j_star = {bundle.j_star:.12g}")
@@ -142,28 +143,17 @@ def cmd_simulate(args):
             os.makedirs(args.dump_trajectories, exist_ok=True)
         except OSError as exc:
             raise OutputError(f"cannot write trajectories: {exc}") from exc
-    spec, rc = _load_spec(args.config)
-    if spec is None:
-        return rc
+    spec = model.load_problem(args.config)
+    policy, _ = _build_policy(args.policy, spec, args.solution)
     try:
-        policy, _ = _build_policy(args.policy, spec, args.solution)
         report = sim.monte_carlo(spec, policy, args.runs, args.seed, dump=args.dump_trajectories)
-    except SOLUTION_ERRORS as exc:
-        print(f"solution error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:  # only the trajectory dump writes files
         raise OutputError(f"cannot write trajectories: {exc}") from exc
     rows = [
         ["policy", "runs", "seed", "mean_cost", "std_err"],
         [report.policy, report.runs, report.seed, repr(report.mean_cost), repr(report.std_err)],
     ]
-    if args.out:
-        _write_rows(args.out, "report", rows)
-    print(",".join(str(c) for c in rows[0]))
-    print(",".join(str(c) for c in rows[1]))
+    _report_rows(rows, args.out, "report")
     return EXIT_OK
 
 
@@ -172,28 +162,19 @@ def cmd_evaluate_exact(args):
 
     if args.out:
         _check_output(args.out, "report")
-    spec, rc = _load_spec(args.config)
-    if spec is None:
-        return rc
-    try:
-        policy, bundle = _build_policy(args.policy, spec, args.solution)
-        if bundle is None:
-            bundle = solver.solve_backward(spec)
-        report = oracle.oracle_report(spec, policy, j_star=bundle.j_star)
-        if args.policy == "optimal":
-            stat = oracle.stationarity_check(spec, bundle, raise_on_violation=False)
-            report["stationarity"] = {
-                "max_abs_gradient": stat["max_abs_gradient"],
-                "worst_entry": stat["worst_entry"],
-                "max_cost_decrease": stat["max_cost_decrease"],
-                "ok": stat["ok"],
-            }
-    except SOLUTION_ERRORS as exc:
-        print(f"solution error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    spec = model.load_problem(args.config)
+    policy, bundle = _build_policy(args.policy, spec, args.solution)
+    if bundle is None:
+        bundle = solver.solve_backward(spec)
+    report = oracle.oracle_report(spec, policy, j_star=bundle.j_star)
+    if args.policy == "optimal":
+        stat = oracle.stationarity_check(spec, bundle, raise_on_violation=False)
+        report["stationarity"] = {
+            "max_abs_gradient": stat["max_abs_gradient"],
+            "worst_entry": stat["worst_entry"],
+            "max_cost_decrease": stat["max_cost_decrease"],
+            "ok": stat["ok"],
+        }
     text = json.dumps(report, indent=1)
     if args.out:
         _write_output(args.out, "report", lambda fh: fh.write(text + "\n"))
@@ -264,17 +245,10 @@ def _validate_checks(spec, args):
 
 
 def cmd_validate(args):
-    spec, rc = _load_spec(args.config)
-    if spec is None:
-        return rc
     results = []
-    try:
-        for name, ok, detail in _validate_checks(spec, args):
-            results.append({"check": name, "ok": bool(ok), "detail": detail})
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    for name, ok, detail in _validate_checks(model.load_problem(args.config), args):
+        results.append({"check": name, "ok": bool(ok), "detail": detail})
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     summary = {"all_pass": all(r["ok"] for r in results), "checks": results}
     print(json.dumps(summary))
     return EXIT_OK if summary["all_pass"] else EXIT_OTHER
@@ -285,9 +259,7 @@ def cmd_sweep(args):
 
     if args.out:
         _check_output(args.out, "sweep table")
-    spec, rc = _load_spec(args.config)
-    if spec is None:
-        return rc
+    spec = model.load_problem(args.config)
     values = []
     for p in args.values:
         if p in values:
@@ -297,25 +269,15 @@ def cmd_sweep(args):
     rows = [["p1", "j_star", "mc_mean", "mc_se"]]
     cfg = model.problem_to_config(spec)
     for p in values:
-        try:
-            spec_p = model.load_config({**cfg, "channel": {"p1": p}})
-            bundle = solver.solve_backward(spec_p)
-            policy = control.OptimalPolicy(spec_p, bundle)
-            report = sim.monte_carlo(spec_p, policy, args.runs, args.seed)
-        except CONFIG_ERRORS as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except NUMERIC_ERRORS as exc:
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        spec_p = model.load_config({**cfg, "channel": {"p1": p}})
+        bundle = solver.solve_backward(spec_p)
+        policy = control.OptimalPolicy(spec_p, bundle)
+        report = sim.monte_carlo(spec_p, policy, args.runs, args.seed)
         rows.append([
             repr(float(p)), repr(float(bundle.j_star)),
             repr(float(report.mean_cost)), repr(float(report.std_err)),
         ])
-    if args.out:
-        _write_rows(args.out, "sweep table", rows)
-    for row in rows:
-        print(",".join(str(c) for c in row))
+    _report_rows(rows, args.out, "sweep table")
     return EXIT_OK
 
 
@@ -375,13 +337,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NcslqrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        for types, prefix, code in ERRORS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

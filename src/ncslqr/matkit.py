@@ -4,7 +4,8 @@ Everything here is a pure function on numpy arrays: block partitions,
 Schur complements, mode-selector matrices, and definiteness checks with
 scale-free tolerances. Matrix arguments may be stacks of shape
 (..., n, n). A check on a stack reports the first failing matrix in C
-order; its `name` may be a function of that matrix's index.
+order; its `name` may be a function of that matrix's index. A matrix
+that overflows in `sym` has NaN eigenvalues and fails every check, unwarned.
 """
 
 from typing import NamedTuple
@@ -29,10 +30,21 @@ def sym(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _sym_eigs(M):
+    """(sym(M), its eigenvalues) for each matrix of a stack; the eigenvalues
+    are NaN where sym(M) is not finite, on which LAPACK may not converge."""
+    S = sym(M)
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(S if finite.all() else np.where(finite[..., None, None], S, 0.0))
+    lam[~finite] = np.nan
+    return S, lam
+
+
 def _scale(M):
     """max(1, max |eigenvalue of sym(M)|) for each matrix of a stack: for a
     symmetric M this is max(1, ||M||_2), without an SVD."""
-    return np.maximum(1.0, np.abs(np.linalg.eigvalsh(sym(M))).max(axis=-1))
+    return np.maximum(1.0, np.abs(_sym_eigs(M)[1]).max(axis=-1))
 
 
 def _first(bad):
@@ -45,6 +57,7 @@ def _label(name, index):
     return name(*index) if callable(name) else name
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _symmetric_eigs(M, name):
     """(sym(M), its eigenvalues, max(1, max |eigenvalue|)) for a stack M,
     after checking that each matrix is square and symmetric to SYM_TOL
@@ -53,8 +66,7 @@ def _symmetric_eigs(M, name):
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         first = (0,) * max(M.ndim - 2, 0)
         raise DimensionError(f"{_label(name, first)} is not square: shape {M.shape}")
-    S = sym(M)
-    lam = np.linalg.eigvalsh(S)
+    S, lam = _sym_eigs(M)
     scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
     asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
     i = _first(asym > SYM_TOL * scale)
@@ -65,7 +77,7 @@ def _symmetric_eigs(M, name):
 
 def min_eig(M):
     """Smallest eigenvalue of sym(M), for each matrix of a stack."""
-    return np.linalg.eigvalsh(sym(M)).min(axis=-1)
+    return _sym_eigs(M)[1].min(axis=-1)
 
 
 def checked_psd(M, tol, name):
@@ -74,7 +86,7 @@ def checked_psd(M, tol, name):
     check makes."""
     S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
-    i = _first(lo < -tol * scale)
+    i = _first(~(lo >= -tol * scale))
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PSD", min_eig=lo[i])
     return S, lo
@@ -91,7 +103,7 @@ def assert_pd(M, tol=DEF_TOL, name="matrix"):
     PD: min eigenvalue > tol * max(1, max |eigenvalue|)."""
     S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
-    i = _first(lo <= tol * scale)
+    i = _first(~(lo > tol * scale))
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PD", min_eig=lo[i])
     return S
@@ -138,9 +150,9 @@ def solve_pd(G22, rhs, bound, exact_scale):
     against the bound.
     """
     lo = min_eig(G22)
-    bad = lo <= DEF_TOL * bound
+    bad = ~(lo > DEF_TOL * bound)
     if bad.any():
-        bad = lo <= DEF_TOL * exact_scale()
+        bad = ~(lo > DEF_TOL * exact_scale())
     i = _first(bad)
     if i is not None:
         raise SingularBlockError(

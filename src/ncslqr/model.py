@@ -235,7 +235,10 @@ def _steps(value, T, block_shape, name):
 
 def _over_time(arr, T):
     """A stack of one step or of T+1 steps, as T+1 steps."""
-    return np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
+    try:
+        return np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
+    except ValueError as exc:  # numpy cannot hold T+1 steps
+        raise ShapeError(f"stoch.T = {T} is too large: {exc}") from exc
 
 
 def _load_cost(cost_cfg, dims, modes, T):

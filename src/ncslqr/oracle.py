@@ -20,7 +20,8 @@ every moment, so one backward pass of the costates Lambda_t^g = dJ/dS_t^g
 (the dual recursion) gives dJ/dF and dJ/dM for every stage map at once,
 and the transpose of `compile_policy` carries them to the gain arrays (cf.
 the gain-gradient conditions of Levine & Athans, IEEE TAC 15(1), 1970).
-`stationarity_check` certifies every gain entry with that gradient.
+`stationarity_check` certifies every gain entry with that gradient. A
+non-finite cost, probability mass or gradient raises NonFiniteError.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ import dataclasses
 import numpy as np
 
 from .control import LinearCommonPolicy, OptimalPolicy, compile_policy_transpose
-from .errors import OptimalityViolation, UnsupportedPolicyError
+from .errors import NonFiniteError, OptimalityViolation, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
 from .solver import GainTables
 
@@ -223,6 +224,7 @@ def _cost(stages, S):
     return float(np.einsum("p,tpcij,tcij->", stages.w, stages.M, S))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_expected_cost(spec, policy, return_prob=False):
     """Exact expected total cost of a linear policy.
 
@@ -232,11 +234,13 @@ def exact_expected_cost(spec, policy, return_prob=False):
     stages = _stages(spec, policy)
     S = _moments(spec, stages)
     total = _cost(stages, S)
-    if return_prob:
-        return total, float(stages.w.sum() * S[-1, :, -1, -1].sum())
-    return total
+    prob = float(stages.w.sum() * S[-1, :, -1, -1].sum())
+    if not (np.isfinite(total) and np.isfinite(prob)):
+        raise NonFiniteError(f"exact cost {total!r} or probability mass {prob!r} non-finite")
+    return (total, prob) if return_prob else total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_gradient(spec, policy):
     """(J, dJ/dgains): the exact expected cost of a decentralized linear
     policy and its gradient with respect to every entry of the policy's
@@ -269,7 +273,11 @@ def exact_gradient(spec, policy):
     index = (stages.pairs[:, None], stages.gammas)
     theta_bar.reshape((steps, k, 2) + theta_bar.shape[4:])[(slice(None),) + index] = d_theta[..., :-1]
     mean_bar.reshape((steps, k, 2) + mean_bar.shape[4:])[(slice(T),) + index] = d_mean[..., :-1]
-    return _cost(stages, S), compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
+    cost = _cost(stages, S)
+    grads = compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
+    if not (np.isfinite(cost) and all(np.isfinite(g).all() for g in vars(grads).values())):
+        raise NonFiniteError(f"exact cost {cost!r} or its gain gradient non-finite")
+    return cost, grads
 
 
 def _largest_entry(grads):

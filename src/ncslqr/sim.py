@@ -29,6 +29,7 @@ any batch bitwise, and no result depends on chunking.
 """
 
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,6 +46,9 @@ from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps sim
 _CHUNK_BLOCKS = 8192
 
 _TWO_PI = 2.0 * np.pi
+
+# The names f"run_{i:06d}.csv" takes: six digits, or more without a leading zero.
+_DUMP_NAME = re.compile(r"run_(?:[0-9]{6}|[1-9][0-9]{6,})\.csv")
 
 
 def _key(seed):
@@ -265,12 +269,17 @@ def monte_carlo(spec, policy, runs, seed, dump=None):
     Every draw is a function of (seed, run, t, slot), and the aggregation
     below is a deterministic reduction in run order. Finite costs whose sum
     or squared spread overflows raise NonFiniteError rather than report inf
-    or nan. Given a `dump` directory, run i is written there as
+    or nan. Given a `dump` directory, the CSVs of an earlier dump are
+    deleted from it first; then run i is written there as
     `run_{i:06d}.csv` once its chunk completes, so a non-finite run leaves
     exactly the files of the runs before it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if dump is not None:
+        for name in filter(_DUMP_NAME.fullmatch, os.listdir(dump)):
+            if os.path.isfile(os.path.join(dump, name)):
+                os.remove(os.path.join(dump, name))
     costs = []
     for batch in rollouts(spec, policy, seed, range(runs), record=dump is not None):
         if dump is not None:

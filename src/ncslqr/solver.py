@@ -164,7 +164,7 @@ def solve_backward(spec):
     """Run the coupled backward recursions and assemble the full solution.
 
     Overflow is not warned about: a non-finite H block raises
-    NonFiniteError before its solve.
+    NonFiniteError before its solve, and so does a non-finite j_star.
     """
     d, m = spec.dims, spec.modes
     T, k1 = spec.T, m.kappa1
@@ -222,6 +222,8 @@ def solve_backward(spec):
     values = ValueTables(P=P, Ptilde=Ptilde, e=e)
     gains = GainTables(K_empty=K_empty, K_received=K_received, Ktilde=Ktilde)
     j_star = analytic_cost(spec, values)
+    if not np.isfinite(j_star):
+        raise NonFiniteError(f"j_star = {j_star!r} non-finite")
     meta = {
         "psd_slack": PSD_SLACK,
         "ncslqr_version": __version__,
@@ -369,11 +371,13 @@ def _depth(text):
 
 
 def _non_finite(bundle):
-    """Where the first non-finite table entry is, or None."""
+    """Where the first non-finite table entry, or else a non-finite j_star, is; or None."""
     for name, table in {**vars(bundle.values), **vars(bundle.gains)}.items():
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
             return f"solution table {name} has a non-finite entry at {tuple(bad[0].tolist())}"
+    if not np.isfinite(bundle.j_star):
+        return f"j_star = {bundle.j_star!r} non-finite"
     return None
 
 
@@ -421,7 +425,7 @@ def save_bundle(bundle, path):
 
 def load_bundle(path):
     """Read a bundle file; any failure to read or parse it, or a non-finite
-    table entry (json reads NaN and Infinity), raises ParseError."""
+    table entry or j_star (json reads NaN and Infinity), raises ParseError."""
     try:
         with open(path) as fh:
             bundle = bundle_from_json(json.load(fh))

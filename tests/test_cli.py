@@ -1,16 +1,24 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncslqr
-from ncslqr import cli, control, matkit, model, sim, solver
-from ncslqr.errors import NonFiniteError
+from ncslqr import cli, control, errors, matkit, model, sim, solver
+from ncslqr.errors import NonFiniteError, ParseError, ShapeError
 from conftest import (
     divergent_config,
     long_horizon_config,
@@ -239,6 +247,18 @@ class TestSolutionBundle:
             "solution table Ktilde has a non-finite entry at (1, 0, 0, 0, 0)\n"
         )
 
+    def test_non_finite_j_star_bundle_exit_code(self, s2_path, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["j_star"] = float("nan")
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.main(["evaluate-exact", "--config", s2_path, "--solution", str(bundle)]) == 2
+        assert capsys.readouterr().err == (
+            f"solution error: cannot read solution bundle {bundle}: j_star = nan non-finite\n"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     def test_mismatched_bundle_exit_code(self, tmp_path, capsys, command):
         paths = {}
@@ -256,6 +276,199 @@ class TestSolutionBundle:
         assert err.count("\n") == 1
         assert err.startswith("solution error: ")
         assert "(3, 1, 2, 2)" in err and "(4, 1, 2, 2)" in err
+
+
+class TestErrorTable:
+    # Each error class of the package, with the stderr prefix and exit code
+    # of its row in cli.ERRORS.
+    ROWS = {
+        errors.NcslqrError: ("error", 1),
+        errors.ParseError: ("config error", 2),
+        errors.ShapeError: ("config error", 2),
+        errors.ProbabilityError: ("config error", 2),
+        errors.DefinitenessError: ("numerical error", 3),
+        errors.DimensionError: ("error", 1),
+        errors.SingularBlockError: ("numerical error", 3),
+        errors.NonFiniteError: ("numerical error", 3),
+        errors.OutputError: ("error", 1),
+        errors.UnsupportedPolicyError: ("error", 1),
+        errors.OptimalityViolation: ("error", 1),
+    }
+
+    def test_rows_cover_every_error_class(self):
+        defined = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.NcslqrError)}
+        assert defined == set(self.ROWS)
+
+    @pytest.mark.parametrize("error", list(ROWS), ids=lambda c: c.__name__)
+    def test_solve_error(self, s2_path, capsys, monkeypatch, error):
+        def fail(spec):
+            raise error("boom")
+
+        monkeypatch.setattr(solver, "solve_backward", fail)
+        prefix, code = self.ROWS[error]
+        assert cli.main(["solve", "--config", s2_path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}: boom\n"
+
+    @pytest.mark.parametrize("error", [ParseError, ShapeError], ids=lambda c: c.__name__)
+    def test_bundle_error(self, s2_path, capsys, monkeypatch, error):
+        def fail(path):
+            raise error("boom")
+
+        monkeypatch.setattr(solver, "load_bundle", fail)
+        assert cli.main(["simulate", "--config", s2_path, "--solution", "b.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solution error: boom\n"
+
+
+def _config_path(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _with(cfg, path, value):
+    """A copy of the JSON value `cfg` with the leaf at `path` replaced."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+ALL_COMMANDS = [["solve"], ["simulate", "--runs", "3"], ["evaluate-exact"], ["validate", "--runs", "3"]]
+
+
+class TestNumericalInputs:
+    @pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("path, value, message", [
+        (("cost", "Q"), [[[1.0, 0.0], [0.0, -1.0]]], "cost.Q[t=0, m0=1, m1=1] is not PSD (min eigenvalue -1.000e+00)"),
+        (("stoch", "covW0"), [[-1.0]], "stoch.covW0[t=0] is not PSD (min eigenvalue -1.000e+00)"),
+        # sym() overflows the -1e308 entry, and a NaN eigenvalue is not PD.
+        (("cost", "R"), [[[-1e308, 0.0], [0.0, 1.0]]], "cost.R[t=0, m0=1, m1=1] is not PD (min eigenvalue nan)"),
+        (("stoch", "init", "mu_x0"), [1e308], "j_star = inf non-finite"),
+    ], ids=["indefinite-Q", "indefinite-covW0", "overflowing-R", "huge-mean"])
+    def test_numerical_error_exit_code(self, tmp_path, capsys, command, path, value, message):
+        cfg_path = _config_path(tmp_path, _with(s2_config(), path, value))
+        assert cli.main(command + ["--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["simulate", "--runs", "3"], ["evaluate-exact"]], ids=lambda argv: argv[0])
+    def test_overflowing_bundle_gain_exit_code(self, s2_path, tmp_path, capsys, command):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["K"]["0"]["1"]["m1"][0][0] = 1e308
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.main(command + ["--config", s2_path, "--solution", str(bundle)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: ")
+
+    @pytest.mark.parametrize("T", [2**62, 2**70])
+    def test_horizon_numpy_cannot_hold(self, tmp_path, capsys, T):
+        cfg_path = _config_path(tmp_path, _with(s2_config(), ("stoch", "T"), T))
+        assert cli.main(["solve", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: stoch.T = {T} is too large: ")
+
+
+# One-leaf mutations of a config, a bundle or the command line: every
+# replacement value below, in every leaf, must end in a documented exit
+# code. A huge stoch.T that numpy can still represent (say 2**30) is left
+# out: loading it allocates gigabytes, which is a memory limit, not a
+# malformed input, and trying it could exhaust the machine. So are 2**62
+# and 2**70 as a --runs count: valid counts, whose runs would never end.
+BAD_VALUES = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -1, 0, 1e-320,
+    "x", [], {}, None, True, 2**62, 2**70, [[1.0]], [1.0, 2.0],
+]
+FUZZ_COMMANDS = [
+    ["solve"], ["simulate", "--runs", "3"], ["simulate", "--runs", "3", "--policy", "ce"],
+    ["evaluate-exact"], ["validate", "--runs", "3"],
+]
+PREFIXES = {1: ("error: ",), 2: ("config error: ", "solution error: "), 3: ("numerical error: ",)}
+
+
+def _leaf_paths(obj, path=()):
+    """Paths to every leaf of a JSON value; an empty container is a leaf."""
+    if isinstance(obj, dict) and obj:
+        return [p for key, value in obj.items() for p in _leaf_paths(value, path + (key,))]
+    if isinstance(obj, list) and obj:
+        return [p for i, value in enumerate(obj) for p in _leaf_paths(value, path + (i,))]
+    return [path]
+
+
+S2_BUNDLE = solver.bundle_to_json(solver.solve_backward(model.load_config(s2_config())))
+
+
+@st.composite
+def one_bad_input(draw):
+    """(config, bundle or None, argv): one leaf of the config or the
+    bundle, or one command-line token, replaced by a bad value."""
+    source = draw(st.sampled_from(["s2", "random", "bundle", "argument"]))
+    if source == "random":
+        cfg = random_config(np.random.default_rng(draw(st.integers(0, 2**16))), T=draw(st.integers(0, 2)))
+    else:
+        cfg = s2_config()
+    # Only simulate and evaluate-exact read a --solution bundle.
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS[1:4] if source == "bundle" else FUZZ_COMMANDS)))
+    bundle = None
+    if source in ("s2", "random"):
+        cfg = _with(cfg, draw(st.sampled_from(_leaf_paths(cfg))), draw(st.sampled_from(BAD_VALUES)))
+    elif source == "bundle":
+        leaf = draw(st.sampled_from(_leaf_paths(S2_BUNDLE)))
+        bundle = _with(S2_BUNDLE, leaf, draw(st.sampled_from(BAD_VALUES)))
+    else:
+        argv += ["--seed", "0"] if argv[0] in ("simulate", "validate") else []
+        i = draw(st.integers(0, len(argv) - 1))
+        values = [v for v in BAD_VALUES if not (i and argv[i - 1] == "--runs" and v in (2**62, 2**70))]
+        value = draw(st.sampled_from(values))
+        argv[i] = value if isinstance(value, str) else json.dumps(value)
+    return cfg, bundle, argv
+
+
+class TestBadInputs:
+    @given(one_bad_input())
+    @example((_with(s2_config(), ("stoch", "T"), 2**62), None, ["solve"]))
+    @example((_with(s2_config(), ("stoch", "T"), 2**70), None, ["validate", "--runs", "3"]))
+    @example((_with(s2_config(), ("cost", "R", 0, 0, 0), -1e308), None, ["solve"]))
+    @example((_with(s2_config(), ("stoch", "init", "mu_x0", 0), 1e308), None, ["validate", "--runs", "3"]))
+    @example((s2_config(), _with(S2_BUNDLE, ("K", "0", "1", "m1", 0, 0), 1e308), ["evaluate-exact"]))
+    @example((s2_config(), _with(S2_BUNDLE, ("j_star",), math.nan), ["evaluate-exact"]))
+    @settings(max_examples=300, deadline=None)
+    def test_documented_exit(self, case):
+        cfg, bundle, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = argv + ["--config", os.path.join(tmp, "cfg.json")]
+            Path(argv[-1]).write_text(json.dumps(cfg))
+            if bundle is not None:
+                argv += ["--solution", os.path.join(tmp, "bundle.json")]
+                Path(argv[-1]).write_text(json.dumps(bundle))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:  # argparse refused an argument
+                    assert exc.code == 2
+                    return
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2, 3)
+        # No silent non-finite number reaches stdout.
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
+        if rc == 0:
+            assert err == ""
+        # A failed validate check or stationarity certificate exits 1 with
+        # its report and nothing on stderr.
+        elif not (rc == 1 and argv[0] in ("validate", "evaluate-exact") and err == ""):
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(PREFIXES[rc])
 
 
 class TestSimulate:
@@ -366,6 +579,21 @@ class TestSimulate:
         for i in (0, 9, 10, 24):
             sim.trajectory_to_csv(sim.simulate_run(spec, policy, 4, i), tmp_path / "ref.csv")
             assert (dump / f"run_{i:06d}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_dump_clears_earlier_dump(self, s2_path, tmp_path):
+        # A second, smaller dump leaves only its own CSVs, and no other file.
+        dump = tmp_path / "trajs"
+        dump.mkdir()
+        (dump / "notes.txt").write_text("keep")
+        (dump / "run_1.csv").write_text("keep")
+        for runs in ("5", "2"):
+            assert cli.main([
+                "simulate", "--config", s2_path, "--runs", runs, "--dump-trajectories", str(dump),
+            ]) == 0
+        assert sorted(p.name for p in dump.iterdir()) == [
+            "notes.txt", "run_000000.csv", "run_000001.csv", "run_1.csv",
+        ]
+        assert (dump / "notes.txt").read_text() == (dump / "run_1.csv").read_text() == "keep"
 
     def test_unwritable_trajectory_fails_without_report(self, s2_path, tmp_path, capsys):
         # The report prints only after the last chunk's CSVs are written.

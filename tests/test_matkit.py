@@ -189,3 +189,22 @@ class TestDefiniteness:
         with pytest.raises(DefinitenessError, match=r"^M\[t=1, m=1\] is not PSD") as exc:
             matkit.assert_psd(M, name=lambda t, m: f"M[t={t}, m={m}]")
         assert exc.value.min_eig == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("check, fault", [
+        (matkit.assert_psd, "not PSD"), (matkit.assert_pd, "not PD"),
+    ])
+    def test_overflowing_matrix_named_by_index(self, check, fault):
+        # sym() overflows -1e308 to -inf, so the eigenvalues of M[1, 0] are
+        # NaN; a NaN minimum fails the check instead of passing it.
+        M = np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy()
+        M[1, 0, 0, 0] = -1e308
+        with pytest.raises(DefinitenessError, match=rf"^M\[t=1, m=0\] is {fault} \(min eigenvalue nan\)$"):
+            check(M, name=lambda t, m: f"M[t={t}, m={m}]")
+
+    def test_overflowing_trailing_block_is_singular(self):
+        G = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
+        G[2, 2, 2] = -1e308
+        with pytest.raises(SingularBlockError) as exc:
+            matkit.solve_pd(G[:, 1:, 1:], G[:, 1:, :1], np.ones(3), lambda: np.ones(3))
+        assert exc.value.index == (2,)
+        assert str(exc.value) == "trailing block is not PD (min eigenvalue nan)"
