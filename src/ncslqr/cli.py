@@ -214,7 +214,7 @@ def _validate_checks(spec, args):
     worst = float(np.max(np.abs(cen.P[:T1] - ref.values.P[:T1, :, :solver.EMPTY])))
     yield "centralized-match", worst <= 1e-10, f"max |P - P_centralized| {worst:.3e} (at p1=1)"
 
-    opt = control.OptimalPolicy(spec, bundle)
+    opt = control.make_policy("optimal", spec, bundle)
     cost = oracle.exact_expected_cost(spec, opt)
     rel = abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star))
     yield "oracle-analytic-identity", rel <= 1e-8, (
@@ -271,7 +271,7 @@ def cmd_sweep(args):
     for p in values:
         spec_p = model.load_config({**cfg, "channel": {"p1": p}})
         bundle = solver.solve_backward(spec_p)
-        policy = control.OptimalPolicy(spec_p, bundle)
+        policy = control.make_policy("optimal", spec_p, bundle)
         report = sim.monte_carlo(spec_p, policy, args.runs, args.seed)
         rows.append([
             repr(float(p)), repr(float(bundle.j_star)),

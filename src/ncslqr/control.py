@@ -8,12 +8,14 @@ through Ktilde[t, m0, m1] when nothing was transmitted. Both controllers
 maintain the same common estimate xhat of the local state, updated by the
 three-branch recursion keyed on consecutive channel bits.
 
-Reference policies (zero input, a certainty-equivalent heuristic on the
-centralized gains, and the full-information centralized controller) live
-here too, behind the same interface: every policy exposes its three gain
-arrays (`policy.gains`, a `solver.GainTables`), and `compile_policy` turns
-them into time-varying linear maps of (x0, x1, xhat) for the simulator and
-the exact evaluator. Its transpose, `compile_policy_transpose`, carries the
+Every policy, the optimum and the references (zero input, a
+certainty-equivalent heuristic on the centralized gains, and the
+full-information centralized controller), is one `LinearCommonPolicy`
+whose three gain arrays (`policy.gains`, a `solver.GainTables`)
+`make_policy` fills for its kind; a bundle handed to it must fit the
+problem, whatever the kind. `compile_policy` turns the gains into
+time-varying linear maps of (x0, x1, xhat) for the simulator and the exact
+evaluator; its transpose, `compile_policy_transpose`, carries the
 evaluator's exact gradient with respect to those maps back to the gains.
 """
 
@@ -29,13 +31,6 @@ from .solver import EMPTY, GainTables, gain_shapes
 
 
 @dataclass
-class EstimatorState:
-    """Common estimate of the local state, mu(theta_t)."""
-
-    x_hat1: np.ndarray
-
-
-@dataclass
 class Prescription:
     """Per-step output of the common-information coordinator."""
 
@@ -43,66 +38,45 @@ class Prescription:
     qbar: np.ndarray                     # (kappa1, d_u1); rows for unobserved modes are 0 when ztilde != EMPTY
     ktilde: Optional[np.ndarray] = None  # (kappa1, d_u1, d_x1) innovation gains; None when ztilde != EMPTY
     ztilde: int = EMPTY
-    m0: int = 0
 
 
-@dataclass
-class Observation:
-    x0: np.ndarray
-    m0: int
-    gamma: int
-    z: Optional[np.ndarray] = None
-    ztilde: int = EMPTY
-    x1: Optional[np.ndarray] = None
-    m1: Optional[int] = None
-
-
-def estimator_init(spec, obs_0):
-    """xhat_0 is the prior mean, or the transmitted state on success."""
-    if obs_0.gamma == 1:
-        return EstimatorState(x_hat1=np.array(obs_0.z, dtype=float))
-    return EstimatorState(x_hat1=spec.stoch.mu_x1.copy())
-
-
-def compute_prescription(bundle, spec, t, m0, ztilde, x0, est):
+def compute_prescription(gains, spec, t, m0, ztilde, x0, x_hat1):
     d, m = spec.dims, spec.modes
-    xin = np.concatenate([x0, est.x_hat1])
+    xin = np.concatenate([x0, x_hat1])
     qbar = np.zeros((m.kappa1, d.d_u1))
     if ztilde == EMPTY:
-        v = bundle.gains.K_empty[t, m0] @ xin
+        v = gains.K_empty[t, m0] @ xin
         qbar[:] = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
-        return Prescription(
-            u0=v[:d.d_u0], qbar=qbar, ktilde=bundle.gains.Ktilde[t, m0], ztilde=EMPTY, m0=m0
-        )
-    v = bundle.gains.K_received[t, m0, ztilde] @ xin
+        return Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=gains.Ktilde[t, m0], ztilde=EMPTY)
+    v = gains.K_received[t, m0, ztilde] @ xin
     qbar[ztilde] = v[d.d_u0:]
-    return Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=None, ztilde=ztilde, m0=m0)
+    return Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=None, ztilde=ztilde)
 
 
-def local_action(presc, x1, m1, est):
+def local_action(presc, x1, m1, x_hat1):
     """u1 = qbar(m1) plus the innovation term when nothing was transmitted."""
     if presc.ztilde == EMPTY:
-        return presc.qbar[m1] + presc.ktilde[m1] @ (x1 - est.x_hat1)
+        return presc.qbar[m1] + presc.ktilde[m1] @ (x1 - x_hat1)
     # Successful transmission: the prescription already pins qbar(ztilde)
     # and the local mode observed by C0 is the true one.
     return presc.qbar[presc.ztilde].copy()
 
 
-def estimator_update(spec, bundle, t, est, x0, m0, ztilde_t, presc, z_next):
+def estimator_update(spec, x_hat1, x0, m0, ztilde_t, presc, z_next):
     """Three-branch conditional-mean recursion for xhat."""
     d, m = spec.dims, spec.modes
     if z_next is not None:
-        return EstimatorState(x_hat1=np.array(z_next, dtype=float))
+        return np.array(z_next, dtype=float)
     if ztilde_t == EMPTY:
         x_next = np.zeros(d.d_x1)
         for m1 in range(m.kappa1):
             _, _, D = assemble_system(spec, m0, m1)
-            s = np.concatenate([x0, est.x_hat1, presc.u0, presc.qbar[m1]])
+            s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[m1]])
             x_next += m.pi_m1[m1] * (D[d.d_x0:, :] @ s)
-        return EstimatorState(x_hat1=x_next)
+        return x_next
     _, _, D = assemble_system(spec, m0, ztilde_t)
-    s = np.concatenate([x0, est.x_hat1, presc.u0, presc.qbar[ztilde_t]])
-    return EstimatorState(x_hat1=D[d.d_x0:, :] @ s)
+    s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[ztilde_t]])
+    return D[d.d_x0:, :] @ s
 
 
 # --- centralized oracle -----------------------------------------------------
@@ -188,11 +162,13 @@ def _selectors(spec):
 def compile_policy(spec, policy):
     """Stage tables of a linear policy, sliced from its gain arrays.
 
-    gamma_t = 1: the received-branch gain for the realized local mode acts
-    on (x0, x1). gamma_t = 0: the empty-branch gain acts on (x0, xhat), and
-    u1 adds the innovation gain on x1 - xhat. The estimate that follows a
-    failed transmission propagates xhat through the realized mode pair
-    after a success, and averages over the unobserved local mode otherwise.
+    The policy has the common-information form of Nayyar, Mahajan &
+    Teneketzis (IEEE TAC 58(7), 2013). gamma_t = 1: the received-branch
+    gain for the realized local mode acts on (x0, x1). gamma_t = 0: the
+    empty-branch gain acts on (x0, xhat), and u1 adds the innovation gain on
+    x1 - xhat. The estimate that follows a failed transmission propagates
+    xhat through the realized mode pair after a success, and averages over
+    the unobserved local mode otherwise.
     """
     d, m = spec.dims, spec.modes
     k0, k1 = m.kappa0, m.kappa1
@@ -268,93 +244,61 @@ class LinearCommonPolicy:
     K_received[t, m0, m1] maps vec(x0, x1) to vec(u0, u1) once m1 was
     received, and Ktilde maps the innovation x1 - xhat to u1. The simulator
     and the exact evaluator both read the policy through its compiled tables
-    (`compile_policy`), built once per policy.
+    (`compile_policy`), built once per policy. `name` only labels reports.
     """
 
-    name = "linear"
-    # True when both controllers see the true joint state, so xhat is x1.
-    full_information = False
-
-    def __init__(self, spec, gains):
+    def __init__(self, spec, gains, name="linear"):
         self.spec = spec
         self.gains = gains
+        self.name = name
+
+    @property
+    def full_information(self):
+        """True when both controllers see the true joint state, so xhat is x1."""
+        return self.gains.K_empty is None
 
     @cached_property
     def tables(self):
         return compile_policy(self.spec, self)
 
 
-class OptimalPolicy(LinearCommonPolicy):
-    """The solved decentralized optimum: the bundle's gain tables."""
-
-    name = "optimal"
-
-    def __init__(self, spec, bundle):
-        want = gain_shapes(spec)
-        if bundle.gains.shapes() != want:
-            raise ShapeError(
-                f"solution gain tables have shapes {bundle.gains.shapes()}, "
-                f"but this problem needs {want}"
-            )
-        super().__init__(spec, bundle.gains)
-        self.bundle = bundle
-
-
-class ZeroPolicy(LinearCommonPolicy):
-    name = "zero"
-
-    def __init__(self, spec):
-        super().__init__(spec, GainTables(*(np.zeros(shape) for shape in gain_shapes(spec))))
-
-
-class CertaintyEquivalentPolicy(LinearCommonPolicy):
-    """Deliberately suboptimal heuristic: plug the common estimate into the
-    centralized gains. The global controller averages the gain over the
-    unobserved local mode; the local controller uses the true mode and adds
-    the centralized local-state feedback on the innovation."""
-
-    name = "ce"
-
-    def __init__(self, spec, centralized):
-        d, m = spec.dims, spec.modes
-        K = centralized.K
-        u0 = np.einsum("j,tkjab->tkab", m.pi_m1, K[..., :d.d_u0, :])
-        qbar = K[..., d.d_u0:, :].reshape(K.shape[:2] + (m.kappa1 * d.d_u1, d.d_x))
-        super().__init__(spec, GainTables(
-            K_empty=np.concatenate([u0, qbar], axis=2),
-            K_received=K,
-            Ktilde=K[..., d.d_u0:, d.d_x0:],
-        ))
-        self.centralized = centralized
-
-
-class CentralizedPolicy(LinearCommonPolicy):
-    """Full-information reference: both actions from the true joint state.
-
-    Not implementable in the decentralized information structure; its
-    estimate coordinate simply tracks the true local state, so only the
-    received-branch gains exist (K_empty and Ktilde are None).
-    """
-
-    name = "centralized"
-    full_information = True
-
-    def __init__(self, spec, centralized):
-        super().__init__(spec, GainTables(K_empty=None, K_received=centralized.K, Ktilde=None))
-        self.centralized = centralized
-
-
-def make_policy(kind, spec, bundle=None, centralized=None):
+def make_policy(kind, spec, bundle=None):
+    """LinearCommonPolicy `kind` for `spec`: "optimal" takes the gains of
+    `bundle`, which it needs, and "ce" and "centralized" are built from
+    `centralized_solve`. A bundle that does not fit the problem's gain
+    shapes raises ShapeError, whatever the kind."""
+    if kind not in ("optimal", "zero", "ce", "centralized"):
+        raise ValueError(f"unknown policy kind {kind!r}")
+    want = gain_shapes(spec)
+    if bundle is not None and bundle.gains.shapes() != want:
+        raise ShapeError(
+            f"solution gain tables have shapes {bundle.gains.shapes()}, "
+            f"but this problem needs {want}"
+        )
     if kind == "optimal":
         if bundle is None:
             raise ValueError("optimal policy needs a solved bundle")
-        return OptimalPolicy(spec, bundle)
-    if kind == "zero":
-        return ZeroPolicy(spec)
-    if kind in ("ce", "centralized"):
-        if centralized is None:
-            centralized = centralized_solve(spec)
-        if kind == "ce":
-            return CertaintyEquivalentPolicy(spec, centralized)
-        return CentralizedPolicy(spec, centralized)
-    raise ValueError(f"unknown policy kind {kind!r}")
+        gains = bundle.gains
+    elif kind == "zero":
+        gains = GainTables(*(np.zeros(shape) for shape in want))
+    elif kind == "centralized":
+        # Full-information reference: both actions from the true joint
+        # state. Not implementable in the decentralized information
+        # structure; its estimate coordinate simply tracks x1.
+        gains = GainTables(K_empty=None, K_received=centralized_solve(spec).K, Ktilde=None)
+    else:
+        # Deliberately suboptimal heuristic: plug the common estimate into
+        # the centralized gains. The global controller averages the gain
+        # over the unobserved local mode; the local controller uses the true
+        # mode and adds the centralized local-state feedback on the
+        # innovation.
+        d, m = spec.dims, spec.modes
+        K = centralized_solve(spec).K
+        u0 = np.einsum("j,tkjab->tkab", m.pi_m1, K[..., :d.d_u0, :])
+        qbar = K[..., d.d_u0:, :].reshape(K.shape[:2] + (m.kappa1 * d.d_u1, d.d_x))
+        gains = GainTables(
+            K_empty=np.concatenate([u0, qbar], axis=2),
+            K_received=K,
+            Ktilde=K[..., d.d_u0:, d.d_x0:],
+        )
+    return LinearCommonPolicy(spec, gains, name=kind)

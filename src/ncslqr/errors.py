@@ -60,7 +60,6 @@ class UnsupportedPolicyError(NcslqrError):
 class OptimalityViolation(NcslqrError):
     """A gain perturbation or gradient check contradicted optimality."""
 
-    def __init__(self, msg, where=None, gradient=None):
+    def __init__(self, msg, where=None):
         super().__init__(msg)
         self.where = where
-        self.gradient = gradient

@@ -1,14 +1,12 @@
 """Small dense-matrix utilities the backward recursions are written in.
 
-Everything here is a pure function on numpy arrays: block partitions,
-Schur complements, mode-selector matrices, and definiteness checks with
-scale-free tolerances. Matrix arguments may be stacks of shape
-(..., n, n). A check on a stack reports the first failing matrix in C
-order; its `name` may be a function of that matrix's index. A matrix
-that overflows in `sym` has NaN eigenvalues and fails every check, unwarned.
+Everything here is a pure function on numpy arrays: Schur complements,
+mode-selector matrices, and definiteness checks with scale-free
+tolerances. Matrix arguments may be stacks of shape (..., n, n). A check
+on a stack reports the first failing matrix in C order; its `name` may be
+a function of that matrix's index. A matrix that overflows in `sym` has
+NaN eigenvalues and fails every check, unwarned.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,13 +14,6 @@ from .errors import DefinitenessError, DimensionError, SingularBlockError
 
 SYM_TOL = 1e-10
 DEF_TOL = 1e-10
-
-
-class Blocks(NamedTuple):
-    xx: np.ndarray
-    xu: np.ndarray
-    ux: np.ndarray
-    uu: np.ndarray
 
 
 def sym(M):
@@ -92,30 +83,21 @@ def checked_psd(M, tol, name):
     return S, lo
 
 
-def assert_psd(M, tol=DEF_TOL, name="matrix"):
+def assert_psd(M, name="matrix"):
     """sym(M), after checking that each matrix of the stack is symmetric and
-    PSD: min eigenvalue >= -tol * max(1, max |eigenvalue|)."""
-    return checked_psd(M, tol, name)[0]
+    PSD: min eigenvalue >= -DEF_TOL * max(1, max |eigenvalue|)."""
+    return checked_psd(M, DEF_TOL, name)[0]
 
 
-def assert_pd(M, tol=DEF_TOL, name="matrix"):
+def assert_pd(M, name="matrix"):
     """sym(M), after checking that each matrix of the stack is symmetric and
-    PD: min eigenvalue > tol * max(1, max |eigenvalue|)."""
+    PD: min eigenvalue > DEF_TOL * max(1, max |eigenvalue|)."""
     S, lam, scale = _symmetric_eigs(M, name)
     lo = lam[..., 0]
-    i = _first(~(lo > tol * scale))
+    i = _first(~(lo > DEF_TOL * scale))
     if i is not None:
         raise DefinitenessError(f"{_label(name, i)} is not PD", min_eig=lo[i])
     return S
-
-
-def partition(H, n_x):
-    """Split each matrix of a stack into (XX, XU, UX, UU) blocks after row/col n_x."""
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
-        raise DimensionError(f"partition: matrix not square, shape {H.shape}")
-    if not 0 < n_x < H.shape[-1]:
-        raise DimensionError(f"partition: split {n_x} invalid for size {H.shape[-1]}")
-    return Blocks(H[..., :n_x, :n_x], H[..., :n_x, n_x:], H[..., n_x:, :n_x], H[..., n_x:, n_x:])
 
 
 def schur_complement(G, n_top):
@@ -134,7 +116,8 @@ def schur_complement(G, n_top):
     every block clears b the decision is already made; otherwise the exact
     scale decides, as it always did.
     """
-    g11, g12, g21, g22 = partition(G, n_top)
+    n = n_top
+    g11, g12, g21, g22 = G[..., :n, :n], G[..., :n, n:], G[..., n:, :n], G[..., n:, n:]
     frobenius = np.sqrt(np.einsum("...ij,...ij->...", G, G))
     bound = np.maximum(1.0, frobenius * (1.0 + 1e-9))
     gain = solve_pd(g22, g21, bound, lambda: _scale(G))

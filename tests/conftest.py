@@ -234,30 +234,6 @@ def enumerate_expected_cost(spec, policy):
     return total, mass
 
 
-def prescription(policy, t, m0, ztilde, x0, x_hat1):
-    """The common-information prescription of any decentralized linear policy.
-
-    The optimal policy goes through `control.compute_prescription`; the
-    reference policies get the same record built from their gain arrays.
-    """
-    spec = policy.spec
-    if policy.name == "optimal":
-        est = control.EstimatorState(x_hat1=x_hat1)
-        return control.compute_prescription(policy.bundle, spec, t, m0, ztilde, x0, est)
-    d, m, g = spec.dims, spec.modes, policy.gains
-    xin = np.concatenate([x0, x_hat1])
-    qbar = np.zeros((m.kappa1, d.d_u1))
-    ktilde = None
-    if ztilde == EMPTY:
-        v = g.K_empty[t, m0] @ xin
-        qbar[:] = v[d.d_u0:].reshape(m.kappa1, d.d_u1)
-        ktilde = g.Ktilde[t, m0]
-    else:
-        v = g.K_received[t, m0, ztilde] @ xin
-        qbar[ztilde] = v[d.d_u0:]
-    return control.Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=ktilde, ztilde=ztilde, m0=m0)
-
-
 def philox_block(key, run, t, block):
     """The four words of Philox block (run, t, block, 0) under `key`, by
     numpy's own Philox4x64-10. numpy steps its counter before each block,
@@ -287,9 +263,9 @@ def reference_rollout(spec, policy, seed, run_index):
     The draws follow the layout in the `ncslqr.sim` docstring but come from
     numpy's Philox (`reference_draws`); modes are picked by a scan of the
     cumulative weights, the dynamics come from `assemble_system` at every
-    step, and actions and estimates from the prescription, `local_action`
-    and `estimator_update` (the full-information reference applies its
-    centralized gain and copies x1 into the estimate). Raises
+    step, and actions and estimates from `compute_prescription`,
+    `local_action` and `estimator_update` (the full-information reference
+    applies its received-branch gain and copies x1 into the estimate). Raises
     NonFiniteError at the first non-finite state, action or stage cost.
     """
     d, m, st, T = spec.dims, spec.modes, spec.stoch, spec.T
@@ -323,19 +299,16 @@ def reference_rollout(spec, policy, seed, run_index):
         elif policy.full_information:
             x_hat1 = x1.copy()
         else:
-            x_hat1 = control.estimator_update(
-                spec, None, *pending, x1 if gamma == 1 else None
-            ).x_hat1
+            x_hat1 = control.estimator_update(spec, *pending, x1 if gamma == 1 else None)
 
         if policy.full_information:
-            u = policy.centralized.K[t, m0, m1] @ np.concatenate([x0, x1])
+            u = policy.gains.K_received[t, m0, m1] @ np.concatenate([x0, x1])
             u0, u1 = u[:d.d_u0], u[d.d_u0:]
         else:
-            est = control.EstimatorState(x_hat1=x_hat1)
             zt = m1 if gamma == 1 else EMPTY
-            presc = prescription(policy, t, m0, zt, x0, x_hat1)
-            u0, u1 = presc.u0, control.local_action(presc, x1, m1, est)
-            pending = (t, est, x0, m0, zt, presc)
+            presc = control.compute_prescription(policy.gains, spec, t, m0, zt, x0, x_hat1)
+            u0, u1 = presc.u0, control.local_action(presc, x1, m1, x_hat1)
+            pending = (x_hat1, x0, m0, zt, presc)
         x = np.concatenate([x0, x1])
         u = np.concatenate([u0, u1])
         cost = float(x @ spec.cost.Q[t, m0, m1] @ x + u @ spec.cost.R[t, m0, m1] @ u)

@@ -40,7 +40,7 @@ def test_c01_value_identity(instances, bundles):
     t0 = time.perf_counter()
     worst = 0.0
     for spec, bundle in zip(instances, bundles):
-        cost = oracle.exact_expected_cost(spec, control.OptimalPolicy(spec, bundle))
+        cost = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
         rel = abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -61,7 +61,7 @@ def test_c02_monte_carlo_consistency(instances, bundles):
     for i, (spec, bundle) in enumerate(refs):
         if bundle is None:
             bundle = solver.solve_backward(spec)
-        policy = control.OptimalPolicy(spec, bundle)
+        policy = control.make_policy("optimal", spec, bundle)
         t0 = time.perf_counter()
         rep = sim.monte_carlo(spec, policy, runs=10**5, seed=100 + i)
         elapsed = time.perf_counter() - t0
@@ -194,7 +194,7 @@ def test_c08_estimator_properties(instances, bundles):
     for spec, bundle in zip(instances, bundles):
         if spec.channel.p1 != 1.0:
             continue
-        policy = control.OptimalPolicy(spec, bundle)
+        policy = control.make_policy("optimal", spec, bundle)
         for i in range(20):
             traj = sim.simulate_run(spec, policy, seed=55, run_index=i)
             exact_ok = exact_ok and np.array_equal(traj.x_hat1, traj.x1)
@@ -208,7 +208,7 @@ def test_c08_estimator_properties(instances, bundles):
     runs = 10**5
     for spec in targets:
         bundle = solver.solve_backward(spec)
-        policy = control.OptimalPolicy(spec, bundle)
+        policy = control.make_policy("optimal", spec, bundle)
         errs = np.concatenate([b.x1 - b.x_hat1 for b in sim.rollouts(spec, policy, 77, range(runs))])
         mean = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-300
@@ -224,7 +224,7 @@ def test_c08_estimator_properties(instances, bundles):
 def test_c09_policy_dominance(instances, bundles):
     strict = False
     for spec, bundle in zip(instances, bundles):
-        j = oracle.exact_expected_cost(spec, control.OptimalPolicy(spec, bundle))
+        j = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
         slack = 1e-9 * (1.0 + abs(j))
         for kind in ("zero", "ce"):
             c = oracle.exact_expected_cost(spec, control.make_policy(kind, spec))

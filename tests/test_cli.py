@@ -259,8 +259,9 @@ class TestSolutionBundle:
             f"solution error: cannot read solution bundle {bundle}: j_star = nan non-finite\n"
         )
 
-    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
-    def test_mismatched_bundle_exit_code(self, tmp_path, capsys, command):
+    @pytest.fixture
+    def mismatched(self, tmp_path, capsys):
+        """(config at T = 3, bundle solved at T = 2)."""
         paths = {}
         for T in (2, 3):
             cfg = s2_config()
@@ -270,9 +271,29 @@ class TestSolutionBundle:
         bundle = tmp_path / "bundle_t2.json"
         assert cli.main(["solve", "--config", str(paths[2]), "--out", str(bundle)]) == 0
         capsys.readouterr()
-        rc = cli.main([command, "--config", str(paths[3]), "--solution", str(bundle)])
+        return str(paths[3]), str(bundle)
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_mismatched_bundle_exit_code(self, mismatched, capsys, command):
+        config, bundle = mismatched
+        rc = cli.main([command, "--config", config, "--solution", bundle])
         assert rc == 2
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("solution error: ")
+        assert "(3, 1, 2, 2)" in err and "(4, 1, 2, 2)" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("policy", ["zero", "ce", "centralized"])
+    def test_mismatched_bundle_refused_for_every_policy(self, mismatched, capsys, command, policy):
+        # A reference policy reads no gains from the bundle, but evaluate-exact
+        # reports the bundle's j_star beside it, so the bundle must fit too.
+        config, bundle = mismatched
+        argv = [command, "--config", config, "--solution", bundle, "--policy", policy]
+        rc = cli.main(argv + (["--runs", "2"] if command == "simulate" else []))
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("solution error: ")
         assert "(3, 1, 2, 2)" in err and "(4, 1, 2, 2)" in err

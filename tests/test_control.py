@@ -3,7 +3,6 @@ import pytest
 
 from ncslqr import control, solver
 from ncslqr.solver import EMPTY
-from conftest import prescription
 
 
 @pytest.fixture
@@ -12,54 +11,39 @@ def s2_bundle(s2_spec):
 
 
 class TestEstimator:
-    def test_init_prior_mean(self, s2_spec):
-        obs = control.Observation(x0=np.zeros(1), m0=0, gamma=0)
-        est = control.estimator_init(s2_spec, obs)
-        assert est.x_hat1 == pytest.approx(s2_spec.stoch.mu_x1)
-
-    def test_init_received_state(self, s2_spec):
-        obs = control.Observation(x0=np.zeros(1), m0=0, gamma=1, z=[3.0], ztilde=0)
-        est = control.estimator_init(s2_spec, obs)
-        assert est.x_hat1 == pytest.approx([3.0])
-
     def test_update_success_overwrites(self, s2_spec, s2_bundle):
-        est = control.EstimatorState(x_hat1=np.array([0.5]))
+        xh = np.array([0.5])
         presc = control.compute_prescription(
-            s2_bundle, s2_spec, 0, 0, EMPTY, np.array([1.0]), est
+            s2_bundle.gains, s2_spec, 0, 0, EMPTY, np.array([1.0]), xh
         )
-        out = control.estimator_update(
-            s2_spec, s2_bundle, 0, est, np.array([1.0]), 0, EMPTY, presc, [7.0]
-        )
-        assert out.x_hat1 == pytest.approx([7.0])
+        out = control.estimator_update(s2_spec, xh, np.array([1.0]), 0, EMPTY, presc, [7.0])
+        assert out == pytest.approx([7.0])
 
     def test_update_failure_propagates_closed_loop(self, s2_spec, s2_bundle):
         # Scalar instance at t = 0 with gamma_0 = 0: the estimate evolves as
         # xhat' = x0 + xhat + u0 + qbar, everything known to both agents.
         x0 = np.array([1.0])
-        est = control.EstimatorState(x_hat1=np.array([2.0]))
-        presc = control.compute_prescription(s2_bundle, s2_spec, 0, 0, EMPTY, x0, est)
-        out = control.estimator_update(
-            s2_spec, s2_bundle, 0, est, x0, 0, EMPTY, presc, None
-        )
-        expected = x0[0] + est.x_hat1[0] + presc.u0[0] + presc.qbar[0, 0]
-        assert out.x_hat1 == pytest.approx([expected])
+        xh = np.array([2.0])
+        presc = control.compute_prescription(s2_bundle.gains, s2_spec, 0, 0, EMPTY, x0, xh)
+        out = control.estimator_update(s2_spec, xh, x0, 0, EMPTY, presc, None)
+        expected = x0[0] + xh[0] + presc.u0[0] + presc.qbar[0, 0]
+        assert out == pytest.approx([expected])
 
     def test_update_after_success_uses_true_state(self, s2_spec, s2_bundle):
         # gamma_t = 1, gamma_{t+1} = 0: propagate through the realized mode
         # with the received state, no averaging.
         x0 = np.array([0.0])
-        est = control.EstimatorState(x_hat1=np.array([4.0]))
-        presc = control.compute_prescription(s2_bundle, s2_spec, 0, 0, 0, x0, est)
-        out = control.estimator_update(s2_spec, s2_bundle, 0, est, x0, 0, 0, presc, None)
-        expected = est.x_hat1[0] + presc.u0[0] + presc.qbar[0, 0]
-        assert out.x_hat1 == pytest.approx([expected])
+        xh = np.array([4.0])
+        presc = control.compute_prescription(s2_bundle.gains, s2_spec, 0, 0, 0, x0, xh)
+        out = control.estimator_update(s2_spec, xh, x0, 0, 0, presc, None)
+        expected = xh[0] + presc.u0[0] + presc.qbar[0, 0]
+        assert out == pytest.approx([expected])
 
 
 class TestPrescription:
     def test_empty_branch_carries_all_modes(self, s2_spec, s2_bundle):
-        est = control.EstimatorState(x_hat1=np.array([1.0]))
         presc = control.compute_prescription(
-            s2_bundle, s2_spec, 0, 0, EMPTY, np.array([1.0]), est
+            s2_bundle.gains, s2_spec, 0, 0, EMPTY, np.array([1.0]), np.array([1.0])
         )
         assert presc.qbar.shape == (1, 1)
         assert presc.ktilde is not None
@@ -68,21 +52,21 @@ class TestPrescription:
         assert presc.qbar[0] == pytest.approx([-0.6])
 
     def test_local_action_adds_innovation(self, s2_spec, s2_bundle):
-        est = control.EstimatorState(x_hat1=np.array([1.0]))
+        xh = np.array([1.0])
         presc = control.compute_prescription(
-            s2_bundle, s2_spec, 0, 0, EMPTY, np.array([1.0]), est
+            s2_bundle.gains, s2_spec, 0, 0, EMPTY, np.array([1.0]), xh
         )
-        u1 = control.local_action(presc, np.array([3.0]), 0, est)
+        u1 = control.local_action(presc, np.array([3.0]), 0, xh)
         # Ktilde_0 = -1/2 on the innovation (3 - 1).
         assert u1 == pytest.approx([-0.6 - 1.0])
 
     def test_received_branch_no_innovation(self, s2_spec, s2_bundle):
-        est = control.EstimatorState(x_hat1=np.array([99.0]))
+        xh = np.array([99.0])
         presc = control.compute_prescription(
-            s2_bundle, s2_spec, 0, 0, 0, np.array([1.0]), est
+            s2_bundle.gains, s2_spec, 0, 0, 0, np.array([1.0]), xh
         )
         assert presc.ktilde is None
-        u1 = control.local_action(presc, np.array([3.0]), 0, est)
+        u1 = control.local_action(presc, np.array([3.0]), 0, xh)
         assert u1 == pytest.approx(presc.qbar[0])
 
 
@@ -110,19 +94,19 @@ class TestCentralized:
             assert bundle.values.P[:steps, :, :EMPTY] == pytest.approx(sol.P[:steps], abs=1e-10)
 
 
-def _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh):
-    """u from the prescription functions (optimal) or the gain formulas."""
+def _expected_action(policy, kind, cen, t, m0, m1, gamma, x0, x1, xh):
+    """u from the prescription functions (optimal) or the gain formulas on
+    the centralized solution `cen` (ce, centralized)."""
     spec = policy.spec
     d, m = spec.dims, spec.modes
     if kind == "optimal":
-        est = control.EstimatorState(x_hat1=xh)
         presc = control.compute_prescription(
-            policy.bundle, spec, t, m0, m1 if gamma == 1 else EMPTY, x0, est
+            policy.gains, spec, t, m0, m1 if gamma == 1 else EMPTY, x0, xh
         )
-        return np.concatenate([presc.u0, control.local_action(presc, x1, m1, est)])
+        return np.concatenate([presc.u0, control.local_action(presc, x1, m1, xh)])
     if kind == "zero":
         return np.zeros(d.d_u)
-    K = policy.centralized.K[t, m0]
+    K = cen.K[t, m0]
     if kind == "centralized" or gamma == 1:
         return K[m1] @ np.concatenate([x0, x1])
     # Certainty equivalence: u0 from the mode-averaged gain on (x0, xhat);
@@ -144,6 +128,7 @@ class TestPolicyMaps:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
             tables = control.compile_policy(spec, policy)
+            cen = control.centralized_solve(spec) if kind in ("ce", "centralized") else None
             rng = np.random.default_rng(7)
             d = spec.dims
             for t in range(spec.T + 1):
@@ -161,7 +146,7 @@ class TestPolicyMaps:
                             theta = tables.theta[t, m0, m1, gamma]
                             assert np.array_equal(policy.tables.theta[t, m0, m1, gamma], theta)
                             assert theta @ xi == pytest.approx(
-                                _expected_action(policy, kind, t, m0, m1, gamma, x0, x1, xh),
+                                _expected_action(policy, kind, cen, t, m0, m1, gamma, x0, x1, xh),
                                 abs=1e-10,
                             )
 
@@ -182,11 +167,10 @@ class TestPolicyMaps:
                             xh = x1.copy() if gamma_t == 1 else rng.standard_normal(d.d_x1)
                             xi = np.concatenate([x0, x1, xh])
                             zt = m1 if gamma_t == 1 else EMPTY
-                            presc = prescription(policy, t, m0, zt, x0, xh)
-                            est = control.EstimatorState(x_hat1=xh)
-                            vec = control.estimator_update(
-                                spec, bundle, t, est, x0, m0, zt, presc, None
-                            ).x_hat1
+                            presc = control.compute_prescription(
+                                policy.gains, spec, t, m0, zt, x0, xh
+                            )
+                            vec = control.estimator_update(spec, xh, x0, m0, zt, presc, None)
                             M = tables.mean_update[t, m0, m1, gamma_t]
                             assert np.array_equal(policy.tables.mean_update[t, m0, m1, gamma_t], M)
                             assert M @ xi == pytest.approx(vec, abs=1e-10)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncslqr import matkit
-from ncslqr.errors import DefinitenessError, DimensionError, SingularBlockError
+from ncslqr.errors import DefinitenessError, SingularBlockError
 from ncslqr.model import Dims
 
 
@@ -116,31 +116,6 @@ class TestSchurComplement:
         G = A @ A.T + 1e-3 * np.eye(n)
         sc, _ = matkit.schur_complement(G, rng.integers(1, n))
         assert matkit.min_eig(sc) >= -1e-9
-
-
-class TestPartition:
-    def test_identity(self):
-        b = matkit.partition(np.eye(4), 2)
-        assert b.xx == pytest.approx(np.eye(2))
-        assert b.xu == pytest.approx(np.zeros((2, 2)))
-        assert b.uu == pytest.approx(np.eye(2))
-
-    def test_s2_blocks(self):
-        D = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        H = np.eye(4) + D.T @ D
-        b = matkit.partition(H, 2)
-        assert b.uu == pytest.approx(np.array([[3.0, 1.0], [1.0, 2.0]]))
-        assert b.ux == pytest.approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
-        assert b.ux == pytest.approx(b.xu.T, abs=1e-10)
-
-    def test_shapes(self):
-        b = matkit.partition(np.arange(25.0).reshape(5, 5), 3)
-        assert b.xx.shape == (3, 3)
-        assert b.xu.shape == (3, 2)
-
-    def test_bad_split(self):
-        with pytest.raises(DimensionError):
-            matkit.partition(np.eye(3), 3)
 
 
 class TestSelectors:

@@ -34,7 +34,7 @@ class TestExactEvaluation:
     def test_matches_analytic_optimum(self, battery):
         for spec in battery:
             bundle = solver.solve_backward(spec)
-            policy = control.OptimalPolicy(spec, bundle)
+            policy = control.make_policy("optimal", spec, bundle)
             cost = oracle.exact_expected_cost(spec, policy)
             assert cost == pytest.approx(
                 bundle.j_star, rel=1e-8, abs=1e-8 * (1.0 + abs(bundle.j_star))
@@ -43,7 +43,7 @@ class TestExactEvaluation:
     def test_optimum_dominates_references(self, battery):
         for spec in battery[:10]:
             bundle = solver.solve_backward(spec)
-            j = oracle.exact_expected_cost(spec, control.OptimalPolicy(spec, bundle))
+            j = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
             slack = 1e-9 * (1.0 + abs(j))
             for kind in ("zero", "ce"):
                 cost = oracle.exact_expected_cost(spec, control.make_policy(kind, spec))
@@ -52,7 +52,7 @@ class TestExactEvaluation:
     def test_centralized_lower_bounds_decentralized(self, battery):
         for spec in battery[:10]:
             bundle = solver.solve_backward(spec)
-            j = oracle.exact_expected_cost(spec, control.OptimalPolicy(spec, bundle))
+            j = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
             c = oracle.exact_expected_cost(spec, control.make_policy("centralized", spec))
             assert c <= j + 1e-9 * (1.0 + abs(j))
 
@@ -67,7 +67,7 @@ class TestExactEvaluation:
     def test_agrees_with_monte_carlo(self, battery):
         spec = battery[3]
         bundle = solver.solve_backward(spec)
-        policy = control.OptimalPolicy(spec, bundle)
+        policy = control.make_policy("optimal", spec, bundle)
         exact = oracle.exact_expected_cost(spec, policy)
         rep = sim.monte_carlo(spec, policy, runs=4000, seed=12)
         assert abs(rep.mean_cost - exact) <= 4.0 * rep.std_err + 1e-9
@@ -76,7 +76,7 @@ class TestExactEvaluation:
         spec = model.load_config(long_horizon_config())
         bundle = solver.solve_backward(spec)
         cost, mass = oracle.exact_expected_cost(
-            spec, control.OptimalPolicy(spec, bundle), return_prob=True
+            spec, control.make_policy("optimal", spec, bundle), return_prob=True
         )
         assert cost == pytest.approx(bundle.j_star, rel=1e-8, abs=1e-8)
         assert mass == pytest.approx(1.0, abs=1e-12)
@@ -192,7 +192,7 @@ class TestEstimatorExactlyUnbiased:
         for spec in self._specs(battery):
             if spec.modes.kappa1 < 2 or spec.channel.p1 == 1.0:
                 continue
-            policy = control.OptimalPolicy(spec, solver.solve_backward(spec))
+            policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
             first = dataclasses.replace(
                 spec, modes=dataclasses.replace(spec.modes, pi_m1=np.eye(spec.modes.kappa1)[0]),
             )
@@ -272,7 +272,7 @@ class TestStationarity:
             if spec.T == 0:
                 continue
             bundle = solver.solve_backward(spec)
-            stages = oracle._stages(spec, control.OptimalPolicy(spec, bundle))
+            stages = oracle._stages(spec, control.make_policy("optimal", spec, bundle))
             S = oracle._moments(spec, stages)
             L = oracle._costates(spec, stages)
             w, F = stages.w, stages.F[0]
@@ -301,7 +301,7 @@ class TestStationarity:
 
     def test_report_fields(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
-        policy = control.OptimalPolicy(s2_spec, bundle)
+        policy = control.make_policy("optimal", s2_spec, bundle)
         out = oracle.oracle_report(s2_spec, policy, j_star=bundle.j_star)
         assert out["policy"] == "optimal"
         assert out["rel_diff"] < 1e-10
