@@ -11,6 +11,7 @@ validate check or stationarity certificate exits 1 after its report.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -209,8 +210,7 @@ def _validate_checks(spec, args):
     if spec.channel.p1 == 1.0:
         ref = bundle
     else:
-        spec_p1 = model.load_config({**model.problem_to_config(spec), "channel": {"p1": 1.0}})
-        ref = solver.solve_backward(spec_p1)
+        ref = solver.solve_backward(dataclasses.replace(spec, channel=model.channel_spec(1.0)))
     worst = float(np.max(np.abs(cen.P[:T1] - ref.values.P[:T1, :, :solver.EMPTY])))
     yield "centralized-match", worst <= 1e-10, f"max |P - P_centralized| {worst:.3e} (at p1=1)"
 
@@ -266,10 +266,10 @@ def cmd_sweep(args):
             print(f"warning: duplicate sweep value {p} ignored", file=sys.stderr)
             continue
         values.append(p)
+    # Every value is checked before the first solve.
+    variants = [dataclasses.replace(spec, channel=model.channel_spec(p)) for p in values]
     rows = [["p1", "j_star", "mc_mean", "mc_se"]]
-    cfg = model.problem_to_config(spec)
-    for p in values:
-        spec_p = model.load_config({**cfg, "channel": {"p1": p}})
+    for p, spec_p in zip(values, variants):
         bundle = solver.solve_backward(spec_p)
         policy = control.make_policy("optimal", spec_p, bundle)
         report = sim.monte_carlo(spec_p, policy, args.runs, args.seed)
@@ -327,7 +327,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="solve and simulate across channel success rates")
     p.add_argument("--config", required=True)
-    p.add_argument("--param", default="p1", choices=["p1"])
     p.add_argument("--values", required=True, type=_float_list)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)

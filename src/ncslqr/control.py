@@ -101,9 +101,7 @@ def centralized_solve(spec):
     """
     d, m = spec.dims, spec.modes
     T = spec.T
-    systems = [[assemble_system(spec, m0, m1) for m1 in range(m.kappa1)] for m0 in range(m.kappa0)]
-    A = np.array([[s[0] for s in row] for row in systems])
-    B = np.array([[s[1] for s in row] for row in systems])
+    A, B = spec.D[..., :d.d_x], spec.D[..., d.d_x:]
     At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
     weights = np.outer(m.pi_m0, m.pi_m1)
     P = np.zeros((T + 2, m.kappa0, m.kappa1, d.d_x, d.d_x))
@@ -141,12 +139,11 @@ class CompiledPolicy:
 
     theta[t, m0, m1, gamma] maps xi to vec(u0, u1). mean_update[t, m0, m1,
     gamma] maps xi to xhat_{t+1} when the next transmission fails; it is
-    None when xhat simply copies x1. D[m0, m1] is [A B] for the mode pair.
+    None when xhat simply copies x1.
     """
 
     theta: np.ndarray                   # (T+1, kappa0, kappa1, 2, d_u, n_xi)
     mean_update: Optional[np.ndarray]   # (T+1, kappa0, kappa1, 2, d_x1, n_xi)
-    D: np.ndarray                       # (kappa0, kappa1, d_x, d_x + d_u)
 
 
 def _selectors(spec):
@@ -175,11 +172,10 @@ def compile_policy(spec, policy):
     gains = policy.gains
     x1, xh, sel_x, sel_common = _selectors(spec)
 
-    D = np.array([[assemble_system(spec, i, j)[2] for j in range(k1)] for i in range(k0)])
     received = gains.K_received @ sel_x
     theta = np.stack([received, received], axis=3)
     if policy.full_information:
-        return CompiledPolicy(theta=theta, mean_update=None, D=D)
+        return CompiledPolicy(theta=theta, mean_update=None)
 
     steps = spec.T + 1
     qbar = gains.K_empty[:, :, d.d_u0:].reshape(steps, k0, k1, d.d_u1, d.d_x)
@@ -192,7 +188,7 @@ def compile_policy(spec, policy):
 
     # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
     # success; otherwise averaged over the local mode, xhat standing in for x1.
-    D1 = D[:, :, d.d_x0:, :]
+    D1 = spec.D[:, :, d.d_x0:, :]
 
     def propagate(state_sel, acts):
         states = np.broadcast_to(state_sel, acts.shape[:3] + state_sel.shape)
@@ -202,21 +198,21 @@ def compile_policy(spec, policy):
     mean_update[..., 1, :, :] = propagate(sel_x, received)
     averaged = propagate(sel_common, blind)
     mean_update[..., 0, :, :] = sum(m.pi_m1[j] * averaged[:, :, j] for j in range(k1))[:, :, None]
-    return CompiledPolicy(theta=theta, mean_update=mean_update, D=D)
+    return CompiledPolicy(theta=theta, mean_update=mean_update)
 
 
-def compile_policy_transpose(spec, D, theta_bar, mean_update_bar):
+def compile_policy_transpose(spec, theta_bar, mean_update_bar):
     """Transpose of `compile_policy` for a decentralized policy.
 
     `compile_policy` is affine in the gain arrays. This maps cotangents of
-    its tables (shaped like `CompiledPolicy.theta` and `.mean_update`, with
-    D its mode-pair systems) to cotangents of K_empty, K_received and
-    Ktilde, so that <tables(K) - tables(0), bars> = <K, transpose(bars)>.
+    its tables (shaped like `CompiledPolicy.theta` and `.mean_update`) to
+    cotangents of K_empty, K_received and Ktilde, so that
+    <tables(K) - tables(0), bars> = <K, transpose(bars)>.
     """
     d, m = spec.dims, spec.modes
     steps, k0, k1 = spec.T + 1, m.kappa0, m.kappa1
     x1, xh, sel_x, sel_common = _selectors(spec)
-    B1t = np.swapaxes(D[:, :, d.d_x0:, d.d_x:], -1, -2)
+    B1t = np.swapaxes(spec.D[:, :, d.d_x0:, d.d_x:], -1, -2)
     blind_bar, received_bar = theta_bar[..., 0, :, :], theta_bar[..., 1, :, :]
 
     # mean_update[..., 1] = B1 @ received + const; mean_update[..., 0] is

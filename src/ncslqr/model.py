@@ -2,7 +2,9 @@
 
 Users supply the six system blocks (A00, B00 per global mode; A10, A11,
 B10, B11 per mode pair), never full A/B matrices, so the block-triangular
-structure of the dynamics is guaranteed by construction. Mode values are
+structure of the dynamics is guaranteed by construction. The loader stacks
+them once into `spec.D`, shape (kappa0, kappa1, d_x, d_x + d_u): `D[m0, m1]`
+is [A B] of the mode pair, and `assemble_system` slices it. Mode values are
 1-based in config files and 0-based everywhere inside the package; the
 loader converts exactly once.
 
@@ -10,7 +12,9 @@ The loader (`load_config`) is the one place that checks a problem, Q PSD,
 R PD and every noise covariance PSD included, each under one rule
 (`matkit.assert_psd`/`assert_pd`) that the simulator shares. The spec
 dataclasses are plain records that check nothing; build them through the
-loader.
+loader. A variant of a loaded problem is a `dataclasses.replace` of it, as
+in `replace(spec, channel=channel_spec(p))` for another success rate;
+`channel_spec` checks p as the loader does.
 """
 
 import json
@@ -71,16 +75,13 @@ def _as_array(value, shape, name):
     return arr
 
 
-@dataclass(frozen=True)
-class SystemBlocks:
-    """Per-mode dynamics blocks. A00/B00 depend only on the global mode."""
-
-    A00: np.ndarray  # (kappa0, d_x0, d_x0)
-    B00: np.ndarray  # (kappa0, d_x0, d_u0)
-    A10: np.ndarray  # (kappa0, kappa1, d_x1, d_x0)
-    A11: np.ndarray  # (kappa0, kappa1, d_x1, d_x1)
-    B10: np.ndarray  # (kappa0, kappa1, d_x1, d_u0)
-    B11: np.ndarray  # (kappa0, kappa1, d_x1, d_u1)
+def channel_spec(p1):
+    """The channel of success rate `p1`, which must be a finite number in
+    [0, 1]; the loader and every p1 variant of a problem build it here."""
+    p1 = float(_numbers(p1, "channel.p1"))
+    if not 0.0 <= p1 <= 1.0:
+        raise ProbabilityError(f"channel.p1 must be in [0, 1], got {p1}")
+    return ChannelSpec(p1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class CostSpec:
 
     Q: np.ndarray
     R: np.ndarray
-    time_varying: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class ProblemSpec:
     dims: Dims
     modes: ModeSpec
     channel: ChannelSpec
-    system: SystemBlocks
+    D: np.ndarray  # (kappa0, kappa1, d_x, d_x + d_u): [A B] per mode pair
     cost: CostSpec
     stoch: StochasticsSpec
 
@@ -119,19 +119,9 @@ class ProblemSpec:
 
 
 def assemble_system(spec, m0, m1):
-    """Full (A, B, D) for one mode pair; upper-right zero blocks are bit-zero."""
-    d = spec.dims
-    s = spec.system
-    A = np.zeros((d.d_x, d.d_x))
-    A[:d.d_x0, :d.d_x0] = s.A00[m0]
-    A[d.d_x0:, :d.d_x0] = s.A10[m0, m1]
-    A[d.d_x0:, d.d_x0:] = s.A11[m0, m1]
-    B = np.zeros((d.d_x, d.d_u))
-    B[:d.d_x0, :d.d_u0] = s.B00[m0]
-    B[d.d_x0:, :d.d_u0] = s.B10[m0, m1]
-    B[d.d_x0:, d.d_u0:] = s.B11[m0, m1]
-    D = np.hstack([A, B])
-    return A, B, D
+    """(A, B, D) for one mode pair: views of `spec.D[m0, m1]`."""
+    D = spec.D[m0, m1]
+    return D[:, :spec.dims.d_x], D[:, spec.dims.d_x:], D
 
 
 # --- config file handling ---------------------------------------------------
@@ -170,11 +160,11 @@ def _positive(mapping, key, where):
 
 
 def _number(mapping, key, where):
-    """A finite JSON number field, as a float."""
+    """A JSON number field."""
     value = _require(mapping, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}.{key} must be a number, got {value!r}")
-    return float(_numbers(value, f"{where}.{key}"))
+    return value
 
 
 def _distribution(modes_cfg, key, kappa):
@@ -203,11 +193,6 @@ def _pair_list_to_array(entries, k0, k1, block_shape, name):
         for m0 in range(k0):
             out[m0, m1] = arr[m1 * k0 + m0]
     return out
-
-
-def _array_to_pair_list(arr):
-    k0, k1 = arr.shape[:2]
-    return [arr[m0, m1].tolist() for m1 in range(k1) for m0 in range(k0)]
 
 
 def _pair_label(name):
@@ -242,8 +227,8 @@ def _over_time(arr, T):
 
 
 def _load_cost(cost_cfg, dims, modes, T):
-    """(time_varying, Q, R), the weights stacked over (t, m0, m1) with a
-    single t when they are time-invariant."""
+    """(Q, R), the weights stacked over (t, m0, m1) with a single t when
+    they are time-invariant."""
     time_varying = cost_cfg.get("time_varying", False) if isinstance(cost_cfg, dict) else False
     if not isinstance(time_varying, bool):
         raise ParseError(f"cost.time_varying must be true or false, got {time_varying!r}")
@@ -260,7 +245,7 @@ def _load_cost(cost_cfg, dims, modes, T):
         else:
             arr = _pair_list_to_array(raw, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}")[None]
         stacks.append(arr)
-    return time_varying, *stacks
+    return stacks
 
 
 def load_config(cfg):
@@ -270,21 +255,22 @@ def load_config(cfg):
     modes_cfg = _require(cfg, "modes", "config")
     k0, k1 = _positive(modes_cfg, "kappa0", "modes"), _positive(modes_cfg, "kappa1", "modes")
     modes = ModeSpec(k0, k1, _distribution(modes_cfg, "pi_m0", k0), _distribution(modes_cfg, "pi_m1", k1))
-    p1 = _number(_require(cfg, "channel", "config"), "p1", "channel")
-    if not 0.0 <= p1 <= 1.0:
-        raise ProbabilityError(f"channel.p1 must be in [0, 1], got {p1}")
+    channel = channel_spec(_number(_require(cfg, "channel", "config"), "p1", "channel"))
 
     sys_cfg = _require(cfg, "system", "config")
-    A00 = _as_array(_require(sys_cfg, "A00", "system"), (k0, dims.d_x0, dims.d_x0), "system.A00")
-    B00 = _as_array(_require(sys_cfg, "B00", "system"), (k0, dims.d_x0, dims.d_u0), "system.B00")
-    system = SystemBlocks(
-        A00=A00,
-        B00=B00,
-        A10=_pair_list_to_array(_require(sys_cfg, "A10", "system"), k0, k1, (dims.d_x1, dims.d_x0), "system.A10"),
-        A11=_pair_list_to_array(_require(sys_cfg, "A11", "system"), k0, k1, (dims.d_x1, dims.d_x1), "system.A11"),
-        B10=_pair_list_to_array(_require(sys_cfg, "B10", "system"), k0, k1, (dims.d_x1, dims.d_u0), "system.B10"),
-        B11=_pair_list_to_array(_require(sys_cfg, "B11", "system"), k0, k1, (dims.d_x1, dims.d_u1), "system.B11"),
-    )
+    d_x0, d_x1, d_u0, d_u1 = dims.d_x0, dims.d_x1, dims.d_u0, dims.d_u1
+    A00, B00 = [
+        _as_array(_require(sys_cfg, key, "system"), (k0,) + shape, f"system.{key}")
+        for key, shape in (("A00", (d_x0, d_x0)), ("B00", (d_x0, d_u0)))
+    ]
+    local = [
+        _pair_list_to_array(_require(sys_cfg, key, "system"), k0, k1, shape, f"system.{key}")
+        for key, shape in (("A10", (d_x1, d_x0)), ("A11", (d_x1, d_x1)), ("B10", (d_x1, d_u0)), ("B11", (d_x1, d_u1)))
+    ]
+    # Stacked only once every block has its shape; the global plant's rows
+    # repeat over m1 and never read x1 or u1.
+    top = [A00[:, None], np.zeros((k0, 1, d_x0, d_x1)), B00[:, None], np.zeros((k0, 1, d_x0, d_u1))]
+    D = np.block([[np.broadcast_to(X, (k0, k1) + X.shape[2:]) for X in top], local])
 
     stoch_cfg = _require(cfg, "stoch", "config")
     T = _integer(stoch_cfg, "T", "stoch")
@@ -300,12 +286,11 @@ def load_config(cfg):
     cov_x0 = _as_array(_require(init_cfg, "cov_x0", "stoch.init"), (dims.d_x0, dims.d_x0), "stoch.init.cov_x0")
     mu_x1 = _as_array(_require(init_cfg, "mu_x1", "stoch.init"), (dims.d_x1,), "stoch.init.mu_x1")
     cov_x1 = _as_array(_require(init_cfg, "cov_x1", "stoch.init"), (dims.d_x1, dims.d_x1), "stoch.init.cov_x1")
-    time_varying, Q, R = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
+    Q, R = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
 
     cost = CostSpec(
         Q=_over_time(matkit.assert_psd(Q, name=_pair_label("cost.Q")), T),
         R=_over_time(matkit.assert_pd(R, name=_pair_label("cost.R")), T),
-        time_varying=time_varying,
     )
     stoch = StochasticsSpec(
         T=T,
@@ -317,7 +302,7 @@ def load_config(cfg):
         cov_x1=matkit.assert_psd(cov_x1, name="stoch.init.cov_x1"),
         family=family,
     )
-    return ProblemSpec(dims, modes, ChannelSpec(p1), system, cost, stoch)
+    return ProblemSpec(dims, modes, channel, D, cost, stoch)
 
 
 def load_problem(path):
@@ -330,45 +315,3 @@ def load_problem(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     return load_config(cfg)
-
-
-def problem_to_config(spec):
-    """Serialize back to the config-dict form accepted by load_config."""
-    d, m, st, c = spec.dims, spec.modes, spec.stoch, spec.cost
-    cost_cfg = {"time_varying": c.time_varying}
-    for key, arr in (("Q", c.Q), ("R", c.R)):
-        if c.time_varying:
-            cost_cfg[key] = [_array_to_pair_list(arr[t]) for t in range(st.T + 1)]
-        else:
-            cost_cfg[key] = _array_to_pair_list(arr[0])
-    return {
-        "dims": {"d_x0": d.d_x0, "d_x1": d.d_x1, "d_u0": d.d_u0, "d_u1": d.d_u1},
-        "modes": {
-            "kappa0": m.kappa0,
-            "kappa1": m.kappa1,
-            "pi_m0": m.pi_m0.tolist(),
-            "pi_m1": m.pi_m1.tolist(),
-        },
-        "channel": {"p1": spec.channel.p1},
-        "system": {
-            "A00": spec.system.A00.tolist(),
-            "B00": spec.system.B00.tolist(),
-            "A10": _array_to_pair_list(spec.system.A10),
-            "A11": _array_to_pair_list(spec.system.A11),
-            "B10": _array_to_pair_list(spec.system.B10),
-            "B11": _array_to_pair_list(spec.system.B11),
-        },
-        "cost": cost_cfg,
-        "stoch": {
-            "T": st.T,
-            "covW0": [st.covW0[t].tolist() for t in range(st.T + 1)],
-            "covW1": [st.covW1[t].tolist() for t in range(st.T + 1)],
-            "init": {
-                "mu_x0": st.mu_x0.tolist(),
-                "cov_x0": st.cov_x0.tolist(),
-                "mu_x1": st.mu_x1.tolist(),
-                "cov_x1": st.cov_x1.tolist(),
-            },
-            "family": st.family,
-        },
-    }

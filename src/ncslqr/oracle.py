@@ -94,7 +94,7 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
         spec,
         tables.theta[node],
         None if tables.mean_update is None else tables.mean_update[node],
-        tables.D[m0, m1],
+        spec.D[m0, m1],
         spec.cost.Q[t, m0, m1],
         spec.cost.R[t, m0, m1],
     )
@@ -142,7 +142,7 @@ def _stages(spec, policy):
     def per_pair(table):
         return table.reshape(table.shape[:-4] + (k,) + table.shape[-2:])[..., pairs, None, :, :]
 
-    D, R = per_pair(tables.D), per_pair(spec.cost.R)
+    D, R = per_pair(spec.D), per_pair(spec.cost.R)
     F, theta_aug, M = _stage_maps(
         spec,
         nodes(tables.theta),
@@ -274,7 +274,7 @@ def exact_gradient(spec, policy):
     theta_bar.reshape((steps, k, 2) + theta_bar.shape[4:])[(slice(None),) + index] = d_theta[..., :-1]
     mean_bar.reshape((steps, k, 2) + mean_bar.shape[4:])[(slice(T),) + index] = d_mean[..., :-1]
     cost = _cost(stages, S)
-    grads = compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
+    grads = compile_policy_transpose(spec, theta_bar, mean_bar)
     if not (np.isfinite(cost) and all(np.isfinite(g).all() for g in vars(grads).values())):
         raise NonFiniteError(f"exact cost {cost!r} or its gain gradient non-finite")
     return cost, grads

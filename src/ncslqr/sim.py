@@ -206,7 +206,7 @@ def _rollout(spec, policy, noise, key, indices, record):
         if record:
             steps.append((x, u, x_hat, m0, m1, gamma, cost))
         if t < T:
-            x = _rows_dot(tables.D[m0, m1], np.concatenate([x, u], axis=1))
+            x = _rows_dot(spec.D[m0, m1], np.concatenate([x, u], axis=1))
             if noise is not None:
                 x += _rows_dot(f_w[t][None], normal[:, t + 1, :d.d_x])
             if tables.mean_update is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, matkit
 from .errors import NonFiniteError, OutputError, ParseError, SingularBlockError
-from .model import assemble_system
+from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps solver.assemble_system)
 
 PSD_SLACK = 1e-9
 
@@ -80,11 +80,10 @@ class StaticMatrices:
 
 def build_static(spec):
     d, m = spec.dims, spec.modes
-    k0, k1 = m.kappa0, m.kappa1
-    pi1 = m.pi_m1
+    k1, pi1 = m.kappa1, m.pi_m1
     L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])
-    D = np.array([[assemble_system(spec, m0, m1)[2] for m1 in range(k1)] for m0 in range(k0)])
-    D11 = np.concatenate([spec.system.A11, spec.system.B11], axis=-1)
+    D = spec.D
+    D11 = np.concatenate([D[:, :, d.d_x0:, d.d_x0:d.d_x], D[:, :, d.d_x0:, d.d_x + d.d_u0:]], axis=-1)
     Daug = D @ L
     Dempty = (Daug * pi1[:, None, None]).sum(axis=1)
 

@@ -323,14 +323,16 @@ def reference_rollout(spec, policy, seed, run_index):
     return sim.Trajectory(**rec, total_cost=float(sum(rec["stage_cost"])))
 
 
-def battery_specs(n=20, seed=1):
-    """Deterministic battery covering all four channel success rates."""
+def battery_configs(n=20, seed=1):
+    """Deterministic battery of configs covering all four channel success rates."""
     rng = np.random.default_rng(seed)
     p1s = [0.0, 0.3, 0.7, 1.0]
-    return [
-        model.load_config(random_config(rng, p1=p1s[i % 4]))
-        for i in range(n)
-    ]
+    return [random_config(rng, p1=p1s[i % 4]) for i in range(n)]
+
+
+def battery_specs(n=20, seed=1):
+    """The battery's configs, loaded."""
+    return [model.load_config(cfg) for cfg in battery_configs(n, seed)]
 
 
 @pytest.fixture(scope="session")

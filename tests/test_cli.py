@@ -20,6 +20,7 @@ import ncslqr
 from ncslqr import cli, control, errors, matkit, model, sim, solver
 from ncslqr.errors import NonFiniteError, ParseError, ShapeError
 from conftest import (
+    battery_configs,
     divergent_config,
     long_horizon_config,
     random_config,
@@ -60,12 +61,13 @@ def s2_path(tmp_path):
 
 
 class TestSolve:
-    def test_stage_report_is_min_eig_of_tables(self, battery, tmp_path, capsys):
+    def test_stage_report_is_min_eig_of_tables(self, tmp_path, capsys):
         # The report reads the eigenvalues solve_backward's PSD check took;
         # they are the ones matkit.min_eig gives on the whole stacks.
         path = tmp_path / "cfg.json"
-        for spec in battery:
-            path.write_text(json.dumps(model.problem_to_config(spec)))
+        for cfg in battery_configs():
+            spec = model.load_config(cfg)
+            path.write_text(json.dumps(cfg))
             assert cli.main(["solve", "--config", str(path)]) == 0
             bundle = solver.solve_backward(model.load_problem(path))
             steps = spec.T + 1
@@ -780,6 +782,17 @@ class TestSweep:
 
     def test_bad_value_exit_code(self, s2_path):
         assert cli.main(["sweep", "--config", s2_path, "--values", "0.1,1.5"]) == 2
+
+    @pytest.mark.parametrize("values", ["0.1,1.5", "0.2,nan"])
+    def test_bad_value_refused_before_any_solve(self, s2_path, capsys, monkeypatch, values):
+        calls = []
+        real = solver.solve_backward
+        monkeypatch.setattr(solver, "solve_backward", lambda spec: calls.append(spec) or real(spec))
+        assert cli.main(["sweep", "--config", s2_path, "--values", values, "--runs", "5"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: channel.p1 ")
 
 
 class TestImports:

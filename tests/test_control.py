@@ -197,7 +197,7 @@ class TestPolicyMaps:
                 np.sum((tables.theta - zero.tables.theta) * theta_bar)
                 + np.sum((tables.mean_update - zero.tables.mean_update) * mean_bar)
             )
-            back = control.compile_policy_transpose(spec, tables.D, theta_bar, mean_bar)
+            back = control.compile_policy_transpose(spec, theta_bar, mean_bar)
             assert back.shapes() == gains.shapes()
             rhs = sum(
                 np.sum(getattr(gains, name) * getattr(back, name))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -5,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncslqr import model
+from ncslqr import model, solver
 from ncslqr.errors import (
     DefinitenessError,
     ParseError,
@@ -86,10 +88,16 @@ class TestLoad:
             model.load_config(cfg)
 
     def test_bad_channel(self):
+        # A p1 variant of a loaded problem is refused as the loader refuses p1.
         cfg = s1_config()
         cfg["channel"]["p1"] = 1.5
-        with pytest.raises(ProbabilityError):
+        out_of_range = r"^channel\.p1 must be in \[0, 1\], got 1\.5$"
+        with pytest.raises(ProbabilityError, match=out_of_range):
             model.load_config(cfg)
+        with pytest.raises(ProbabilityError, match=out_of_range):
+            model.channel_spec(1.5)
+        with pytest.raises(ParseError, match=r"^channel\.p1 has a non-finite entry$"):
+            model.channel_spec(float("nan"))
 
     @pytest.mark.parametrize("where, field", [
         (("stoch", "init", "mu_x0"), "stoch.init.mu_x0"),
@@ -195,16 +203,55 @@ class TestLoad:
         with pytest.raises(DefinitenessError, match=r"^cost\.Q\[t=2, m0=2, m1=1\] is not PSD"):
             model.load_config(cfg)
 
-    def test_roundtrip(self, s2_spec):
-        again = model.load_config(model.problem_to_config(s2_spec))
-        assert again.cost.Q == pytest.approx(s2_spec.cost.Q)
-        assert again.system.A10 == pytest.approx(s2_spec.system.A10)
-        assert again.stoch.covW1 == pytest.approx(s2_spec.stoch.covW1)
-        assert again.channel.p1 == s2_spec.channel.p1
-        assert again.modes.pi_m0 == pytest.approx(s2_spec.modes.pi_m0)
+
+class TestChannelVariant:
+    def test_variant_solves_as_its_loaded_config(self):
+        cfg = s2_config(p1=0.3)
+        variant = dataclasses.replace(model.load_config(cfg), channel=model.channel_spec(0.8))
+        cfg["channel"]["p1"] = 0.8
+        a, b = solver.solve_backward(variant), solver.solve_backward(model.load_config(cfg))
+        assert a.j_star == b.j_star
+        assert np.array_equal(a.values.P, b.values.P)
+        assert np.array_equal(a.gains.K_empty, b.gains.K_empty)
 
 
 class TestAssemble:
+    def test_blocks_land_in_their_slots(self):
+        # kappa0 = 2, kappa1 = 3 and four different block sizes; every block
+        # entry is a distinct number, so a misplaced block cannot match.
+        k0, k1, dx0, dx1, du0, du1 = 2, 3, 1, 2, 3, 4
+        numbers = itertools.count(1.0)
+
+        def blocks(count, rows, cols):
+            return np.array([next(numbers) for _ in range(count * rows * cols)]).reshape(count, rows, cols)
+
+        s = {
+            "A00": blocks(k0, dx0, dx0), "B00": blocks(k0, dx0, du0),
+            "A10": blocks(k0 * k1, dx1, dx0), "A11": blocks(k0 * k1, dx1, dx1),
+            "B10": blocks(k0 * k1, dx1, du0), "B11": blocks(k0 * k1, dx1, du1),
+        }
+        cfg = s1_config()
+        cfg["dims"] = {"d_x0": dx0, "d_x1": dx1, "d_u0": du0, "d_u1": du1}
+        cfg["modes"] = {"kappa0": k0, "kappa1": k1, "pi_m0": [0.5, 0.5], "pi_m1": [0.25, 0.25, 0.5]}
+        cfg["system"] = {key: value.tolist() for key, value in s.items()}
+        cfg["cost"] = {"Q": [np.eye(dx0 + dx1).tolist()] * (k0 * k1), "R": [np.eye(du0 + du1).tolist()] * (k0 * k1)}
+        cfg["stoch"].update(covW0=np.eye(dx0).tolist(), covW1=np.eye(dx1).tolist(), init={
+            "mu_x0": [0.0] * dx0, "cov_x0": np.eye(dx0).tolist(),
+            "mu_x1": [0.0] * dx1, "cov_x1": np.eye(dx1).tolist(),
+        })
+        spec = model.load_config(cfg)
+        assert spec.D.shape == (k0, k1, dx0 + dx1, dx0 + dx1 + du0 + du1)
+        for m0 in range(k0):
+            for m1 in range(k1):
+                pair = m1 * k0 + m0  # pair lists are m1-major
+                want = np.block([
+                    [s["A00"][m0], np.zeros((dx0, dx1)), s["B00"][m0], np.zeros((dx0, du1))],
+                    [s["A10"][pair], s["A11"][pair], s["B10"][pair], s["B11"][pair]],
+                ])
+                assert np.array_equal(spec.D[m0, m1], want), (m0, m1)
+                A, B, D = model.assemble_system(spec, m0, m1)
+                assert np.array_equal(np.hstack([A, B]), want) and np.array_equal(D, want)
+
     def test_s2_stacked_map(self, s2_spec):
         _, _, D = model.assemble_system(s2_spec, 0, 0)
         assert D == pytest.approx(np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))

@@ -1,12 +1,15 @@
 """The traced benchmark (perfbench/launch.py) wraps package functions by
 module and attribute name; a refactor that drops or renames one would break
-the traced run without any other test noticing."""
+the traced run without any other test noticing. The README's CLI block must
+name exactly the flags the parser takes."""
 
+import argparse
 import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import ncslqr
 from ncslqr import cli, control, model, sim, solver
 from conftest import s2_config
 
-LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCH = ROOT / "perfbench" / "launch.py"
 
 
 def _launch_constant(name):
@@ -78,6 +82,34 @@ def test_evaluate_exact_meets_the_benchmark_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert isinstance(report["rel_diff"], float) and report["rel_diff"] <= 1e-8
     assert report["stationarity"]["ok"] is True
+
+
+def _readme_cli_flags():
+    """{subcommand: set of --flags} from the README's CLI code block."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", text, re.S | re.M).group(1)
+    flags, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("ncslqr "):
+            command = line.split()[1]
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_cli_block_names_every_flag():
+    # -h/--help is argparse's own; the global --threads is documented in prose.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_cli_flags() == options
+    readme = (ROOT / "README.md").read_text()
+    for action in parser._actions:
+        for option in set(action.option_strings) - {"-h", "--help"}:
+            assert f"`{option}`" in readme, option
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
