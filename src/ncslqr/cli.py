@@ -77,6 +77,19 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with `-` for a value only when it
+    is one plain negative number; this parser also takes any list that
+    _float_list reads, so that `--values -0.0,0.5` reaches the command."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            _float_list(arg_string)
+        except argparse.ArgumentTypeError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _check_output(path, what):
     """Fail before any work when `path` cannot become a file: its
     directory is missing or it is a directory itself."""
@@ -282,7 +295,7 @@ def cmd_sweep(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncslqr",
         description="Solve, simulate, and verify optimal decentralized control "
         "of a two-plant switched linear system over a lossy acknowledged channel.",

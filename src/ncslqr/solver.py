@@ -305,7 +305,20 @@ def _stack(table, keys):
     )
 
 
+def _slot_arrays(obj):
+    """json object_hook: a table slot, an object whose every key is "empty"
+    or "m<l>", with each matrix as a float64 array; any other object as it is.
+
+    With it, json.load holds the Python floats of one slot at a time.
+    """
+    if obj and all(k == "empty" or k[:1] == "m" and k[1:].isdigit() for k in obj):
+        return {k: np.array(v, dtype=float) for k, v in obj.items()}
+    return obj
+
+
 def bundle_from_json(obj):
+    """The bundle of a JSON object as bundle_to_json writes it; its slots may
+    hold nested lists or, as load_bundle reads them, arrays."""
     keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
     return SolutionBundle(
         values=ValueTables(
@@ -385,12 +398,13 @@ def save_bundle(bundle, path):
 
     json's C encoder does not indent, so its pure-Python one would format
     every float. Instead the tables go into the dump as index markers, and
-    each is written from a template built once per (shape, depth). The
+    each is written from a layout built once per (shape, depth). The
     leaves are formatted in slabs of at most _SLAB_VALUES values, one repr
-    per distinct value in each slab: symmetric tables and repeated slots
-    hold many copies. The bytes are the same as json's. A non-finite entry
-    raises NonFiniteError, since json would write it as NaN or Infinity,
-    not as its repr.
+    per distinct value in each slab (symmetric tables and repeated slots
+    hold many copies), and one % per slab fills a template that joins the
+    slab's skeleton text and layouts. The bytes are the same as json's. A
+    non-finite entry raises NonFiniteError, since json would write it as
+    NaN or Infinity, not as its repr.
     """
     problem = _non_finite(bundle)
     if problem:
@@ -404,19 +418,19 @@ def save_bundle(bundle, path):
     pieces = _LEAF.split(json.dumps(bundle_to_json(bundle, leaf=mark), indent=1))
     before, order = pieces[0:-1:2], [leaves[int(i)] for i in pieces[1::2]]
     layouts = {}
+
+    def piece(k):
+        """Skeleton text before leaf k, escaped for %, then its layout."""
+        key = (order[k].shape, _depth(before[k]))
+        if key not in layouts:
+            layouts[key] = _layout(*key)
+        return before[k].replace("%", "%%") + layouts[key]
+
     try:
         with open(path, "w") as fh:
             for start, stop in _slabs([a.size for a in order], _SLAB_VALUES):
                 text = _reprs(np.concatenate([a.ravel() for a in order[start:stop]], dtype=float))
-                at = 0
-                for k in range(start, stop):
-                    fh.write(before[k])
-                    a = order[k]
-                    key = (a.shape, _depth(before[k]))
-                    if key not in layouts:
-                        layouts[key] = _layout(*key)
-                    fh.write(layouts[key] % tuple(text[at:at + a.size]))
-                    at += a.size
+                fh.write("".join(piece(k) for k in range(start, stop)) % tuple(text))
             fh.write(pieces[-1])
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
@@ -424,12 +438,18 @@ def save_bundle(bundle, path):
 
 def load_bundle(path):
     """Read a bundle file; any failure to read or parse it, or a non-finite
-    table entry or j_star (json reads NaN and Infinity), raises ParseError."""
+    table entry or j_star (json reads NaN and Infinity), raises ParseError.
+
+    Each table slot becomes arrays as soon as json has parsed it
+    (_slot_arrays), so unless the matrices are tiny the load peaks at
+    about twice the file size: the file's bytes beside their decoded text.
+    """
     try:
         with open(path) as fh:
-            bundle = bundle_from_json(json.load(fh))
-    except (OSError, LookupError, TypeError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError.
+            bundle = bundle_from_json(json.load(fh, object_hook=_slot_arrays))
+    except (OSError, LookupError, TypeError, ValueError, OverflowError) as exc:
+        # json.JSONDecodeError is a ValueError; an integer literal beyond
+        # float range raises OverflowError when it becomes a float.
         raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc
     problem = _non_finite(bundle)
     if problem:

@@ -249,6 +249,18 @@ class TestSolutionBundle:
             "solution table Ktilde has a non-finite entry at (1, 0, 0, 0, 0)\n"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("where", [("K", "1", "1", "m1", 0, 0), ("j_star",)])
+    def test_huge_integer_bundle_exit_code(self, s2_path, tmp_path, capsys, command, where):
+        # 10**400 is a valid JSON number that no float holds.
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(_with(S2_BUNDLE, where, 10 ** 400)))
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"solution error: cannot read solution bundle {bundle}: OverflowError: ")
+
     def test_non_finite_j_star_bundle_exit_code(self, s2_path, tmp_path, capsys):
         bundle = tmp_path / "bundle.json"
         assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
@@ -794,11 +806,31 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("config error: channel.p1 ")
 
+    def test_values_may_start_with_minus(self, s2_path, capsys):
+        # -0.0 >= 0 is a valid p1; a list whose first entry starts with "-"
+        # is a value, not an option.
+        assert cli.main(["sweep", "--config", s2_path, "--values", "-0.0,0.5", "--runs", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-0.0", "0.5"]
+
+    @pytest.mark.parametrize("argv", [["--values", "-0.5,0.5"], ["--values=-0.5,0.5"]])
+    def test_negative_value_reaches_channel_check(self, s2_path, capsys, argv):
+        assert cli.main(["sweep", "--config", s2_path, *argv, "--runs", "5"]) == 2
+        assert capsys.readouterr().err == "config error: channel.p1 must be in [0, 1], got -0.5\n"
+
+    def test_missing_values_is_still_a_usage_error(self, s2_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", s2_path, "--values", "--runs", "5"])
+        assert exc.value.code == 2
+        assert "argument --values: expected one argument" in capsys.readouterr().err
+
 
 class TestImports:
     @pytest.mark.parametrize("command, absent", [
         (["solve"], ["ncslqr.control", "ncslqr.oracle", "ncslqr.sim", "csv", "statistics"]),
         (["simulate", "--runs", "5"], ["ncslqr.oracle", "csv"]),
+        (["evaluate-exact"], ["ncslqr.sim", "csv", "statistics"]),
+        (["validate", "--runs", "5"], ["csv"]),
     ])
     def test_command_imports_only_what_it_uses(self, s2_path, command, absent):
         # A fresh interpreter, so that no other test's imports count.

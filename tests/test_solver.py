@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +8,9 @@ import pytest
 
 import ncslqr
 from ncslqr import model, solver
-from ncslqr.errors import NonFiniteError, SingularBlockError
+from ncslqr.errors import NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
-from conftest import s1_config, s2_config, zero_weight_mode_config
+from conftest import random_config, s1_config, s2_config, zero_weight_mode_config
 
 EMPTY = solver.EMPTY
 DATA = Path(__file__).resolve().parent / "data"
@@ -237,6 +239,11 @@ class TestSerialization:
             bundle = solver.solve_backward(spec)
             solver.save_bundle(bundle, path)
             assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
+        # The writer fills each slab's template with %, so a % in the
+        # skeleton's text must come out as it went in.
+        bundle.solve_metadata = {"note": "100% of %s", "%d": "%%"}
+        solver.save_bundle(bundle, path)
+        assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
 
     def test_writes_float_edge_cases_like_json(self, tmp_path):
         bundle = _edge_bundle()
@@ -286,3 +293,71 @@ class TestSerialization:
         for path in (a, b):
             solver.save_bundle(solver.solve_backward(s2_spec), path)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _s2_json_with(where, value):
+    """The S2 bundle's JSON object with the entry at path `where` set to `value`."""
+    obj = solver.bundle_to_json(solver.solve_backward(model.load_config(s2_config())))
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return obj
+
+
+class TestLoad:
+    def test_peak_memory_about_twice_the_file(self, tmp_path):
+        # A battery instance (every block 2-dimensional, kappa0 = kappa1 =
+        # 2) at T = 30, so that the file, 0.26 MB, outweighs the reader's
+        # fixed costs. The file's bytes and its decoded text make 2x; a
+        # reader that holds the whole parsed tree of Python floats peaks at
+        # 3x here. (With unit blocks the dicts and arrays of each slot
+        # outweigh its text: the slot-by-slot reader peaks near 3x there,
+        # the whole tree near 4x.)
+        spec = model.load_config(random_config(np.random.default_rng(7), T=30))
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(solver.solve_backward(spec), path)
+        solver.load_bundle(path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            solver.load_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * path.stat().st_size
+
+    def test_loads_the_tables_json_reads(self, battery, tmp_path):
+        # The slot-by-slot reader gives the arrays of the plain json tree,
+        # bit for bit.
+        path = tmp_path / "bundle.json"
+        for spec in battery[:6]:
+            solver.save_bundle(solver.solve_backward(spec), path)
+            plain = solver.bundle_from_json(json.loads(path.read_text()))
+            again = solver.load_bundle(path)
+            for table in ("values", "gains"):
+                for name, a in vars(getattr(plain, table)).items():
+                    b = vars(getattr(again, table))[name]
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            assert again.j_star == plain.j_star
+
+    @pytest.mark.parametrize("where, value", [
+        (("K", "1", "1", "m1", 0, 0), "1.5x"),
+        (("P", "0", "1", "empty", 1), [1.0]),
+        (("Ptilde", "2", "1"), {"empty": [[1.0]]}),
+        (("Ktilde", "0", "1", "m2"), [[1.0]]),
+        (("K", "1", "1", "m1", 0, 0), 10 ** 400),
+        (("j_star",), 10 ** 400),
+        (("e", 0), 10 ** 400),
+    ], ids=["string-entry", "ragged-row", "missing-slot", "extra-slot", "huge-K", "huge-j_star", "huge-e"])
+    def test_bad_entry_raises_parse_error(self, tmp_path, where, value):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_s2_json_with(where, value)))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'cannot read solution bundle {path}: ')}"):
+            solver.load_bundle(path)
+
+    def test_metadata_loads_unchanged(self, tmp_path):
+        meta = {"psd_slack": 1e-9, "tags": [1, 2.5, "x"], "runs": {"sizes": [[1, 2], [3, 4]], "m1": 3}}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_s2_json_with(("solve_metadata",), meta)))
+        assert solver.load_bundle(path).solve_metadata == meta
