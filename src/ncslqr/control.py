@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularBlockError
 from .model import assemble_system
-from .solver import EMPTY, GainTables, gain_shapes
+from .solver import EMPTY, GainTables, gain_shapes, value_shapes
 
 
 @dataclass
@@ -261,16 +261,18 @@ class LinearCommonPolicy:
 def make_policy(kind, spec, bundle=None):
     """LinearCommonPolicy `kind` for `spec`: "optimal" takes the gains of
     `bundle`, which it needs, and "ce" and "centralized" are built from
-    `centralized_solve`. A bundle that does not fit the problem's gain
-    shapes raises ShapeError, whatever the kind."""
+    `centralized_solve`. A bundle that does not fit the problem's gain or
+    value table shapes raises ShapeError, whatever the kind."""
     if kind not in ("optimal", "zero", "ce", "centralized"):
         raise ValueError(f"unknown policy kind {kind!r}")
     want = gain_shapes(spec)
-    if bundle is not None and bundle.gains.shapes() != want:
-        raise ShapeError(
-            f"solution gain tables have shapes {bundle.gains.shapes()}, "
-            f"but this problem needs {want}"
-        )
+    if bundle is not None:
+        for what, tables, need in (("gain", bundle.gains, want), ("value", bundle.values, value_shapes(spec))):
+            if tables.shapes() != need:
+                raise ShapeError(
+                    f"solution {what} tables have shapes {tables.shapes()}, "
+                    f"but this problem needs {need}"
+                )
     if kind == "optimal":
         if bundle is None:
             raise ValueError("optimal policy needs a solved bundle")

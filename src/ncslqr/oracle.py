@@ -28,6 +28,7 @@ import dataclasses
 
 import numpy as np
 
+from . import philox
 from .control import LinearCommonPolicy, compile_policy_transpose, make_policy
 from .errors import NonFiniteError, OptimalityViolation, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
@@ -326,8 +327,11 @@ def stationarity_check(
     """Optimality certificate for the solved gains.
 
     The exact gradient of the exact cost (`exact_gradient`) must vanish in
-    every gain entry, and random small gain perturbations (numpy seed 0)
-    must never reduce the exact cost.
+    every gain entry, and random small gain perturbations must never reduce
+    the exact cost. Perturbation i stacks the three gain arrays' entries in
+    order and draws them as the standard normals of Philox blocks (i, j, 0)
+    under the key of seed 0 (`ncslqr.philox`), four per block j, then scales
+    them to total norm `perturbation_norm`.
     """
     base_policy = make_policy("optimal", spec, bundle)
     base_cost, grads = exact_gradient(spec, base_policy)
@@ -335,15 +339,22 @@ def stationarity_check(
     max_grad, (name, index) = _largest_entry(grads)
     worst = None if max_grad == 0.0 else _describe(name, index)
 
-    rng = np.random.default_rng(0)
-    max_decrease = 0.0
     names = ("K_empty", "K_received", "Ktilde")
-    for _ in range(n_perturbations):
-        deltas = {name: rng.standard_normal(getattr(bundle.gains, name).shape) for name in names}
-        norm = float(np.linalg.norm(np.concatenate([delta.ravel() for delta in deltas.values()])))
-        for delta in deltas.values():
-            delta *= perturbation_norm / norm
-        gains = GainTables(**{name: getattr(bundle.gains, name) + deltas[name] for name in names})
+    solved = [getattr(bundle.gains, name) for name in names]
+    sizes = [gain.size for gain in solved]
+    blocks = -(-sum(sizes) // 4)
+    words = philox.blocks(
+        philox.key(0),
+        np.arange(n_perturbations, dtype=np.uint64)[:, None],
+        np.arange(blocks, dtype=np.uint64),
+        np.zeros(1, dtype=np.uint64),
+    )
+    deltas = philox.box_muller(philox.uniforms(words)).reshape(n_perturbations, 4 * blocks)[:, :sum(sizes)]
+    deltas *= perturbation_norm / np.linalg.norm(deltas, axis=1, keepdims=True)
+    max_decrease = 0.0
+    for delta in deltas:
+        parts = np.split(delta, np.cumsum(sizes)[:-1])
+        gains = GainTables(*(gain + part.reshape(gain.shape) for gain, part in zip(solved, parts)))
         cost_p = exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
         max_decrease = max(max_decrease, base_cost - cost_p)
 

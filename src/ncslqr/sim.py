@@ -3,9 +3,10 @@
 Every random number is a pure function of (seed, run, t, slot), so results
 do not depend on how runs are scheduled. The generator is Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
-3", SC'11), drawn from numpy's own `np.random.Philox`:
+3", SC'11), run by the package's own kernel (`ncslqr.philox`) on numpy
+uint64 arrays, so no command imports `numpy.random`:
 
-- the key is `SeedSequence(seed).generate_state(2, np.uint64)`;
+- the key is numpy's `SeedSequence(seed).generate_state(2, np.uint64)`;
 - the block at counter (run, t, b, 0) is four 64-bit words, and a word w
   becomes the uniform (w >> 11) * 2**-53, as `Generator.random` computes it;
 - block 0 of slot t holds the uniforms of m0, m1 and gamma_t in its first
@@ -20,12 +21,12 @@ do not depend on how runs are scheduled. The generator is Philox4x64-10
   the initial state at t = 0, the process noise w_{t-1} after that.
 
 Runs advance together in chunks, through the policy's compiled stage
-tables (`control.compile_policy`), and a chunk's words come from one
-`random_raw` call per (t, block) for each stretch of consecutive runs.
-Each row's arithmetic sums elementwise products over the contracted index
-in a fixed order (no BLAS gemm), so a run's trajectory does not depend on
-which runs share its chunk: `simulate_run(seed, i)` reproduces run i of
-any batch bitwise, and no result depends on chunking.
+tables (`control.compile_policy`), and one kernel call draws a chunk's
+words for every t and block. Each row's arithmetic sums elementwise
+products over the contracted index in a fixed order (no BLAS gemm), so a
+run's trajectory does not depend on which runs share its chunk:
+`simulate_run(seed, i)` reproduces run i of any batch bitwise, and no
+result depends on chunking.
 """
 
 import os
@@ -34,26 +35,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import matkit
+from . import matkit, philox
 from .errors import NonFiniteError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps sim.assemble_system)
 
 # Philox blocks drawn per chunk, which sets the runs per chunk. A chunk
-# costs one numpy call per (t, block) and per step, whatever its size, so
+# costs a fixed number of numpy calls per step, whatever its size, so
 # larger chunks spread that overhead over more runs; at 8k blocks a
-# chunk's words (256 kB) and the uniforms and normals made from them stay
-# under a MB.
+# chunk's words (256 kB), the kernel's temporaries and the uniforms and
+# normals made from them stay under a MB.
 _CHUNK_BLOCKS = 8192
-
-_TWO_PI = 2.0 * np.pi
 
 # The names f"run_{i:06d}.csv" takes: six digits, or more without a leading zero.
 _DUMP_NAME = re.compile(r"run_(?:[0-9]{6}|[1-9][0-9]{6,})\.csv")
-
-
-def _key(seed):
-    """The Philox key of a seed."""
-    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
 
 
 def _normal_blocks(spec):
@@ -61,43 +55,17 @@ def _normal_blocks(spec):
     return 0 if spec.stoch.family == "zero" else -(-spec.dims.d_x // 4)
 
 
-def _words(key, indices, T, blocks):
-    """Philox words (runs, T+1, blocks, 4): the block at counter (run, t,
-    b, 0) for each run in `indices`, slot t and block b.
-
-    numpy's Philox steps c0 first, and steps it before each block, so a
-    stretch of consecutive runs is one draw per (t, b) that starts one
-    below (run, t, b, 0), read as a 256-bit integer.
-    """
-    runs = np.asarray(indices, dtype=np.uint64)
-    words = np.empty((len(runs), T + 1, blocks, 4), dtype=np.uint64)
-    bits = np.random.Philox(key=key)
-    counter = 0  # the generator's counter as a 256-bit integer
-    cuts = (np.flatnonzero(np.diff(runs) != 1) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(runs)]):
-        for t in range(T + 1):
-            for b in range(blocks):
-                start = int(runs[lo]) + (t << 64) + (b << 128) - 1
-                bits.advance((start - counter) % 2**256)
-                words[lo:hi, t, b] = bits.random_raw(4 * (hi - lo)).reshape(-1, 4)
-                counter = start + hi - lo
-    return words
-
-
 def _draws(key, indices, T, normal_blocks):
     """Uniforms (runs, T+1, 3) and standard normals (runs, T+1, 4 *
     normal_blocks) of the runs `indices`, by the layout in the module
     docstring."""
-    u = _words(key, indices, T, 1 + normal_blocks)
-    u >>= np.uint64(11)
-    u = u.astype(float)  # drops the words
-    u *= 2.0 ** -53
-    radius = 1.0 - u[:, :, 1:, 0::2]
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = _TWO_PI * u[:, :, 1:, 1::2]
-    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    u = philox.uniforms(philox.blocks(
+        key,
+        np.array(indices, dtype=np.uint64)[:, None, None],
+        np.arange(T + 1, dtype=np.uint64)[:, None],
+        np.arange(1 + normal_blocks, dtype=np.uint64),
+    ))
+    normals = philox.box_muller(u[:, :, 1:])
     return u[:, :, 0, :3], normals.reshape(len(indices), T + 1, 4 * normal_blocks)
 
 
@@ -235,7 +203,7 @@ def rollouts(spec, policy, seed, indices, record=True):
     """
     d = spec.dims
     noise = _noise_factors(spec)
-    key = _key(seed)
+    key = philox.key(seed)
     indices = list(indices)
     size = _chunk_runs(spec)
     for start in range(0, len(indices), size):

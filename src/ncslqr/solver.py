@@ -106,6 +106,9 @@ class ValueTables:
     Ptilde: np.ndarray  # (T+2, kappa0, kappa1+1, d_x1, d_x1)
     e: np.ndarray       # (T+2,)
 
+    def shapes(self):
+        return (self.P.shape, self.Ptilde.shape, self.e.shape)
+
 
 @dataclass
 class GainTables:
@@ -124,6 +127,16 @@ def gain_shapes(spec):
         (steps, m.kappa0, d.d_u0 + m.kappa1 * d.d_u1, d.d_x),
         (steps, m.kappa0, m.kappa1, d.d_u, d.d_x),
         (steps, m.kappa0, m.kappa1, d.d_u1, d.d_x1),
+    )
+
+
+def value_shapes(spec):
+    """Shapes of (P, Ptilde, e) for a problem."""
+    d, m, steps = spec.dims, spec.modes, spec.T + 2
+    return (
+        (steps, m.kappa0, m.kappa1 + 1, d.d_x, d.d_x),
+        (steps, m.kappa0, m.kappa1 + 1, d.d_x1, d.d_x1),
+        (steps,),
     )
 
 
@@ -293,16 +306,29 @@ def bundle_to_json(bundle, leaf=np.ndarray.tolist):
     }
 
 
-def _in_order(obj):
-    return [obj[k] for k in sorted(obj, key=int)]
+def _in_order(obj, first, where):
+    """The values of `obj`, whose keys must read first, first + 1, ... in some order."""
+    keys = [str(k) for k in range(first, first + len(obj))]
+    if set(obj) != set(keys):
+        raise ValueError(f"{where} has keys {list(obj)}, expected {keys}")
+    return [obj[k] for k in keys]
 
 
-def _stack(table, keys):
-    """Array [t, m0, key] of a nested t -> m0 -> key table."""
-    return np.array(
-        [[[per_m0[k] for k in keys] for per_m0 in _in_order(per_t)] for per_t in _in_order(table)],
-        dtype=float,
-    )
+def _stack(obj, name, keys, slots=None):
+    """Array [t, m0, key] of the nested t -> m0 -> key table obj[name]. Its
+    t keys must count up from 0, its m0 keys from 1, and every slot must
+    hold exactly the keys `slots` (by default `keys`)."""
+    where = f"solution table {name}"
+    want = sorted(keys if slots is None else slots)
+    rows = []
+    for t, per_t in enumerate(_in_order(obj[name], 0, where)):
+        row = []
+        for m0, slot in enumerate(_in_order(per_t, 1, f"{where} at t={t}"), 1):
+            if sorted(slot) != want:
+                raise ValueError(f"{where} at t={t}, m0={m0} has slots {sorted(slot)}, expected {want}")
+            row.append([slot[k] for k in keys])
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 def _slot_arrays(obj):
@@ -318,18 +344,19 @@ def _slot_arrays(obj):
 
 def bundle_from_json(obj):
     """The bundle of a JSON object as bundle_to_json writes it; its slots may
-    hold nested lists or, as load_bundle reads them, arrays."""
+    hold nested lists or, as load_bundle reads them, arrays. A table whose
+    steps, m0 keys or slot keys do not follow that layout raises ValueError."""
     keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
     return SolutionBundle(
         values=ValueTables(
-            P=_stack(obj["P"], keys + ["empty"]),
-            Ptilde=_stack(obj["Ptilde"], keys + ["empty"]),
+            P=_stack(obj, "P", keys + ["empty"]),
+            Ptilde=_stack(obj, "Ptilde", keys + ["empty"]),
             e=np.asarray(obj["e"], dtype=float),
         ),
         gains=GainTables(
-            K_empty=_stack(obj["K"], ["empty"])[:, :, 0],
-            K_received=_stack(obj["K"], keys),
-            Ktilde=_stack(obj["Ktilde"], keys),
+            K_empty=_stack(obj, "K", ["empty"], keys + ["empty"])[:, :, 0],
+            K_received=_stack(obj, "K", keys, keys + ["empty"]),
+            Ktilde=_stack(obj, "Ktilde", keys),
         ),
         j_star=float(obj["j_star"]),
         solve_metadata=dict(obj.get("solve_metadata", {})),

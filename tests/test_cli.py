@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncslqr
-from ncslqr import cli, control, errors, matkit, model, sim, solver
+from ncslqr import cli, control, errors, matkit, model, oracle, sim, solver
 from ncslqr.errors import NonFiniteError, ParseError, ShapeError
 from conftest import (
     battery_configs,
@@ -311,6 +311,58 @@ class TestSolutionBundle:
         assert err.count("\n") == 1
         assert err.startswith("solution error: ")
         assert "(3, 1, 2, 2)" in err and "(4, 1, 2, 2)" in err
+
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(
+            "step 9", "solution table P has keys ['0', '1', '2', '9'], expected ['0', '1', '2', '3']", id="step-9",
+        ),
+        pytest.param(
+            "stray m7", "solution table P at t=0, m0=1 has slots ['empty', 'm1', 'm7'], "
+            "expected ['empty', 'm1']", id="stray-m7",
+        ),
+        pytest.param(
+            "missing m1", "solution table K at t=1, m0=1 has slots ['empty'], expected ['empty', 'm1']",
+            id="missing-m1",
+        ),
+    ])
+    def test_bundle_out_of_layout_exit_code(self, s2_path, tmp_path, capsys, command, change, message):
+        # Every step, m0 key and slot key counts, not only those the
+        # problem's shapes read. S2 has T = 1, so P has steps 0, 1 and 2.
+        obj = copy.deepcopy(S2_BUNDLE)
+        if change == "step 9":
+            obj["P"]["9"] = obj["P"]["2"]
+        elif change == "stray m7":
+            for per_t in obj["P"].values():
+                for slot in per_t.values():
+                    slot["m7"] = slot["m1"]
+        else:
+            del obj["K"]["1"]["1"]["m1"]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(obj))
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"solution error: cannot read solution bundle {bundle}: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("table", ["P", "Ptilde", "e"])
+    def test_bundle_value_tables_must_fit_the_problem(self, s2_path, tmp_path, capsys, command, table):
+        # One step too many in a value table alone: the bundle reads, but
+        # its values do not fit this problem.
+        obj = copy.deepcopy(S2_BUNDLE)
+        if table == "e":
+            obj["e"].append(0.0)
+        else:
+            obj[table]["3"] = obj[table]["2"]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(obj))
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("solution error: solution value tables have shapes ")
+        assert err.endswith(f"but this problem needs {solver.value_shapes(model.load_problem(s2_path))}\n")
 
 
 class TestErrorTable:
@@ -776,6 +828,39 @@ class TestValidate:
         assert "FAIL  estimator-unbiasedness" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("sigmas, ok", [(3.5, False), (2.9, True)])
+    def test_mc_consistency_bound_is_three_se(self, s2_path, monkeypatch, capsys, sigmas, ok):
+        # The Monte Carlo mean is moved to `sigmas` standard errors above J*.
+        real = sim.monte_carlo
+
+        def shifted(spec, policy, runs, seed, dump=None):
+            report = real(spec, policy, runs, seed, dump)
+            report.mean_cost = solver.solve_backward(spec).j_star + sigmas * report.std_err
+            return report
+
+        monkeypatch.setattr(sim, "monte_carlo", shifted)
+        rc = cli.main(["validate", "--config", s2_path, "--runs", "2000"])
+        out = capsys.readouterr().out
+        assert rc == (0 if ok else 1)
+        assert f"{'PASS' if ok else 'FAIL'}  mc-consistency: " in out
+        assert out.count("FAIL") == (0 if ok else 1)
+
+    @pytest.mark.parametrize("rel, ok", [(1e-6, False), (1e-9, True)])
+    def test_oracle_identity_tolerance_is_1e_8(self, s2_path, monkeypatch, capsys, rel, ok):
+        # The exact cost is moved `rel` off, relative to max(1, |cost|).
+        real = oracle.exact_expected_cost
+
+        def off(spec, policy, **kwargs):
+            cost = real(spec, policy, **kwargs)
+            return cost + rel * max(1.0, abs(cost))
+
+        monkeypatch.setattr(oracle, "exact_expected_cost", off)
+        rc = cli.main(["validate", "--config", s2_path, "--runs", "2000"])
+        out = capsys.readouterr().out
+        assert rc == (0 if ok else 1)
+        assert f"{'PASS' if ok else 'FAIL'}  oracle-analytic-identity: " in out
+        assert out.count("FAIL") == (0 if ok else 1)
+
 class TestSweep:
     def test_sweep_csv(self, s2_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -826,21 +911,32 @@ class TestSweep:
 
 
 class TestImports:
+    # numpy.random hashes its seeds through secrets and hashlib, which load
+    # OpenSSL's libcrypto; the package's own Philox kernel needs none of them.
+    RANDOM = ["numpy.random", "secrets", "_hashlib"]
+
     @pytest.mark.parametrize("command, absent", [
-        (["solve"], ["ncslqr.control", "ncslqr.oracle", "ncslqr.sim", "csv", "statistics"]),
-        (["simulate", "--runs", "5"], ["ncslqr.oracle", "csv"]),
-        (["evaluate-exact"], ["ncslqr.sim", "csv", "statistics"]),
-        (["validate", "--runs", "5"], ["csv"]),
+        (["solve"], ["ncslqr.control", "ncslqr.oracle", "ncslqr.sim", "csv", "statistics"] + RANDOM),
+        (["simulate", "--runs", "5"], ["ncslqr.oracle", "csv"] + RANDOM),
+        (["evaluate-exact"], ["ncslqr.sim", "csv", "statistics"] + RANDOM),
+        (["validate", "--runs", "5"], ["csv"] + RANDOM),
+        (["simulate", "--runs", "5", "--dump-trajectories", "{dump}"], ["ncslqr.oracle", "csv"] + RANDOM),
     ])
-    def test_command_imports_only_what_it_uses(self, s2_path, command, absent):
-        # A fresh interpreter, so that no other test's imports count.
+    def test_command_imports_only_what_it_uses(self, s2_path, tmp_path, command, absent):
+        # A fresh interpreter, so that no other test's imports count. What
+        # `import numpy` loads by itself is not the command's doing (numpy
+        # 1.x imports numpy.random eagerly).
         src = str(Path(ncslqr.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [arg.format(dump=tmp_path / "dump") for arg in command] + ["--config", s2_path]
         code = (
-            "import json, sys\n"
+            "import sys\n"
+            "import numpy\n"
+            "numpy_own = set(sys.modules)\n"
+            "import json\n"
             "from ncslqr import cli\n"
-            f"rc = cli.main({command + ['--config', s2_path]!r})\n"
-            "print(json.dumps([rc, sorted(sys.modules)]))\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(json.dumps([rc, sorted(set(sys.modules) - numpy_own)]))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,

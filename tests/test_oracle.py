@@ -234,6 +234,30 @@ class TestStationarity:
             oracle.stationarity_check(spec, bundle, n_perturbations=0)
         assert exc.value.where["table"] == "Ktilde"
 
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_perturbations_have_the_stated_norm(self, battery, monkeypatch, n):
+        # Each perturbed policy the check evaluates sits at distance
+        # perturbation_norm (1e-3) from the solved gains, stacked over all
+        # three arrays, each in its own direction.
+        spec = battery[1]
+        bundle = solver.solve_backward(spec)
+        names = ("K_empty", "K_received", "Ktilde")
+        deviations = []
+        real = oracle.exact_expected_cost
+
+        def record(spec_, policy, **kwargs):
+            deviations.append(np.concatenate([
+                (getattr(policy.gains, name) - getattr(bundle.gains, name)).ravel() for name in names
+            ]))
+            return real(spec_, policy, **kwargs)
+
+        monkeypatch.setattr(oracle, "exact_expected_cost", record)
+        report = oracle.stationarity_check(spec, bundle, n_perturbations=n)
+        assert report["perturbations"] == n and len(deviations) == n
+        for delta in deviations:
+            assert np.linalg.norm(delta) == pytest.approx(1e-3, rel=1e-12)
+        assert len({delta.tobytes() for delta in deviations}) == n
+
     def test_adjoint_gradient_matches_central_differences(self, battery):
         # J is quadratic in any single gain entry, so central differences
         # are exact up to rounding; check every entry at perturbed gains.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncslqr import control, model, sim, solver
+from ncslqr import control, model, philox, sim, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError
 from conftest import (
     divergent_config,
@@ -62,7 +62,7 @@ class TestNoise:
         zero = model.load_config(s2_config(family="zero"))
         gauss = model.load_config(s2_config())
         assert sim._normal_blocks(zero) == 0 and sim._normal_blocks(gauss) == 1
-        _, normals = sim._draws(sim._key(3), [0, 1], zero.T, 0)
+        _, normals = sim._draws(philox.key(3), [0, 1], zero.T, 0)
         assert normals.shape == (2, zero.T + 1, 0)
         policy = control.make_policy("zero", zero)
         a = next(sim.rollouts(zero, policy, 3, range(20)))
@@ -75,7 +75,7 @@ class TestNoise:
     @settings(max_examples=20, deadline=None)
     def test_sample_moments(self, seed):
         # 4000 runs x 2 slots x one block of four Box-Muller normals each.
-        _, z = sim._draws(sim._key(seed), range(4000), 1, 1)
+        _, z = sim._draws(philox.key(seed), range(4000), 1, 1)
         z = z.reshape(-1, 4)
         assert np.abs(z.mean(axis=0)).max() < 0.05  # SE 0.011
         assert np.abs(z.T @ z / len(z) - np.eye(4)).max() < 0.1  # SE 0.011 off the diagonal, 0.016 on it
@@ -88,24 +88,51 @@ class TestNoise:
 class TestPhilox:
     def test_known_answer(self):
         # Random123's philox4x64_10 known-answer vector: counter 0, key 0.
-        # numpy starts one below, so this borrows through all four words.
-        words = sim._words(np.zeros(2, dtype=np.uint64), [0], 0, 1)
+        zero = np.zeros(1, dtype=np.uint64)
+        words = philox.blocks(np.zeros(2, dtype=np.uint64), zero, zero, zero)
         assert [f"{int(w):016x}" for w in words.ravel()] == [
             "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b",
         ]
 
     def test_words_match_single_blocks(self):
-        key = sim._key(11)
+        key = philox.key(11)
         runs = [0, 5, 6, 7, 2, 4, 2**40, 2**64 - 1]
-        words = sim._words(key, runs, 2, 2)
+        words = philox.blocks(
+            key,
+            np.array(runs, dtype=np.uint64)[:, None, None],
+            np.arange(3, dtype=np.uint64)[:, None],
+            np.arange(2, dtype=np.uint64),
+        )
         assert words.shape == (len(runs), 3, 2, 4)
         for i, run in enumerate(runs):
             for t in range(3):
                 for b in range(2):
                     assert np.array_equal(words[i, t, b], philox_block(key, run, t, b))
 
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 3,
+        np.int8(0), np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1),
+    ])
+    def test_key_is_numpy_seed_sequence(self, seed):
+        key = philox.key(seed)
+        assert key.dtype == np.uint64
+        assert np.array_equal(key, np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+    @given(st.integers(min_value=0, max_value=2**130))
+    @settings(max_examples=200, deadline=None)
+    def test_key_is_numpy_seed_sequence_on_any_width(self, seed):
+        assert np.array_equal(philox.key(seed), np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), np.int64(-1)])
+    def test_negative_seed_refused(self, seed):
+        # As numpy refuses it; shifting a negative int right never reaches 0.
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            philox.key(seed)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.SeedSequence(seed)
+
     def test_draws_follow_the_documented_layout(self):
-        key = sim._key(4)
+        key = philox.key(4)
         for runs in ([3, 9], [0], [0, 3, 4, 9]):
             unif, normals = sim._draws(key, runs, 2, 2)
             for i, run in enumerate(runs):
@@ -115,7 +142,7 @@ class TestPhilox:
                     assert normals[i, t] == pytest.approx(z, rel=1e-14, abs=1e-15)
 
     def test_draws_do_not_depend_on_the_batch(self):
-        key = sim._key(5)
+        key = philox.key(5)
         unif, normals = sim._draws(key, range(600), 3, 2)
         for run in (0, 1, 299, 599):
             u1, z1 = sim._draws(key, [run], 3, 2)
@@ -302,7 +329,7 @@ class TestNonFinite:
         policy = control.make_policy("zero", spec)
         with np.errstate(over="ignore", invalid="ignore"):
             _, (x, u, *_, cost), failed = sim._rollout(
-                spec, policy, sim._noise_factors(spec), sim._key(8), [3], record=True
+                spec, policy, sim._noise_factors(spec), philox.key(8), [3], record=True
             )
         assert failed == (0, 1)
         assert np.isfinite(x[0, 1]).all() and np.isfinite(u[0, 1]).all()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ncslqr
-from ncslqr import model, solver
+from ncslqr import control, model, solver
 from ncslqr.errors import NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import random_config, s1_config, s2_config, zero_weight_mode_config
@@ -226,6 +226,8 @@ class TestSerialization:
         for name in ("P", "Ptilde", "e"):
             assert getattr(old.values, name) == pytest.approx(getattr(fresh.values, name), abs=1e-12)
         assert old.gains.shapes() == solver.gain_shapes(s2_spec)
+        assert old.values.shapes() == solver.value_shapes(s2_spec)
+        control.make_policy("optimal", s2_spec, old)  # fits the problem whole
         for name in ("K_empty", "K_received", "Ktilde"):
             assert getattr(old.gains, name) == pytest.approx(getattr(fresh.gains, name), abs=1e-12)
         assert old.j_star == pytest.approx(fresh.j_star, abs=1e-12)
