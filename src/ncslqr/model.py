@@ -222,7 +222,7 @@ def _over_time(arr, T):
     """A stack of one step or of T+1 steps, as T+1 steps."""
     try:
         return np.broadcast_to(arr, (T + 1,) + arr.shape[1:]).copy()
-    except ValueError as exc:  # numpy cannot hold T+1 steps
+    except (ValueError, MemoryError) as exc:  # numpy cannot shape or allocate T+1 steps
         raise ShapeError(f"stoch.T = {T} is too large: {exc}") from exc
 
 

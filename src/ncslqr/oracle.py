@@ -12,8 +12,10 @@ The stage maps are built once per policy as stacked arrays over (t, mode
 pair, gamma_t), straight from its compiled tables (`control.compile_policy`,
 the ones the simulator steps through): F propagates xi when the next
 transmission fails, and M is the stage-cost matrix. When it succeeds the
-map is E F, where E copies the x1 rows into the xhat rows. Each step of the
-recursion is a few batched matmuls over the mode pairs and channel bits.
+map is E F, where E copies the x1 rows into the xhat rows; under full
+information it copies on both bits. The initial moment is step 0 of the
+same recursion, through E0, which copies only when the first transmission
+succeeds. Each step is a few batched matmuls over mode pairs and bits.
 
 The expected cost J = sum over t, pairs and g of w tr(M S_t^g) is linear in
 every moment, so one backward pass of the costates Lambda_t^g = dJ/dS_t^g
@@ -52,27 +54,35 @@ def _layout(spec):
     return d.d_x0 + 2 * d.d_x1 + 1, slice(d.d_x0, d.d_x), slice(d.d_x, d.d_x + d.d_x1)
 
 
+def _copy_maps(spec, full_information):
+    """(E0, E), each (2, n, n) over the channel bit g: E[g] copies the x1
+    rows into the xhat rows for g = 1, and for both bits under full
+    information. E0, of step 0, copies for g = 1 only: xhat_0 = mu_x1 after
+    a failed first transmission even under full information."""
+    n, x1, hat = _layout(spec)
+    E0 = np.stack([np.eye(n)] * 2)
+    E0[1, hat] = E0[1, x1]
+    return E0, E0[[1, 1]] if full_information else E0
+
+
 def _stage_maps(spec, theta, mean_update, D, Q, R):
     """(F, Theta_aug, M) for stacked nodes (t, modes, gamma_t).
 
     The leading axes of the policy tables `theta` and `mean_update` (None
-    when xhat copies x1), of D = [A B] and of the cost weights Q and R
-    broadcast together. F propagates the augmented state when the next
-    transmission fails, Theta_aug maps it to vec(u0, u1), and M is the
-    stage-cost matrix.
+    under full information, whose xhat rows the copy maps E fill), of
+    D = [A B] and of the cost weights Q and R broadcast together. F
+    propagates the augmented state when the next transmission fails,
+    Theta_aug maps it to vec(u0, u1), and M is the stage-cost matrix.
     """
     d = spec.dims
-    n, x1, hat = _layout(spec)
+    n, _, hat = _layout(spec)
     theta_aug = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
     lead = np.broadcast_shapes(theta.shape[:-2], D.shape[:-2], Q.shape[:-2], R.shape[:-2])
     F = np.zeros(lead + (n, n))
     F[..., :d.d_x, :] = D[..., d.d_x:] @ theta_aug
     F[..., :d.d_x, :d.d_x] += D[..., :d.d_x]
     F[..., -1, -1] = 1.0
-    if mean_update is None:
-        # xhat copies x1 (always, for the full-information reference).
-        F[..., hat, :] = F[..., x1, :]
-    else:
+    if mean_update is not None:
         F[..., hat, :-1] = mean_update
     M = np.zeros(lead + (n, n))
     M[...] = _T(theta_aug) @ R @ theta_aug
@@ -89,7 +99,6 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     """
     _check_policy(policy)
     d, tables = spec.dims, policy.tables
-    n, x1, hat = _layout(spec)
     node = (t, m0, m1, gamma_t)
     F, theta_aug, M = _stage_maps(
         spec,
@@ -99,11 +108,8 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
         spec.cost.Q[t, m0, m1],
         spec.cost.R[t, m0, m1],
     )
-    G = np.zeros((n, d.d_x))
-    G[:d.d_x] = np.eye(d.d_x)
-    if gamma_next == 1 or tables.mean_update is None:
-        F[hat], G[hat] = F[x1], G[x1]
-    return F, G, theta_aug, M
+    E = _copy_maps(spec, tables.mean_update is None)[1][gamma_next]
+    return E @ F, E[:, :d.d_x], theta_aug, M
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +124,8 @@ class _Stages:
     w: np.ndarray       # (P,) pi(m0) pi(m1)
     gammas: np.ndarray  # (C,) channel bits g
     p: np.ndarray       # (C,) P(gamma = g)
-    E: np.ndarray       # (C, n, n) copies x1 into xhat when it is received, else identity
+    E0: np.ndarray      # (C, n, n) E of step 0
+    E: np.ndarray       # (C, n, n) copies x1 into xhat (`_copy_maps`)
     F: np.ndarray       # (T+1, P, C, n, n)
     theta_aug: np.ndarray  # (T+1, P, C, d_u, n)
     M: np.ndarray       # (T+1, P, C, n, n)
@@ -131,7 +138,7 @@ def _stages(spec, policy):
     _check_policy(policy)
     d, m, st, tables = spec.dims, spec.modes, spec.stoch, policy.tables
     steps, k = spec.T + 1, m.kappa0 * m.kappa1
-    n, x1, hat = _layout(spec)
+    n, x1, _ = _layout(spec)
     w = np.outer(m.pi_m0, m.pi_m1).ravel()
     pairs = np.flatnonzero(w > 0.0)
     p_all = np.array([1.0 - spec.channel.p1, spec.channel.p1])
@@ -152,49 +159,32 @@ def _stages(spec, policy):
         per_pair(spec.cost.Q),
         R,
     )
-    E = np.stack([np.eye(n)] * 2)
-    E[1, hat] = E[1, x1]
-    if tables.mean_update is None:
-        E[0] = E[1]  # xhat copies x1 whatever the channel does
+    E0, E = _copy_maps(spec, tables.mean_update is None)
     noise = np.zeros((steps, n, n))
     noise[:, :d.d_x0, :d.d_x0] = st.covW0
     noise[:, x1, x1] = st.covW1
     return _Stages(
-        pairs=pairs, w=w[pairs], gammas=gammas, p=p_all[gammas], E=E[gammas],
+        pairs=pairs, w=w[pairs], gammas=gammas, p=p_all[gammas], E0=E0[gammas], E=E[gammas],
         F=F, theta_aug=theta_aug, M=M, B=D[..., d.d_x:], R=R, noise=noise,
     )
-
-
-def _initial_moment(spec, gamma0):
-    d, st = spec.dims, spec.stoch
-    n, _, _ = _layout(spec)
-    mu = np.concatenate([st.mu_x0, st.mu_x1, st.mu_x1])
-    cov = np.zeros((n - 1, n - 1))
-    cov[:d.d_x0, :d.d_x0] = st.cov_x0
-    i1 = slice(d.d_x0, d.d_x0 + d.d_x1)
-    ih = slice(d.d_x0 + d.d_x1, n - 1)
-    cov[i1, i1] = st.cov_x1
-    if gamma0 == 1:
-        cov[ih, ih] = st.cov_x1
-        cov[i1, ih] = st.cov_x1
-        cov[ih, i1] = st.cov_x1
-    Sigma = np.zeros((n, n))
-    Sigma[:-1, :-1] = cov + np.outer(mu, mu)
-    Sigma[:-1, -1] = mu
-    Sigma[-1, :-1] = mu
-    Sigma[-1, -1] = 1.0
-    return Sigma
 
 
 def _moments(spec, stages):
     """S[t, c] = S_t^g for g = stages.gammas[c]: E[xi_t xi_t' 1{gamma_t = g}].
 
     S_{t+1}^g = P(g) E_g Y_t E_g', where Y_t sums w F S_t F' over the pairs
-    and bits of t plus the noise, weighted by the mass S_t[-1, -1].
+    and bits of t plus the noise, weighted by the mass S_t[-1, -1]. Step 0
+    is the same with E0 and Y_{-1}, the second moment of (x0, x1, mu_x1, 1).
     """
+    d, st = spec.dims, spec.stoch
     w, p, E = stages.w, stages.p, stages.E
+    _, x1, _ = _layout(spec)
+    mean = np.concatenate([st.mu_x0, st.mu_x1, st.mu_x1, [1.0]])
+    Y = np.zeros(E.shape[1:])
+    Y[:d.d_x0, :d.d_x0], Y[x1, x1] = st.cov_x0, st.cov_x1
+    Y += np.outer(mean, mean)
     S = np.empty((spec.T + 1,) + E.shape)
-    S[0] = p[:, None, None] * np.stack([_initial_moment(spec, g) for g in stages.gammas])
+    S[0] = p[:, None, None] * (stages.E0 @ Y @ _T(stages.E0))
     for t in range(spec.T):
         F = stages.F[t]
         Y = np.tensordot(w, (F @ S[t] @ _T(F)).sum(axis=1), axes=1)

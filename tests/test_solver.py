@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 import ncslqr
 from ncslqr import control, model, solver
-from ncslqr.errors import NonFiniteError, ParseError, SingularBlockError
+from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import random_config, s1_config, s2_config, zero_weight_mode_config
 
@@ -177,6 +178,19 @@ class TestErrors:
         with pytest.raises(SingularBlockError) as exc:
             solver.solve_backward(spec)
         assert str(exc.value).startswith("H^UU not PD at t=1, m0=1, ztilde=empty: ")
+
+    def test_value_table_below_psd_slack_refused(self, s2_spec):
+        # The loader refuses an indefinite Q, so the terminal weight is
+        # shifted on the loaded spec: P[T] = Q[T] then has min eigenvalue
+        # -1e-6, far below PSD_SLACK = 1e-9 but inside a slack of 1e-3.
+        cost = s2_spec.cost
+        T, n = s2_spec.T, cost.Q.shape[-1]
+        Q = cost.Q.copy()
+        Q[T] -= (np.linalg.eigvalsh(Q[T]).min() + 1e-6) * np.eye(n)
+        spec = dataclasses.replace(s2_spec, cost=dataclasses.replace(cost, Q=Q))
+        with pytest.raises(DefinitenessError) as exc:
+            solver.solve_backward(spec)
+        assert str(exc.value) == "P at t=1, m0=1, ztilde=m1 is not PSD (min eigenvalue -1.000e-06)"
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.7976931348623157e308, 1.0]

@@ -124,3 +124,15 @@ def test_runtime_imports_are_stdlib_or_numpy():
             else:
                 continue
             assert set(roots) <= allowed, f"{path.name} imports {roots}"
+
+
+def test_mutant_snippets_occur_once():
+    # tests/run_mutants.py applies each entry of tests/mutants.json to a
+    # copy of the checkout; a snippet that no longer occurs exactly once in
+    # its file would leave that mutant untested.
+    mutants = json.loads((ROOT / "tests" / "mutants.json").read_text())
+    assert mutants
+    for mutant in mutants:
+        assert set(mutant) == {"file", "find", "replace", "reason"}
+        assert mutant["replace"] != mutant["find"]
+        assert (ROOT / mutant["file"]).read_text().count(mutant["find"]) == 1, mutant
