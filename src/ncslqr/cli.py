@@ -206,8 +206,10 @@ def _validate_checks(spec, args):
     yield "solve", True, f"j_star = {bundle.j_star:.9g}"
 
     # solve_backward kept the minima of steps 0..T; the T+1 tables are zero.
-    lo = min(bundle.stage_min_eig.min(), 0.0)
-    yield "psd-tables", lo >= -1e-9, f"min eigenvalue {lo:.3e}"
+    margin = bundle.stage_min_eig.min()
+    yield "psd-tables", min(margin, 0.0) >= -1e-9, (
+        f"min eigenvalue {margin:.3e} over t=0..{spec.T}; the t={spec.T + 1} tables are zero"
+    )
 
     T1 = spec.T + 1
     if spec.modes.kappa1 == 1:

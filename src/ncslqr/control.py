@@ -166,38 +166,41 @@ def compile_policy(spec, policy):
     x1 - xhat. The estimate that follows a failed transmission propagates
     xhat through the realized mode pair after a success, and averages over
     the unobserved local mode otherwise.
+
+    The tables are filled one step at a time, so that no temporary spans
+    the horizon; each step runs the same per-matrix products.
     """
     d, m = spec.dims, spec.modes
     k0, k1 = m.kappa0, m.kappa1
     gains = policy.gains
     x1, xh, sel_x, sel_common = _selectors(spec)
+    steps, n = spec.T + 1, sel_x.shape[-1]
 
-    received = gains.K_received @ sel_x
-    theta = np.stack([received, received], axis=3)
+    theta = np.empty((steps, k0, k1, 2, d.d_u, n))
     if policy.full_information:
+        for t in range(steps):
+            theta[t] = (gains.K_received[t] @ sel_x)[:, :, None]
         return CompiledPolicy(theta=theta, mean_update=None)
-
-    steps = spec.T + 1
-    qbar = gains.K_empty[:, :, d.d_u0:].reshape(steps, k0, k1, d.d_u1, d.d_x)
-    u0 = np.broadcast_to(gains.K_empty[:, :, None, :d.d_u0], qbar.shape[:3] + (d.d_u0, d.d_x))
-    # Actions from common information alone, for every local mode.
-    blind = np.concatenate([u0, qbar], axis=-2) @ sel_common
-    theta[..., 0, :, :] = blind
-    theta[..., 0, d.d_u0:, x1] = gains.Ktilde
-    theta[..., 0, d.d_u0:, xh] -= gains.Ktilde
 
     # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
     # success; otherwise averaged over the local mode, xhat standing in for x1.
     D1 = spec.D[:, :, d.d_x0:, :]
+    x_rows, common_rows = (np.broadcast_to(sel, (k0, k1) + sel.shape) for sel in (sel_x, sel_common))
 
-    def propagate(state_sel, acts):
-        states = np.broadcast_to(state_sel, acts.shape[:3] + state_sel.shape)
-        return D1 @ np.concatenate([states, acts], axis=-2)
-
-    mean_update = np.empty(theta.shape[:4] + (d.d_x1, theta.shape[-1]))
-    mean_update[..., 1, :, :] = propagate(sel_x, received)
-    averaged = propagate(sel_common, blind)
-    mean_update[..., 0, :, :] = sum(m.pi_m1[j] * averaged[:, :, j] for j in range(k1))[:, :, None]
+    mean_update = np.empty((steps, k0, k1, 2, d.d_x1, n))
+    for t in range(steps):
+        received = gains.K_received[t] @ sel_x
+        qbar = gains.K_empty[t, :, d.d_u0:].reshape(k0, k1, d.d_u1, d.d_x)
+        u0 = np.broadcast_to(gains.K_empty[t, :, None, :d.d_u0], (k0, k1, d.d_u0, d.d_x))
+        # Actions from common information alone, for every local mode.
+        blind = np.concatenate([u0, qbar], axis=-2) @ sel_common
+        mean_update[t, :, :, 1] = D1 @ np.concatenate([x_rows, received], axis=-2)
+        averaged = D1 @ np.concatenate([common_rows, blind], axis=-2)
+        mean_update[t, :, :, 0] = sum(m.pi_m1[j] * averaged[:, j] for j in range(k1))[:, None]
+        theta[t, :, :, 1] = received
+        theta[t, :, :, 0] = blind
+        theta[t, :, :, 0, d.d_u0:, x1] = gains.Ktilde[t]
+        theta[t, :, :, 0, d.d_u0:, xh] -= gains.Ktilde[t]
     return CompiledPolicy(theta=theta, mean_update=mean_update)
 
 

@@ -314,4 +314,6 @@ def load_problem(path):
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:  # json's scanner recurses once per nesting level
+        raise ParseError(f"malformed JSON in {path}: nested too deeply ({exc})") from exc
     return load_config(cfg)

@@ -259,7 +259,9 @@ def monte_carlo(spec, policy, runs, seed, dump=None):
     costs = np.concatenate(costs)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.sum(costs) / runs)
-        if runs == 1:
+        # Equal costs have no spread; costs - mean would leave the mean's
+        # rounding in the standard error.
+        if runs == 1 or (costs == costs[0]).all():
             se = 0.0
         else:
             var = float(np.sum((costs - mean) ** 2) / (runs - 1))

@@ -19,6 +19,7 @@ the Schur complement and the gain.
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,14 +315,14 @@ def _in_order(obj, first, where):
     return [obj[k] for k in keys]
 
 
-def _stack(obj, name, keys, slots=None):
-    """Array [t, m0, key] of the nested t -> m0 -> key table obj[name]. Its
-    t keys must count up from 0, its m0 keys from 1, and every slot must
-    hold exactly the keys `slots` (by default `keys`)."""
+def _stack(table, name, keys, slots=None):
+    """Array [t, m0, key] of the nested t -> m0 -> key table `name`. Its t
+    keys must count up from 0, its m0 keys from 1, and every slot must hold
+    exactly the keys `slots` (by default `keys`)."""
     where = f"solution table {name}"
     want = sorted(keys if slots is None else slots)
     rows = []
-    for t, per_t in enumerate(_in_order(obj[name], 0, where)):
+    for t, per_t in enumerate(_in_order(table, 0, where)):
         row = []
         for m0, slot in enumerate(_in_order(per_t, 1, f"{where} at t={t}"), 1):
             if sorted(slot) != want:
@@ -335,29 +336,36 @@ def _slot_arrays(obj):
     """json object_hook: a table slot, an object whose every key is "empty"
     or "m<l>", with each matrix as a float64 array; any other object as it is.
 
-    With it, json.load holds the Python floats of one slot at a time.
+    With it, a parse holds the Python floats of one slot at a time. The
+    keys are interned: _JsonStream decodes each slot in a call of its own,
+    and json shares equal keys only within one call.
     """
     if obj and all(k == "empty" or k[:1] == "m" and k[1:].isdigit() for k in obj):
-        return {k: np.array(v, dtype=float) for k, v in obj.items()}
+        return {sys.intern(k): np.array(v, dtype=float) for k, v in obj.items()}
     return obj
 
 
 def bundle_from_json(obj):
     """The bundle of a JSON object as bundle_to_json writes it; its slots may
     hold nested lists or, as load_bundle reads them, arrays. A table whose
-    steps, m0 keys or slot keys do not follow that layout raises ValueError."""
+    steps, m0 keys or slot keys do not follow that layout raises ValueError.
+
+    Each table leaves a copy of `obj` as it is stacked, so that when the
+    caller keeps no other reference (load_bundle), its slots are freed
+    before the next table is stacked; P, the largest, goes last.
+    """
+    obj = {**obj}
     keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
+    slots = keys + ["empty"]
+    Ktilde = _stack(obj.pop("Ktilde"), "Ktilde", keys)
+    K = obj.pop("K")
+    K_empty, K_received = _stack(K, "K", ["empty"], slots)[:, :, 0], _stack(K, "K", keys, slots)
+    del K
+    Ptilde = _stack(obj.pop("Ptilde"), "Ptilde", slots)
+    P = _stack(obj.pop("P"), "P", slots)
     return SolutionBundle(
-        values=ValueTables(
-            P=_stack(obj, "P", keys + ["empty"]),
-            Ptilde=_stack(obj, "Ptilde", keys + ["empty"]),
-            e=np.asarray(obj["e"], dtype=float),
-        ),
-        gains=GainTables(
-            K_empty=_stack(obj, "K", ["empty"], keys + ["empty"])[:, :, 0],
-            K_received=_stack(obj, "K", keys, keys + ["empty"]),
-            Ktilde=_stack(obj, "Ktilde", keys),
-        ),
+        values=ValueTables(P=P, Ptilde=Ptilde, e=np.asarray(obj["e"], dtype=float)),
+        gains=GainTables(K_empty=K_empty, K_received=K_received, Ktilde=Ktilde),
         j_star=float(obj["j_star"]),
         solve_metadata=dict(obj.get("solve_metadata", {})),
     )
@@ -463,20 +471,125 @@ def save_bundle(bundle, path):
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
 
+# Characters of a bundle file read at a time by _JsonStream.
+_WINDOW = 1 << 16
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# An object's opening up to its first member's value, group 1. Every part
+# after the brace is optional, so text cut off by the window's edge still
+# matches up to that edge.
+_OPENING = re.compile(r'\{[ \t\n\r]*(?:"(?:[^"\\]|\\.?)*(?:"[ \t\n\r]*(?::[ \t\n\r]*(.)?)?)?)?', re.DOTALL)
+
+
+class _JsonStream:
+    """json.loads(text, object_hook=_slot_arrays) of a text file read one
+    _WINDOW of characters at a time.
+
+    An object whose first member is an object (a bundle's top level, a
+    table, one step of it) is walked member by member; every other value
+    (a table slot, `e`, `j_star`, `solve_metadata`) is decoded whole by
+    json's C scanner. A value that runs past the window is decoded again
+    with more text.
+    """
+
+    _decode = json.JSONDecoder(object_hook=_slot_arrays).raw_decode
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+
+    def _more(self):
+        """Drop the text before pos and read at least a window more; at EOF
+        change nothing and return False."""
+        chunk = "" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos))
+        if not chunk:
+            self.eof = True
+            return False
+        self.text, self.pos = self.text[self.pos:] + chunk, 0
+        return True
+
+    def _next(self):
+        """The next character that is not whitespace, or "" at EOF."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos:self.pos + 1]
+
+    def _whole(self):
+        """The value at pos, decoded by json's scanner. The scanner reads up
+        to two characters past a number ("e+", ".") before it gives them
+        back, so a value is final only when more than two characters
+        follow it, or at EOF: a number split by the window's edge never
+        parses as its prefix. Less than half a window ahead is topped up
+        first, since each decode that fails at the edge counts the lines
+        before it for its message."""
+        if len(self.text) - self.pos < _WINDOW // 2:
+            self._more()
+        while True:
+            try:
+                value, end = self._decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise
+            if end + 2 < len(self.text) or not self._more():
+                self.pos = end
+                return value
+
+    def _error(self, message):
+        return json.JSONDecodeError(message, self.text, self.pos)
+
+    def value(self):
+        """The next value."""
+        if self._next() != "{":
+            return self._whole()
+        while True:
+            opening = _OPENING.match(self.text, self.pos)
+            if opening.end() < len(self.text) or not self._more():
+                break
+        if opening[1] != "{":
+            return self._whole()
+        self.pos += 1
+        obj = {}
+        while True:
+            if self._next() != '"':
+                raise self._error("Expecting property name enclosed in double quotes")
+            key = self._whole()
+            if self._next() != ":":
+                raise self._error("Expecting ':' delimiter")
+            self.pos += 1
+            obj[key] = self.value()
+            delimiter = self._next()
+            if delimiter == "}":
+                self.pos += 1
+                return _slot_arrays(obj)
+            if delimiter != ",":
+                raise self._error("Expecting ',' delimiter")
+            self.pos += 1
+
+    def document(self):
+        """The file's one value; anything after it but whitespace is an error."""
+        obj = self.value()
+        if self._next():
+            raise self._error("Extra data")
+        return obj
+
+
 def load_bundle(path):
     """Read a bundle file; any failure to read or parse it, or a non-finite
     table entry or j_star (json reads NaN and Infinity), raises ParseError.
 
-    Each table slot becomes arrays as soon as json has parsed it
-    (_slot_arrays), so unless the matrices are tiny the load peaks at
-    about twice the file size: the file's bytes beside their decoded text.
+    The file is read one window at a time (_JsonStream), and each table
+    slot becomes arrays as soon as it is parsed (_slot_arrays), so the
+    load holds the tables, not the file's text: it peaks below the file
+    size unless the matrices are tiny.
     """
     try:
         with open(path) as fh:
-            bundle = bundle_from_json(json.load(fh, object_hook=_slot_arrays))
-    except (OSError, LookupError, TypeError, ValueError, OverflowError) as exc:
+            bundle = bundle_from_json(_JsonStream(fh).document())
+    except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         # json.JSONDecodeError is a ValueError; an integer literal beyond
-        # float range raises OverflowError when it becomes a float.
+        # float range raises OverflowError when it becomes a float; a
+        # deeply nested value exhausts the recursion limit.
         raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc
     problem = _non_finite(bundle)
     if problem:

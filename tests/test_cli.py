@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -96,6 +97,15 @@ class TestSolve:
         rc = cli.main(["solve", "--config", str(path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        # json's scanner recurses once per nesting level.
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' * 100000 + "1" + "}" * 100000)
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: malformed JSON in {path}: nested too deeply (")
 
     def test_invalid_probabilities_exit_code(self, tmp_path):
         cfg = s2_config()
@@ -234,6 +244,19 @@ class TestSolutionBundle:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"solution error: cannot read solution bundle {bundle}: ")
+
+    @pytest.mark.parametrize("content", [
+        "[" * 100000 + "]" * 100000, '{"a": ' * 100000 + "1" + "}" * 100000,
+    ], ids=["arrays", "objects"])
+    def test_deeply_nested_bundle_exit_code(self, s2_path, tmp_path, capsys, content):
+        # Nested arrays recurse in json's scanner, nested objects in the
+        # reader's walk through objects whose first member is an object.
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(content)
+        assert cli.main(["simulate", "--config", s2_path, "--solution", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"solution error: cannot read solution bundle {bundle}: RecursionError: ")
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     def test_non_finite_bundle_exit_code(self, s2_path, tmp_path, capsys, command):
@@ -875,6 +898,29 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "PASS  mc-consistency: " in out
         assert rc == 0
+
+
+    def test_equal_run_costs_have_zero_standard_error(self, tmp_path, capsys):
+        # Battery config 6 has kappa0 = kappa1 = 1; on the zero family no
+        # run draws noise, so all 2000 run costs are bitwise equal. Their
+        # standard error is 0, not the rounding left by costs - mean, and
+        # mc-consistency falls back to its 1e-9 floor.
+        cfg = battery_configs()[6]
+        cfg["stoch"]["family"] = "zero"
+        spec = model.load_config(cfg)
+        report = sim.monte_carlo(spec, control.make_policy("optimal", spec, solver.solve_backward(spec)), 2000, 0)
+        assert report.std_err == 0.0
+        rc = cli.main(["validate", "--config", _config_path(tmp_path, cfg), "--runs", "2000"])
+        assert "PASS  mc-consistency: " in capsys.readouterr().out
+        assert rc == 0
+
+    def test_psd_tables_reports_the_solved_margin(self, s2_path):
+        spec = model.load_problem(s2_path)
+        args = cli.build_parser().parse_args(["validate", "--config", s2_path])
+        checks = {name: (ok, detail) for name, ok, detail in itertools.islice(cli._validate_checks(spec, args), 2)}
+        margin = solver.solve_backward(spec).stage_min_eig.min()
+        assert margin == 1.0
+        assert checks["psd-tables"] == (True, "min eigenvalue 1.000e+00 over t=0..1; the t=2 tables are zero")
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import re
 import tracemalloc
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncslqr
 from ncslqr import control, model, solver
@@ -377,3 +380,152 @@ class TestLoad:
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(_s2_json_with(("solve_metadata",), meta)))
         assert solver.load_bundle(path).solve_metadata == meta
+
+
+# --- the streaming reader ----------------------------------------------------
+
+# Windows small enough that every token of a document straddles an edge.
+WINDOWS = [1, 2, 7, 64]
+
+
+def _outcome(read):
+    """("ok", value) or ("error", None), the errors being those load_bundle
+    turns into ParseError."""
+    try:
+        return "ok", read()
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError):
+        return "error", None
+
+
+def _same(a, b):
+    """a and b are the same JSON value: equal types, keys in the same order,
+    floats and arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def _assert_streams_like_json(text, windows=WINDOWS):
+    want = _outcome(lambda: json.loads(text, object_hook=solver._slot_arrays))
+    for window in windows:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_WINDOW", window)
+            got = _outcome(lambda: solver._JsonStream(io.StringIO(text)).document())
+        assert got[0] == want[0] and _same(got[1], want[1]), (window, text)
+
+
+_SPACE = st.sampled_from(["", " ", "\n", "\n   ", "\t", "\r\n"])
+# Slot keys ("empty", "m<l>") make json's hook turn an object into arrays.
+_KEYS = st.sampled_from(["empty", "m1", "m2", "m10", "1", "0", "P", "j_star", "", 'q"\\', "\u00e9"]) | st.text(max_size=3)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(),
+    st.integers(min_value=10 ** 300, max_value=10 ** 320), st.text(max_size=6),
+).flatmap(lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False)]))
+
+
+def _containers(kids):
+    arrays = st.lists(st.tuples(_SPACE, kids), max_size=4).map(
+        lambda items: "[" + ",".join(space + kid for space, kid in items) + "]")
+    # Keys may repeat: json keeps the first position and the last value.
+    objects = st.lists(st.tuples(_KEYS, _SPACE, kids), max_size=4).map(
+        lambda members: "{" + ",".join(f"{space}{json.dumps(key)}{space}:{space}{kid}" for key, space, kid in members) + "}")
+    return arrays | objects
+
+
+_DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=24)
+# Edits at a fraction of the text: insert a token, or delete one character.
+_EDITS = st.lists(st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(["", ",", "}", "]", "{", "[", '"', ":", " ", "x", "1", "e", ".", "-", "\ufeff", ",}", "NaN"]),
+), max_size=3)
+
+
+def _edited(text, edits):
+    for where, token in edits:
+        i = int(where * len(text))
+        text = text[:i] + token + text[i + (token == ""):]
+    return text
+
+
+S2_TEXT = (DATA / "s2_bundle.json").read_text()
+
+
+class TestStream:
+    @given(_SPACE, _DOCUMENTS, _SPACE, _EDITS)
+    @example(" ", '{"m1": {"a": 1}}', "", [])  # a walked object the hook refuses
+    @example("", '{"a": {"b": 1}, "a": {"c": [2, 3]}}', "", [])
+    @example("\ufeff", '{"P": {"0": 1}}', "", [])
+    @example("", '{"P": {"0": 1}, }', "", [])
+    @example("", '{"P": {"0": 1}}', " x", [])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_json_loads(self, before, document, after, edits):
+        _assert_streams_like_json(_edited(before + document + after, edits))
+
+    @given(_EDITS)
+    @example([])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_json_loads_on_edited_bundles(self, edits):
+        _assert_streams_like_json(_edited(S2_TEXT, edits))
+
+    @pytest.mark.parametrize("text", [
+        "-12.5e-05", '{"j_star": -12.5e-05}', '{"P": {"0": 1}, "j_star": 1.0E+300}', '{"P": {"0": 1}, "e": 7}',
+    ])
+    def test_number_split_at_the_window_edge(self, text):
+        # The first window ends after `window` characters, so some window
+        # cuts each number between any two of its characters; none may
+        # parse as its prefix.
+        _assert_streams_like_json(text, windows=range(1, len(text) + 1))
+
+    @pytest.mark.parametrize("window", WINDOWS + [len(S2_TEXT)])
+    @pytest.mark.parametrize("tail, ok", [("\n \t\r\n", True), ("x", False), ("{}", False), ("\n,", False)])
+    def test_trailing_data_is_an_error(self, tmp_path, monkeypatch, window, tail, ok):
+        # A window of len(S2_TEXT) ends just before the tail.
+        monkeypatch.setattr(solver, "_WINDOW", window)
+        path = tmp_path / "bundle.json"
+        path.write_text(S2_TEXT + tail)
+        if ok:
+            assert solver.load_bundle(path).j_star == json.loads(S2_TEXT)["j_star"]
+            return
+        with pytest.raises(ParseError, match=r": JSONDecodeError: Extra data: "):
+            solver.load_bundle(path)
+
+    def test_peak_memory_below_the_file(self, tmp_path):
+        # A bundle of 8 x 8 value blocks (d_x = 8), 2.3 MB: the load holds
+        # the tables and one or two windows of text, not the file's text.
+        # Reading the whole text first (json.load) peaks at 2x the file.
+        rng = np.random.default_rng(3)
+        T, k0, k1, dx, dx1, du0, du1 = 60, 2, 4, 8, 4, 2, 2
+
+        def table(*shape):
+            return rng.standard_normal(shape)
+
+        bundle = solver.SolutionBundle(
+            values=solver.ValueTables(
+                P=table(T + 2, k0, k1 + 1, dx, dx), Ptilde=table(T + 2, k0, k1 + 1, dx1, dx1), e=table(T + 2),
+            ),
+            gains=solver.GainTables(
+                K_empty=table(T + 1, k0, du0 + k1 * du1, dx),
+                K_received=table(T + 1, k0, k1, du0 + du1, dx),
+                Ktilde=table(T + 1, k0, k1, du1, dx1),
+            ),
+            j_star=1.0,
+        )
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)
+        solver.load_bundle(path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            again = solver.load_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.values.P, bundle.values.P)
+        assert peak <= 0.75 * path.stat().st_size
