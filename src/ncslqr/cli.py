@@ -158,7 +158,8 @@ def cmd_simulate(args):
         except OSError as exc:
             raise OutputError(f"cannot write trajectories: {exc}") from exc
     spec = model.load_problem(args.config)
-    policy, _ = _build_policy(args.policy, spec, args.solution)
+    # Keep only the policy: the bundle's value tables are freed before the runs.
+    policy = _build_policy(args.policy, spec, args.solution)[0]
     try:
         report = sim.monte_carlo(spec, policy, args.runs, args.seed, dump=args.dump_trajectories)
     except OSError as exc:  # only the trajectory dump writes files

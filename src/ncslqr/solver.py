@@ -17,6 +17,7 @@ recursion (over m0, m1). Each block is one guarded solve that yields both
 the Schur complement and the gain.
 """
 
+import codecs
 import json
 import re
 import sys
@@ -74,12 +75,11 @@ class StaticMatrices:
     D11: np.ndarray     # (k0, k1, d_x1, d_x1 + d_u1) [A11 B11]
     Daug: np.ndarray    # (k0, k1, d_x, ne) D @ L[m1]
     Dempty: np.ndarray  # (k0, d_x, ne) sum_m1 pi(m1) Daug
-    C: np.ndarray       # (T+1, k0, k1, n, n) blockdiag(Q, R)
-    C11: np.ndarray     # (T+1, k0, k1, n1, n1) blockdiag(Q11, R11)
-    Cempty: np.ndarray  # (T+1, k0, ne, ne) sum_m1 pi(m1) L' C L
 
 
 def build_static(spec):
+    """The matrices of `spec` that do not depend on t (StaticMatrices),
+    built once per solve; the cost blocks come from cost_blocks per step."""
     d, m = spec.dims, spec.modes
     k1, pi1 = m.kappa1, m.pi_m1
     L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])
@@ -87,18 +87,26 @@ def build_static(spec):
     D11 = np.concatenate([D[:, :, d.d_x0:, d.d_x0:d.d_x], D[:, :, d.d_x0:, d.d_x + d.d_u0:]], axis=-1)
     Daug = D @ L
     Dempty = (Daug * pi1[:, None, None]).sum(axis=1)
+    return StaticMatrices(L=L, D=D, D11=D11, Daug=Daug, Dempty=Dempty)
 
-    Q, R = spec.cost.Q, spec.cost.R
-    C = np.zeros(Q.shape[:3] + (d.d_x + d.d_u,) * 2)
+
+def cost_blocks(spec, L, t):
+    """Step t's cost blocks from Q[t] and R[t]: C = blockdiag(Q, R) (k0, k1,
+    n, n), its local block C11 = blockdiag(Q11, R11) (k0, k1, n1, n1) and
+    the empty branch's Cempty = sum_m1 pi(m1) L' C L (k0, ne, ne), for the
+    selectors L of build_static."""
+    d, pi1 = spec.dims, spec.modes.pi_m1
+    Q, R = spec.cost.Q[t], spec.cost.R[t]
+    C = np.zeros(Q.shape[:2] + (d.d_x + d.d_u,) * 2)
     C[..., :d.d_x, :d.d_x] = Q
     C[..., d.d_x:, d.d_x:] = R
-    C11 = np.zeros(Q.shape[:3] + (d.d_x1 + d.d_u1,) * 2)
+    C11 = np.zeros(Q.shape[:2] + (d.d_x1 + d.d_u1,) * 2)
     C11[..., :d.d_x1, :d.d_x1] = Q[..., d.d_x0:, d.d_x0:]
     C11[..., d.d_x1:, d.d_x1:] = R[..., d.d_u0:, d.d_u0:]
-    Cempty = np.zeros(Q.shape[:2] + (L.shape[-1],) * 2)
-    for m1 in range(k1):
-        Cempty += L[m1].T @ C[:, :, m1] @ L[m1] * pi1[m1]
-    return StaticMatrices(L=L, D=D, D11=D11, Daug=Daug, Dempty=Dempty, C=C, C11=C11, Cempty=Cempty)
+    Cempty = np.zeros(Q.shape[:1] + (L.shape[-1],) * 2)
+    for m1 in range(len(L)):
+        Cempty += L[m1].T @ C[:, m1] @ L[m1] * pi1[m1]
+    return C, C11, Cempty
 
 
 @dataclass
@@ -176,6 +184,8 @@ def _schur(H, n_top, name, where):
 def solve_backward(spec):
     """Run the coupled backward recursions and assemble the full solution.
 
+    Step t builds its own cost blocks (cost_blocks) and reads only the t+1
+    tables, so nothing but the returned tables grows with the horizon.
     Overflow is not warned about: a non-finite H block raises
     NonFiniteError before its solve, and so does a non-finite j_star.
     """
@@ -192,6 +202,7 @@ def solve_backward(spec):
     stage_min_eig = np.empty((T + 1, 2))
 
     for t in range(T, -1, -1):
+        C, C11, Cempty = cost_blocks(spec, st.L, t)
         pi_next = op_pi(P[t + 1], spec)
         psi_next = op_psi(Ptilde[t + 1], P[t + 1, ..., d.d_x0:, d.d_x0:], spec)
 
@@ -199,21 +210,21 @@ def solve_backward(spec):
         E = _T(st.Dempty) @ pi_next @ st.Dempty
         F = (_T(Da1) @ psi_next @ Da1 * pi1).sum(axis=1) - _T(De1) @ psi_next @ De1
         P[t, :, EMPTY], gain = _schur(
-            matkit.sym(st.Cempty[t] + E + F), d.d_x, "H^UU",
+            matkit.sym(Cempty + E + F), d.d_x, "H^UU",
             lambda m0: f"t={t}, m0={m0 + 1}, ztilde=empty",
         )
         K_empty[t] = -gain
 
         # ztilde = m1: the received local mode is known to both controllers.
         P[t, :, :EMPTY], gain = _schur(
-            matkit.sym(st.C[t] + _T(st.D) @ pi_next @ st.D), d.d_x, "H^UU",
+            matkit.sym(C + _T(st.D) @ pi_next @ st.D), d.d_x, "H^UU",
             lambda m0, m1: f"t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}",
         )
         K_received[t] = -gain
 
         # Local value recursion.
         sc, gain = _schur(
-            matkit.sym(st.C11[t] + _T(st.D11) @ psi_next @ st.D11), d.d_x1, "Htilde^U1U1",
+            matkit.sym(C11 + _T(st.D11) @ psi_next @ st.D11), d.d_x1, "Htilde^U1U1",
             lambda m0, m1: f"t={t}, m0={m0 + 1}, m1={m1 + 1}",
         )
         Ptilde[t, :, :EMPTY] = sc
@@ -275,33 +286,49 @@ def analytic_cost(spec, values):
 # always been written in: Ptilde lists "empty" last except at t = T+1.
 
 
-def _nest(steps, kappa0, entry):
-    return {
-        str(t): {str(m0 + 1): entry(t, m0) for m0 in range(kappa0)} for t in range(steps)
-    }
+def _tables(bundle):
+    """(name, steps) of each table, in file order."""
+    steps = len(bundle.gains.K_received)
+    return (("P", steps + 1), ("Ptilde", steps + 1), ("K", steps), ("Ktilde", steps))
 
 
-def bundle_to_json(bundle, leaf=np.ndarray.tolist):
-    """The bundle as a JSON object; `leaf` turns each table matrix, and the
-    e vector, into its JSON value."""
+def _step(bundle, name, t):
+    """Step t of table `name` as the file nests it, {m0: {key: matrix}}
+    with 1-based m0 keys and each matrix a view of its table."""
     v, g = bundle.values, bundle.gains
     steps, k0, k1 = g.K_received.shape[:3]
     keys = [f"m{j + 1}" for j in range(k1)]
+    empty = None
+    if name in ("P", "Ptilde"):
+        table = getattr(v, name)[t]
+        received, empty = table[:, :EMPTY], table[:, EMPTY]
+    elif name == "K":
+        received, empty = g.K_received[t], g.K_empty[t]
+    else:
+        received = g.Ktilde[t]
 
-    def received(table, t, m0):
-        return {key: leaf(table[t, m0, j]) for j, key in enumerate(keys)}
+    def slot(m0):
+        slots = dict(zip(keys, received[m0]))
+        if empty is None:
+            return slots
+        if name == "Ptilde" and t < steps:
+            return {**slots, "empty": empty[m0]}
+        return {"empty": empty[m0], **slots}
 
-    def ptilde(t, m0):
-        if t == steps:
-            return {"empty": leaf(v.Ptilde[t, m0, EMPTY]), **received(v.Ptilde, t, m0)}
-        return {**received(v.Ptilde, t, m0), "empty": leaf(v.Ptilde[t, m0, EMPTY])}
+    return {str(m0 + 1): slot(m0) for m0 in range(k0)}
 
+
+def _tolist(step):
+    """A step of _step with each matrix as nested lists."""
+    return {key: _tolist(value) if isinstance(value, dict) else value.tolist() for key, value in step.items()}
+
+
+def bundle_to_json(bundle):
+    """The bundle as a JSON object. json.dump(..., indent=1) of it is the
+    reference for the bytes save_bundle writes."""
     return {
-        "P": _nest(steps + 1, k0, lambda t, m0: {"empty": leaf(v.P[t, m0, EMPTY]), **received(v.P, t, m0)}),
-        "Ptilde": _nest(steps + 1, k0, ptilde),
-        "K": _nest(steps, k0, lambda t, m0: {"empty": leaf(g.K_empty[t, m0]), **received(g.K_received, t, m0)}),
-        "Ktilde": _nest(steps, k0, lambda t, m0: received(g.Ktilde, t, m0)),
-        "e": leaf(v.e),
+        **{name: {str(t): _tolist(_step(bundle, name, t)) for t in range(steps)} for name, steps in _tables(bundle)},
+        "e": bundle.values.e.tolist(),
         "j_star": bundle.j_star,
         "solve_metadata": bundle.solve_metadata,
     }
@@ -371,12 +398,6 @@ def bundle_from_json(obj):
     )
 
 
-# A table leaf in the dumped skeleton. save_bundle marks leaf i with the
-# string NUL + str(i), which json writes as "\u0000<i>"; of all other values
-# only a metadata string of exactly that form would read the same.
-_LEAF = re.compile(r'"\\u0000(\d+)"')
-
-
 # Values formatted together in save_bundle: enough that a slab repeats
 # many of its values, few enough that its strings stay small next to the
 # tables. A single larger leaf is a slab of its own.
@@ -390,18 +411,6 @@ def _layout(shape, depth):
     return text.replace("\n", "\n" + " " * depth).replace("null", "%s")
 
 
-def _slabs(sizes, limit):
-    """(start, stop) runs of consecutive leaves of total size <= limit."""
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if i > start and total + size > limit:
-            yield start, i
-            start, total = i, 0
-        total += size
-    if sizes:
-        yield start, len(sizes)
-
-
 def _reprs(values):
     """float.__repr__ of each entry of a float64 vector, which is what json
     writes for a finite float, with one repr per distinct bit pattern, so
@@ -411,10 +420,40 @@ def _reprs(values):
     return text[where].tolist()
 
 
-def _depth(text):
-    """Indent of the last line of `text`."""
-    line = text[text.rfind("\n") + 1:]
-    return len(line) - len(line.lstrip(" "))
+def _object(items, depth):
+    """json.dumps(dict(items), indent=1) of an object nested `depth` levels
+    deep, in file order: its skeleton as strings, and (matrix, depth) in
+    place of each ndarray. A dict value is walked the same way."""
+    pad = "\n" + " " * (depth + 1)
+    opening = "{"
+    for key, value in items:
+        yield f"{opening}{pad}{json.dumps(key)}: "
+        opening = ","
+        if isinstance(value, dict):
+            yield from _object(value.items(), depth + 1)
+        else:
+            yield value, depth + 1
+    yield "{}" if opening == "{" else "\n" + " " * depth + "}"
+
+
+def _pieces(bundle):
+    """json.dumps(bundle_to_json(bundle), indent=1) as _object's pieces,
+    one table step at a time."""
+    opening = "{"
+    for name, steps in _tables(bundle):
+        yield f'{opening}\n "{name}": '
+        opening = ","
+        yield from _object(((str(t), _step(bundle, name, t)) for t in range(steps)), 1)
+    yield ',\n "e": '
+    yield bundle.values.e, 1
+    # The last members dumped on their own sit at the document's depth, so
+    # that text without its "{" is the document's tail.
+    yield "," + json.dumps({"j_star": bundle.j_star, "solve_metadata": bundle.solve_metadata}, indent=1)[1:]
+
+
+def _fill(template, leaves):
+    """A slab's text: its template filled with its leaves' values."""
+    return "".join(template) % tuple(_reprs(np.concatenate([a.ravel() for a in leaves], dtype=float)))
 
 
 def _non_finite(bundle):
@@ -429,49 +468,47 @@ def _non_finite(bundle):
 
 
 def save_bundle(bundle, path):
-    """Write exactly json.dump(bundle_to_json(bundle), fh, indent=1).
+    """Write exactly json.dump(bundle_to_json(bundle), fh, indent=1), one
+    table step at a time.
 
     json's C encoder does not indent, so its pure-Python one would format
-    every float. Instead the tables go into the dump as index markers, and
-    each is written from a layout built once per (shape, depth). The
-    leaves are formatted in slabs of at most _SLAB_VALUES values, one repr
-    per distinct value in each slab (symmetric tables and repeated slots
-    hold many copies), and one % per slab fills a template that joins the
-    slab's skeleton text and layouts. The bytes are the same as json's. A
-    non-finite entry raises NonFiniteError, since json would write it as
-    NaN or Infinity, not as its repr.
+    every float. Instead the writer emits the skeleton text itself
+    (_pieces), and each matrix from a layout built once per (shape, depth).
+    The matrices are formatted in slabs of at most _SLAB_VALUES values that
+    run across steps, one repr per distinct value in each slab (symmetric
+    tables, repeated slots and converged steps hold many copies), and one %
+    per slab fills a template of the slab's skeleton text and layouts. So
+    the writer holds one slab, not the horizon, and the bytes are the same
+    as json's. A non-finite entry raises NonFiniteError, since json would
+    write it as NaN or Infinity, not as its repr.
     """
     problem = _non_finite(bundle)
     if problem:
         raise NonFiniteError(problem)
-    leaves = []
-
-    def mark(a):
-        leaves.append(a)
-        return f"\0{len(leaves) - 1}"
-
-    pieces = _LEAF.split(json.dumps(bundle_to_json(bundle, leaf=mark), indent=1))
-    before, order = pieces[0:-1:2], [leaves[int(i)] for i in pieces[1::2]]
     layouts = {}
-
-    def piece(k):
-        """Skeleton text before leaf k, escaped for %, then its layout."""
-        key = (order[k].shape, _depth(before[k]))
-        if key not in layouts:
-            layouts[key] = _layout(*key)
-        return before[k].replace("%", "%%") + layouts[key]
-
     try:
         with open(path, "w") as fh:
-            for start, stop in _slabs([a.size for a in order], _SLAB_VALUES):
-                text = _reprs(np.concatenate([a.ravel() for a in order[start:stop]], dtype=float))
-                fh.write("".join(piece(k) for k in range(start, stop)) % tuple(text))
-            fh.write(pieces[-1])
+            template, leaves, size = [], [], 0
+            for piece in _pieces(bundle):
+                if isinstance(piece, str):
+                    template.append(piece.replace("%", "%%"))
+                    continue
+                leaf, depth = piece
+                if leaves and size + leaf.size > _SLAB_VALUES:
+                    fh.write(_fill(template, leaves))
+                    template, leaves, size = [], [], 0
+                key = (leaf.shape, depth)
+                if key not in layouts:
+                    layouts[key] = _layout(*key)
+                template.append(layouts[key])
+                leaves.append(leaf)
+                size += leaf.size
+            fh.write(_fill(template, leaves))
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
 
-# Characters of a bundle file read at a time by _JsonStream.
+# Bytes of a bundle file read at a time by _JsonStream.
 _WINDOW = 1 << 16
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
@@ -482,29 +519,38 @@ _OPENING = re.compile(r'\{[ \t\n\r]*(?:"(?:[^"\\]|\\.?)*(?:"[ \t\n\r]*(?::[ \t\n
 
 
 class _JsonStream:
-    """json.loads(text, object_hook=_slot_arrays) of a text file read one
-    _WINDOW of characters at a time.
+    """json.loads(text, object_hook=_slot_arrays) of the UTF-8 text of a
+    binary file read one _WINDOW of bytes at a time.
 
     An object whose first member is an object (a bundle's top level, a
     table, one step of it) is walked member by member; every other value
     (a table slot, `e`, `j_star`, `solve_metadata`) is decoded whole by
     json's C scanner. A value that runs past the window is decoded again
-    with more text.
+    with more text. The bytes go through an incremental decoder, so no
+    text file object keeps its own copies of each window; an invalid or
+    truncated UTF-8 sequence raises UnicodeDecodeError.
     """
 
     _decode = json.JSONDecoder(object_hook=_slot_arrays).raw_decode
 
     def __init__(self, fh):
         self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
 
     def _more(self):
         """Drop the text before pos and read at least a window more; at EOF
-        change nothing and return False."""
-        chunk = "" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos))
+        change nothing and return False. A read that ends inside a
+        character adds only the characters before it."""
+        chunk = b"" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos))
         if not chunk:
+            self.decoder.decode(b"", final=True)  # a truncated last character raises
             self.eof = True
             return False
-        self.text, self.pos = self.text[self.pos:] + chunk, 0
+        # The old window and the bytes are freed before the new text is
+        # joined to what is left of the window.
+        rest, self.text = self.text[self.pos:], ""
+        chunk = self.decoder.decode(chunk)
+        self.text, self.pos = rest + chunk, 0
         return True
 
     def _next(self):
@@ -584,12 +630,13 @@ def load_bundle(path):
     size unless the matrices are tiny.
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             bundle = bundle_from_json(_JsonStream(fh).document())
     except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # json.JSONDecodeError is a ValueError; an integer literal beyond
-        # float range raises OverflowError when it becomes a float; a
-        # deeply nested value exhausts the recursion limit.
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors; an
+        # integer literal beyond float range raises OverflowError when it
+        # becomes a float; a deeply nested value exhausts the recursion
+        # limit.
         raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc
     problem = _non_finite(bundle)
     if problem:

@@ -323,6 +323,20 @@ def reference_rollout(spec, policy, seed, run_index):
     return sim.Trajectory(**rec, total_cost=float(sum(rec["stage_cost"])))
 
 
+def time_varying_config(rng, p1, T=3):
+    """Battery instance (kappa1 = 2) whose cost weights are drawn anew for
+    every step: Q[t] and R[t] differ at each t and each mode pair."""
+    cfg = random_config(rng, p1=p1, kappa1=2, T=T)
+    d, pairs = cfg["dims"], 2 * cfg["modes"]["kappa0"]
+    dx, du = d["d_x0"] + d["d_x1"], d["d_u0"] + d["d_u1"]
+    cfg["cost"] = {
+        "Q": [[rand_psd(rng, dx).tolist() for _ in range(pairs)] for _ in range(T + 1)],
+        "R": [[rand_psd(rng, du, 0.5).tolist() for _ in range(pairs)] for _ in range(T + 1)],
+        "time_varying": True,
+    }
+    return cfg
+
+
 def battery_configs(n=20, seed=1):
     """Deterministic battery of configs covering all four channel success rates."""
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,40 @@ class TestSolutionBundle:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"solution error: cannot read solution bundle {bundle}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_invalid_utf8_bundle_exit_code(self, s2_path, tmp_path, capsys, command):
+        # The reader decodes the file's bytes itself: a byte that is not
+        # UTF-8 (here 0xff inside j_star's key) is still a solution error.
+        bundle = tmp_path / "bundle.json"
+        solver.save_bundle(solver.solve_backward(model.load_config(s2_config())), bundle)
+        bundle.write_bytes(bundle.read_bytes().replace(b'"j_star"', b'"j_st\xffar"'))
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"solution error: cannot read solution bundle {bundle}: UnicodeDecodeError: ")
+
+    def test_simulate_frees_the_loaded_value_tables(self, s2_path, tmp_path, monkeypatch):
+        # simulate keeps the policy, not the bundle: the value tables it
+        # loaded are freed before the Monte Carlo runs start.
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
+        load_bundle, monte_carlo = solver.load_bundle, sim.monte_carlo
+        values, alive = [], []
+
+        def loading(path):
+            loaded = load_bundle(path)
+            values.append(weakref.ref(loaded.values))
+            return loaded
+
+        def running(*args, **kwargs):
+            alive.append(values[0]() is not None)
+            return monte_carlo(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "load_bundle", loading)
+        monkeypatch.setattr(sim, "monte_carlo", running)
+        assert cli.main(["simulate", "--config", s2_path, "--solution", str(bundle), "--runs", "5"]) == 0
+        assert alive == [False]
 
     @pytest.mark.parametrize("content", [
         "[" * 100000 + "]" * 100000, '{"a": ' * 100000 + "1" + "}" * 100000,

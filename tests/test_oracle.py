@@ -11,6 +11,7 @@ from conftest import (
     long_horizon_config,
     reference_closed_loop,
     s2_config,
+    time_varying_config,
     zero_weight_mode_config,
 )
 
@@ -39,6 +40,19 @@ class TestExactEvaluation:
             assert cost == pytest.approx(
                 bundle.j_star, rel=1e-8, abs=1e-8 * (1.0 + abs(bundle.j_star))
             )
+
+    @pytest.mark.parametrize("p1", [0.0, 0.3, 0.7])
+    def test_time_varying_cost_matches_analytic_optimum(self, p1):
+        # Each step has its own Q[t] and R[t], so a solver that built every
+        # step's cost blocks from one step would solve another problem; the
+        # oracle prices the optimal gains on the costs of each step. The
+        # tolerance is c01's.
+        spec = model.load_config(time_varying_config(np.random.default_rng(11), p1))
+        for Q in (spec.cost.Q, spec.cost.R):
+            assert all(not np.allclose(Q[t], Q[0]) for t in range(1, spec.T + 1))
+        bundle = solver.solve_backward(spec)
+        cost = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
+        assert abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star)) <= 1e-8
 
     def test_optimum_dominates_references(self, battery):
         for spec in battery[:10]:

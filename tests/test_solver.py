@@ -157,16 +157,36 @@ class TestStructure:
                 bundle.gains.K_received[:, :, 0], abs=1e-12
             )
 
+    def test_working_memory_does_not_grow_with_the_horizon(self):
+        # One battery shape (every block 2-dimensional, kappa0 = kappa1 =
+        # 2) at T and 4T: beyond the tables it returns, the solve holds one
+        # step's blocks, about 30 KB at either horizon. Cost blocks stacked
+        # over the horizon take 0.33 MB at T = 60 and 1.2 MB at T = 240.
+        def working_peak(T):
+            spec = model.load_config(random_config(np.random.default_rng(7), T=T))
+            solver.solve_backward(spec)  # first-call imports and caches stay out of the peak
+            tracemalloc.start()
+            try:
+                bundle = solver.solve_backward(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tables = (*vars(bundle.values).values(), *vars(bundle.gains).values(), bundle.stage_min_eig)
+            return peak - sum(a.nbytes for a in tables)
+
+        assert working_peak(240) <= 1.25 * working_peak(60)
+
     def test_gain_residual(self, battery):
         # K solves H_uu K = -H_ux; check by reconstructing H from the tables.
         for spec in battery[:8]:
             static = solver.build_static(spec)
+            C = solver.cost_blocks(spec, static.L, spec.T)[0]
             bundle = solver.solve_backward(spec)
             d = spec.dims
             for m0 in range(spec.modes.kappa0):
                 for m1 in range(spec.modes.kappa1):
                     Pn = solver.op_pi(bundle.values.P[spec.T + 1], spec)
-                    H = static.C[spec.T, m0, m1] + static.D[m0, m1].T @ Pn @ static.D[m0, m1]
+                    H = C[m0, m1] + static.D[m0, m1].T @ Pn @ static.D[m0, m1]
                     K = bundle.gains.K_received[spec.T, m0, m1]
                     Huu = H[d.d_x:, d.d_x:]
                     Hux = H[d.d_x:, :d.d_x]
@@ -307,6 +327,24 @@ class TestSerialization:
             "numpy_version": np.__version__,
         }
 
+    def test_writer_holds_one_slab_not_the_horizon(self, tmp_path):
+        # A battery instance (every block 2-dimensional, kappa0 = kappa1 =
+        # 2) at T = 240, a 2.0 MB file. The writer holds one slab of
+        # formatted values, about 1.8 MB here, whatever the horizon (0.91x
+        # the file); a writer that first lays out the whole file's
+        # skeleton peaks at 1.7x.
+        spec = model.load_config(random_config(np.random.default_rng(7), T=240))
+        bundle = solver.solve_backward(spec)
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            solver.save_bundle(bundle, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * path.stat().st_size
+
     def test_two_solves_write_the_same_bytes(self, s2_spec, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -418,7 +456,7 @@ def _assert_streams_like_json(text, windows=WINDOWS):
     for window in windows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_WINDOW", window)
-            got = _outcome(lambda: solver._JsonStream(io.StringIO(text)).document())
+            got = _outcome(lambda: solver._JsonStream(io.BytesIO(text.encode())).document())
         assert got[0] == want[0] and _same(got[1], want[1]), (window, text)
 
 
