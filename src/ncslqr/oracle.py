@@ -8,25 +8,29 @@ current channel bit, S_t^g = E[xi_t xi_t' 1{gamma_t = g}] (the Markov jump
 linear system recursion of Costa, Fragoso & Marques, 2005, ch. 3), however
 many mode/channel sequences the instance has.
 
-The stage maps are built once per policy as stacked arrays over (t, mode
-pair, gamma_t), straight from its compiled tables (`control.compile_policy`,
-the ones the simulator steps through): F propagates xi when the next
-transmission fails, and M is the stage-cost matrix. When it succeeds the
-map is E F, where E copies the x1 rows into the xhat rows; under full
-information it copies on both bits. The initial moment is step 0 of the
-same recursion, through E0, which copies only when the first transmission
-succeeds. Each step is a few batched matmuls over mode pairs and bits.
+Each step's stage maps are built when a pass reaches that step, as arrays
+over (mode pair, gamma_t), straight from the policy's compiled tables
+(`control.compile_policy`, the ones the simulator steps through): F
+propagates xi when the next transmission fails, and M is the stage-cost
+matrix. When it succeeds the map is E F, where E copies the x1 rows into
+the xhat rows; under full information it copies on both bits. The initial
+moment is step 0 of the same recursion, through E0, which copies only when
+the first transmission succeeds. Each step is a few batched matmuls over
+mode pairs and bits, and the cost's working memory is one step's maps and
+moments, whatever the horizon.
 
 The expected cost J = sum over t, pairs and g of w tr(M S_t^g) is linear in
 every moment, so one backward pass of the costates Lambda_t^g = dJ/dS_t^g
-(the dual recursion) gives dJ/dF and dJ/dM for every stage map at once,
-and the transpose of `compile_policy` carries them to the gain arrays (cf.
-the gain-gradient conditions of Levine & Athans, IEEE TAC 15(1), 1970).
+(the dual recursion) gives dJ/dF and dJ/dM for every stage map. That pass
+rebuilds each step's maps rather than keeping them from the forward pass
+(checkpointing: Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+ch. 12), so the gradient keeps only the moments S_t over the horizon. The
+transpose of `compile_policy` carries the maps' cotangents to the gain
+arrays (cf. the gain-gradient conditions of Levine & Athans, IEEE TAC
+15(1), 1970).
 `stationarity_check` certifies every gain entry with that gradient. A
 non-finite cost, probability mass or gradient raises NonFiniteError.
 """
-
-import dataclasses
 
 import numpy as np
 
@@ -95,7 +99,7 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
 
     F propagates the augmented state, G injects vec(w0, w1), Theta_aug maps
     the augmented state to actions, and M is the stage-cost matrix. This is
-    one node of the stacked maps the evaluator builds.
+    one node of the step maps the evaluator builds (`_ClosedLoop.maps`).
     """
     _check_policy(policy)
     d, tables = spec.dims, policy.tables
@@ -112,107 +116,101 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     return E @ F, E[:, :d.d_x], theta_aug, M
 
 
-@dataclasses.dataclass(frozen=True)
-class _Stages:
-    """Stacked stage maps of one policy over (t, pair, g).
-
-    Only mode pairs and channel bits of positive probability are kept, so a
-    zero weight never multiplies an infinite entry.
+class _ClosedLoop:
+    """A linear policy's closed loop over the mode pairs and channel bits of
+    positive probability, so a zero weight never multiplies an infinite
+    entry. It holds only per-policy constants; `maps(t)` builds one step's
+    stage maps when a pass reaches it.
     """
 
-    pairs: np.ndarray   # (P,) flat mode-pair indices m0 * kappa1 + m1
-    w: np.ndarray       # (P,) pi(m0) pi(m1)
-    gammas: np.ndarray  # (C,) channel bits g
-    p: np.ndarray       # (C,) P(gamma = g)
-    E0: np.ndarray      # (C, n, n) E of step 0
-    E: np.ndarray       # (C, n, n) copies x1 into xhat (`_copy_maps`)
-    F: np.ndarray       # (T+1, P, C, n, n)
-    theta_aug: np.ndarray  # (T+1, P, C, d_u, n)
-    M: np.ndarray       # (T+1, P, C, n, n)
-    B: np.ndarray       # (P, 1, d_x, d_u)
-    R: np.ndarray       # (T+1, P, 1, d_u, d_u)
-    noise: np.ndarray   # (T+1, n, n) covariance of vec(w0, w1) in the x rows
+    def __init__(self, spec, policy):
+        _check_policy(policy)
+        m = spec.modes
+        self.spec, self.tables = spec, policy.tables
+        w = np.outer(m.pi_m0, m.pi_m1).ravel()
+        p = np.array([1.0 - spec.channel.p1, spec.channel.p1])
+        self.pairs = np.flatnonzero(w > 0.0)[:, None]  # (P, 1) flat m0 * kappa1 + m1
+        self.gammas = np.flatnonzero(p > 0.0)          # (C,) channel bits g
+        self.w, self.p = w[self.pairs[:, 0]], p[self.gammas]
+        E0, E = _copy_maps(spec, policy.tables.mean_update is None)
+        self.E0, self.E = E0[self.gammas], E[self.gammas]
+        self.D = self.rows(spec.D)
+
+    def rows(self, table):
+        """The kept pairs of a (..., kappa0, kappa1, a, b) table, as (..., P, 1, a, b)."""
+        return table.reshape(table.shape[:-4] + (-1,) + table.shape[-2:])[..., self.pairs, :, :]
+
+    @staticmethod
+    def at(table, t):
+        """Step t of a (T+1, kappa0, kappa1, 2, ...) table, as a view over
+        (flat pair, g); index it with (pairs, gammas) for the kept nodes."""
+        return table[t].reshape((-1, 2) + table.shape[4:])
+
+    def maps(self, t):
+        """(F, Theta_aug, M) of step t over the kept (pair, g), from
+        `_stage_maps`, and W, the covariance vec(w0_t, w1_t) adds to the x
+        rows of the augmented state."""
+        spec, tables, node = self.spec, self.tables, (self.pairs, self.gammas)
+        F, theta_aug, M = _stage_maps(
+            spec,
+            self.at(tables.theta, t)[node],
+            None if tables.mean_update is None else self.at(tables.mean_update, t)[node],
+            self.D,
+            self.rows(spec.cost.Q[t]),
+            self.rows(spec.cost.R[t]),
+        )
+        n, x1, _ = _layout(spec)
+        W = np.zeros((n, n))
+        W[:spec.dims.d_x0, :spec.dims.d_x0], W[x1, x1] = spec.stoch.covW0[t], spec.stoch.covW1[t]
+        return F, theta_aug, M, W
 
 
-def _stages(spec, policy):
-    _check_policy(policy)
-    d, m, st, tables = spec.dims, spec.modes, spec.stoch, policy.tables
-    steps, k = spec.T + 1, m.kappa0 * m.kappa1
-    n, x1, _ = _layout(spec)
-    w = np.outer(m.pi_m0, m.pi_m1).ravel()
-    pairs = np.flatnonzero(w > 0.0)
-    p_all = np.array([1.0 - spec.channel.p1, spec.channel.p1])
-    gammas = np.flatnonzero(p_all > 0.0)
-
-    def nodes(table):
-        return table.reshape((steps, k, 2) + table.shape[4:])[:, pairs[:, None], gammas]
-
-    def per_pair(table):
-        return table.reshape(table.shape[:-4] + (k,) + table.shape[-2:])[..., pairs, None, :, :]
-
-    D, R = per_pair(spec.D), per_pair(spec.cost.R)
-    F, theta_aug, M = _stage_maps(
-        spec,
-        nodes(tables.theta),
-        None if tables.mean_update is None else nodes(tables.mean_update),
-        D,
-        per_pair(spec.cost.Q),
-        R,
-    )
-    E0, E = _copy_maps(spec, tables.mean_update is None)
-    noise = np.zeros((steps, n, n))
-    noise[:, :d.d_x0, :d.d_x0] = st.covW0
-    noise[:, x1, x1] = st.covW1
-    return _Stages(
-        pairs=pairs, w=w[pairs], gammas=gammas, p=p_all[gammas], E0=E0[gammas], E=E[gammas],
-        F=F, theta_aug=theta_aug, M=M, B=D[..., d.d_x:], R=R, noise=noise,
-    )
-
-
-def _moments(spec, stages):
-    """S[t, c] = S_t^g for g = stages.gammas[c]: E[xi_t xi_t' 1{gamma_t = g}].
+def _moments(spec, loop):
+    """Yields (stage cost, S_t) for t = 0..T: S_t[c] = S_t^g =
+    E[xi_t xi_t' 1{gamma_t = g}] for g = loop.gammas[c], and its cost sums
+    w tr(M S_t^g) over the pairs and bits.
 
     S_{t+1}^g = P(g) E_g Y_t E_g', where Y_t sums w F S_t F' over the pairs
-    and bits of t plus the noise, weighted by the mass S_t[-1, -1]. Step 0
-    is the same with E0 and Y_{-1}, the second moment of (x0, x1, mu_x1, 1).
+    and bits of t plus the noise W_t, weighted by the mass S_t[-1, -1].
+    Step 0 is the same with E0 and Y_{-1}, the second moment of (x0, x1,
+    mu_x1, 1).
     """
     d, st = spec.dims, spec.stoch
-    w, p, E = stages.w, stages.p, stages.E
+    w, p, E = loop.w, loop.p, loop.E
     _, x1, _ = _layout(spec)
     mean = np.concatenate([st.mu_x0, st.mu_x1, st.mu_x1, [1.0]])
     Y = np.zeros(E.shape[1:])
     Y[:d.d_x0, :d.d_x0], Y[x1, x1] = st.cov_x0, st.cov_x1
     Y += np.outer(mean, mean)
-    S = np.empty((spec.T + 1,) + E.shape)
-    S[0] = p[:, None, None] * (stages.E0 @ Y @ _T(stages.E0))
-    for t in range(spec.T):
-        F = stages.F[t]
-        Y = np.tensordot(w, (F @ S[t] @ _T(F)).sum(axis=1), axes=1)
-        Y += w.sum() * S[t, :, -1, -1].sum() * stages.noise[t]
-        S[t + 1] = p[:, None, None] * (E @ Y @ _T(E))
-    return S
+    S = p[:, None, None] * (loop.E0 @ Y @ _T(loop.E0))
+    for t in range(spec.T + 1):
+        F, _, M, W = loop.maps(t)
+        yield float(np.einsum("p,pcij,cij->", w, M, S)), S
+        if t < spec.T:
+            Y = np.tensordot(w, (F @ S @ _T(F)).sum(axis=1), axes=1)
+            Y += w.sum() * S[:, -1, -1].sum() * W
+            S = p[:, None, None] * (E @ Y @ _T(E))
 
 
-def _costates(spec, stages):
-    """L[t] = dJ/dY_t for t < T, by the backward (dual) recursion.
+def _costates(spec, loop):
+    """Yields (t, F_t, Theta_aug_t, L_t) for t = T down to 0, where L_t =
+    dJ/dY_t comes from the backward (dual) recursion; L_T is None, since no
+    cost reads Y_T.
 
     Lambda_T^g sums w M over the pairs; then L_t = sum_g P(g) E_g'
     Lambda_{t+1}^g E_g, and Lambda_t^g sums w (M + F' L_t F) plus the noise
-    term tr(W L_t), which lands on the constant coordinate.
+    term tr(W_t L_t), which lands on the constant coordinate.
     """
-    w, p, E = stages.w, stages.p, stages.E
-    Lam = np.tensordot(w, stages.M[spec.T], axes=1)
-    L = np.empty((spec.T,) + Lam.shape[1:])
+    w, p, E = loop.w, loop.p, loop.E
+    F, theta_aug, M, _ = loop.maps(spec.T)
+    yield spec.T, F, theta_aug, None
+    Lam = np.tensordot(w, M, axes=1)
     for t in range(spec.T - 1, -1, -1):
-        L[t] = np.tensordot(p, _T(E) @ Lam @ E, axes=1)
-        F = stages.F[t]
-        Lam = np.tensordot(w, stages.M[t] + _T(F) @ L[t] @ F, axes=1)
-        Lam[:, -1, -1] += w.sum() * np.sum(stages.noise[t] * L[t])
-    return L
-
-
-def _cost(stages, S):
-    return float(np.einsum("p,tpcij,tcij->", stages.w, stages.M, S))
+        L = np.tensordot(p, _T(E) @ Lam @ E, axes=1)
+        F, theta_aug, M, W = loop.maps(t)
+        yield t, F, theta_aug, L
+        Lam = np.tensordot(w, M + _T(F) @ L @ F, axes=1)
+        Lam[:, -1, -1] += w.sum() * np.sum(W * L)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -222,10 +220,11 @@ def exact_expected_cost(spec, policy, return_prob=False):
     Sums w tr(M S_t^g) over every stage. With `return_prob`, also returns
     the probability mass reached at t = T (1 up to rounding).
     """
-    stages = _stages(spec, policy)
-    S = _moments(spec, stages)
-    total = _cost(stages, S)
-    prob = float(stages.w.sum() * S[-1, :, -1, -1].sum())
+    loop = _ClosedLoop(spec, policy)
+    total = 0.0
+    for cost, S in _moments(spec, loop):
+        total += cost
+    prob = float(loop.w.sum() * S[:, -1, -1].sum())
     if not (np.isfinite(total) and np.isfinite(prob)):
         raise NonFiniteError(f"exact cost {total!r} or probability mass {prob!r} non-finite")
     return (total, prob) if return_prob else total
@@ -237,34 +236,31 @@ def exact_gradient(spec, policy):
     policy and its gradient with respect to every entry of the policy's
     gain arrays, as a `solver.GainTables`.
 
-    With L_t the costate of `_costates`, the stage maps get dJ/dTheta_aug =
+    With L_t the costate of `_costates`, step t's maps get dJ/dTheta_aug =
     2 w (R Theta_aug + B' (L_t F)[x rows]) S_t^g and dJ/d(mean_update) =
-    2 w (L_t F)[xhat rows] S_t^g; the transpose of `compile_policy` sums
-    them into the gain arrays.
+    2 w (L_t F)[xhat rows] S_t^g, written into table-shaped cotangents as
+    the costate pass reaches t; the transpose of `compile_policy` sums them
+    into the gain arrays.
     """
     if getattr(policy, "full_information", False):
         raise UnsupportedPolicyError(
             f"policy {policy.name!r} has no decentralized gains to differentiate"
         )
-    stages = _stages(spec, policy)
-    S = _moments(spec, stages)
-    L = _costates(spec, stages)
-    d, T, w = spec.dims, spec.T, stages.w[:, None, None, None]
+    loop = _ClosedLoop(spec, policy)
+    costs, S = zip(*_moments(spec, loop))
+    d, w, node = spec.dims, loop.w[:, None, None, None], (loop.pairs, loop.gammas)
     _, _, hat = _layout(spec)
-    LF = L[:, None, None] @ stages.F[:T]
-    d_theta = stages.R @ stages.theta_aug
-    d_theta[:T] += _T(stages.B) @ LF[..., :d.d_x, :]
-    d_theta = 2.0 * w * (d_theta @ S[:, None])
-    d_mean = 2.0 * w * (LF[..., hat, :] @ S[:T, None])
-
-    tables = policy.tables
-    steps, k = T + 1, spec.modes.kappa0 * spec.modes.kappa1
-    theta_bar = np.zeros(tables.theta.shape)
-    mean_bar = np.zeros(tables.mean_update.shape)
-    index = (stages.pairs[:, None], stages.gammas)
-    theta_bar.reshape((steps, k, 2) + theta_bar.shape[4:])[(slice(None),) + index] = d_theta[..., :-1]
-    mean_bar.reshape((steps, k, 2) + mean_bar.shape[4:])[(slice(T),) + index] = d_mean[..., :-1]
-    cost = _cost(stages, S)
+    B = loop.D[..., d.d_x:]
+    theta_bar = np.zeros(policy.tables.theta.shape)
+    mean_bar = np.zeros(policy.tables.mean_update.shape)
+    for t, F, theta_aug, L in _costates(spec, loop):
+        d_theta = loop.rows(spec.cost.R[t]) @ theta_aug
+        if L is not None:
+            LF = L @ F
+            d_theta += _T(B) @ LF[..., :d.d_x, :]
+            loop.at(mean_bar, t)[node] = (2.0 * w * (LF[..., hat, :] @ S[t]))[..., :-1]
+        loop.at(theta_bar, t)[node] = (2.0 * w * (d_theta @ S[t]))[..., :-1]
+    cost = sum(costs)
     grads = compile_policy_transpose(spec, theta_bar, mean_bar)
     if not (np.isfinite(cost) and all(np.isfinite(g).all() for g in vars(grads).values())):
         raise NonFiniteError(f"exact cost {cost!r} or its gain gradient non-finite")

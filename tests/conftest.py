@@ -146,8 +146,8 @@ def long_horizon_config():
 def reference_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     """Stage maps (F, G, Theta_aug, M) of one node, built on their own.
 
-    A per-node copy of the maps the oracle stacks, written against single
-    entries of the policy's compiled tables and `assemble_system`,
+    A per-node copy of the maps the oracle builds per step, written against
+    single entries of the policy's compiled tables and `assemble_system`,
     so that the brute-force enumeration does not share the oracle's builder.
     """
     d = spec.dims

@@ -2,14 +2,16 @@
 make the Tier-1 suite fail.
 
 Each entry names a file of the checkout, a snippet that occurs in it
-exactly once, its replacement and the reason the mutant matters. For each
-entry the script copies the checkout to a temporary directory, applies the
-replacement there and runs Tier-1 with `-x`; the mutant is killed when
-pytest reports a failing test (exit code 1). The unmutated copy runs first
-and must pass, so that a kill is the mutant's doing. The test that checks
-each snippet against the checkout is deselected, since every mutant
-removes its own snippet. The checkout itself is never modified. Exits 1
-unless every mutant is killed.
+exactly once, its replacement, the reason the mutant matters, and
+`killed_by`, the pytest node ids that failed when the entry was recorded.
+For each entry the script copies the checkout to a temporary directory and
+applies the replacement there. It runs the `killed_by` tests first, then,
+only if they do not fail, Tier-1 with `-x` and the entry marked stale; the
+mutant is killed when pytest reports a failing test (exit code 1). The
+unmutated copy runs the full Tier-1 first and must pass, so that a kill is
+the mutant's doing. The test that checks each snippet against the checkout
+is deselected, since every mutant removes its own snippet. The checkout
+itself is never modified. Exits 1 unless every mutant is killed.
 
     python3 tests/run_mutants.py
 """
@@ -39,25 +41,36 @@ def apply(root, mutant):
     path.write_text(text.replace(mutant["find"], mutant["replace"]))
 
 
-def run_tier1(mutant=None):
-    """pytest's exit code for Tier-1 on a copy of the checkout, with
-    `mutant` applied, stopping at the first failure."""
+def pytest(root, args):
+    """pytest's exit code on the checkout copy at `root`, stopping at the
+    first failure."""
+    paths = [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors", *args,
+    ]
+    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutant=None):
+    """(pytest exit code, stale) on a copy of the checkout with `mutant`
+    applied. Its `killed_by` tests run first; if they do not fail, Tier-1
+    runs and `stale` is their exit code. Without a mutant, Tier-1 alone."""
     with tempfile.TemporaryDirectory() as tmp:
         root = os.path.join(tmp, "checkout")
         shutil.copytree(ROOT, root, ignore=SKIP)
+        stale = None
         if mutant is not None:
             apply(root, mutant)
-        paths = [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        cmd = [
-            sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors", "--deselect", SELF_TEST,
-        ]
-        return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            stale = pytest(root, mutant["killed_by"])
+            if stale == 1:
+                return 1, None
+        return pytest(root, ["--deselect", SELF_TEST]), stale
 
 
 def main():
-    code = run_tier1()
+    code, _ = run()
     if code != 0:
         print(f"the unmutated copy fails Tier-1 (pytest exit {code}); no mutant was run")
         return 1
@@ -65,9 +78,10 @@ def main():
     survivors = 0
     for i, mutant in enumerate(mutants):
         start = time.perf_counter()
-        code = run_tier1(mutant)
+        code, stale = run(mutant)
         verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
-        print(f"{i}: {verdict} in {time.perf_counter() - start:.1f} s  {mutant['file']}: {mutant['reason']}")
+        note = "" if stale is None else f"  [stale: its killed_by tests gave pytest exit {stale}]"
+        print(f"{i}: {verdict} in {time.perf_counter() - start:.1f} s  {mutant['file']}: {mutant['reason']}{note}")
         survivors += code != 1
     print(f"{survivors} of {len(mutants)} mutants survived")
     return 1 if survivors else 0

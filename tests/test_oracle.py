@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ncslqr.errors import OptimalityViolation, UnsupportedPolicyError
 from conftest import (
     enumerate_expected_cost,
     long_horizon_config,
+    random_config,
     reference_closed_loop,
     s2_config,
     time_varying_config,
@@ -122,9 +124,9 @@ class TestExactEvaluation:
             x1, xh = slice(d.d_x0, d.d_x), slice(d.d_x, d.d_x + d.d_x1)
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
-            stages = oracle._stages(spec, policy)
-            moments = oracle._moments(spec, stages)
-            assert list(stages.gammas) == [0, 1]
+            loop = oracle._ClosedLoop(spec, policy)
+            moments = np.stack([S for _, S in oracle._moments(spec, loop)])
+            assert list(loop.gammas) == [0, 1]
             for t, gamma in np.ndindex(moments.shape[:2]):
                 if gamma == 0 and (kind != "centralized" or t == 0):
                     continue
@@ -167,13 +169,32 @@ class TestExactEvaluation:
         with pytest.raises(UnsupportedPolicyError):
             oracle.exact_expected_cost(s2_spec, Lookahead())
 
+    def test_working_memory_does_not_grow_with_the_horizon(self):
+        # One battery shape (every block 2-dimensional, kappa0 = kappa1 =
+        # 2) at T and 4T: beyond the policy's compiled tables the cost holds
+        # one step's maps and moments, about 26 KB at either horizon. Maps
+        # stacked over the horizon would take 0.57 MB at T = 60 and 2.1 MB
+        # at T = 240.
+        def working_peak(T):
+            spec = model.load_config(random_config(np.random.default_rng(7), T=T))
+            policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
+            oracle.exact_expected_cost(spec, policy)  # compiles the tables outside the peak
+            tracemalloc.start()
+            try:
+                oracle.exact_expected_cost(spec, policy)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert working_peak(240) <= 1.25 * working_peak(60)
+
 
 def _innovation_means(spec, policy):
     """E[(x1 - xhat) 1{gamma_t = g}] for every t and g, read off the
     oracle's moments S_t^g = E[xi xi' 1{gamma_t = g}]: the last coordinate
     of xi is the constant one, so its column holds the first moments. Also
     returns the scale of xi, the root of its largest second moment."""
-    S = oracle._moments(spec, oracle._stages(spec, policy))
+    S = np.stack([S for _, S in oracle._moments(spec, oracle._ClosedLoop(spec, policy))])
     _, x1, hat = oracle._layout(spec)
     scale = float(np.sqrt(np.diagonal(S, axis1=-2, axis2=-1).max()))
     return S[:, :, x1, -1] - S[:, :, hat, -1], scale
@@ -310,15 +331,15 @@ class TestStationarity:
             if spec.T == 0:
                 continue
             bundle = solver.solve_backward(spec)
-            stages = oracle._stages(spec, control.make_policy("optimal", spec, bundle))
-            S = oracle._moments(spec, stages)
-            L = oracle._costates(spec, stages)
-            w, F = stages.w, stages.F[0]
+            loop = oracle._ClosedLoop(spec, control.make_policy("optimal", spec, bundle))
+            costs, S = zip(*oracle._moments(spec, loop))
+            *_, (t, F, _, L0) = oracle._costates(spec, loop)
+            assert t == 0
+            w, (_, _, M, W) = loop.w, loop.maps(0)
             Y0 = np.einsum("p,pcij->ij", w, F @ S[0] @ np.swapaxes(F, -1, -2))
-            Y0 += w.sum() * S[0, :, -1, -1].sum() * stages.noise[0]
-            stage0 = np.einsum("p,pcij,cij->", w, stages.M[0], S[0])
-            cost = oracle._cost(stages, S)
-            assert stage0 + np.sum(L[0] * Y0) == pytest.approx(cost, rel=1e-12)
+            Y0 += w.sum() * S[0][:, -1, -1].sum() * W
+            stage0 = np.einsum("p,pcij,cij->", w, M, S[0])
+            assert stage0 + np.sum(L0 * Y0) == pytest.approx(sum(costs), rel=1e-12)
 
     def test_worst_entry_is_first_largest_in_file_order(self):
         # Per (t, m0): K_empty, then K_received; Ktilde after every step.

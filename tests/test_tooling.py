@@ -10,12 +10,14 @@ import inspect
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import ncslqr
 from ncslqr import cli, control, model, sim, solver
 from conftest import s2_config
+from run_mutants import MUTANTS, SELF_TEST
 
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCH = ROOT / "perfbench" / "launch.py"
@@ -133,6 +135,23 @@ def test_mutant_snippets_occur_once():
     mutants = json.loads((ROOT / "tests" / "mutants.json").read_text())
     assert mutants
     for mutant in mutants:
-        assert set(mutant) == {"file", "find", "replace", "reason"}
+        assert set(mutant) == {"file", "find", "replace", "reason", "killed_by"}
         assert mutant["replace"] != mutant["find"]
         assert (ROOT / mutant["file"]).read_text().count(mutant["find"]) == 1, mutant
+
+
+def test_mutant_killers_are_tier1_tests():
+    # tests/run_mutants.py counts a failure of an entry's killed_by tests as
+    # its kill. An id that Tier-1 does not collect would send that entry to
+    # the full run at every gate, and the snippet check, which every mutant
+    # fails, would count as a kill for every entry.
+    mutants = json.loads(MUTANTS.read_text())
+    killers = {node for mutant in mutants for node in mutant["killed_by"]}
+    assert all(mutant["killed_by"] for mutant in mutants)
+    assert SELF_TEST not in killers
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    collected = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    ).stdout.splitlines()
+    assert killers <= set(collected), sorted(killers - set(collected))
