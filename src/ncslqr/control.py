@@ -13,14 +13,14 @@ certainty-equivalent heuristic on the centralized gains, and the
 full-information centralized controller), is one `LinearCommonPolicy`
 whose three gain arrays (`policy.gains`, a `solver.GainTables`)
 `make_policy` fills for its kind; a bundle handed to it must fit the
-problem, whatever the kind. `compile_policy` turns the gains into
-time-varying linear maps of (x0, x1, xhat) for the simulator and the exact
-evaluator; its transpose, `compile_policy_transpose`, carries the
-evaluator's exact gradient with respect to those maps back to the gains.
+problem, whatever the kind. `policy.stage(t)` builds step t's linear
+maps of (x0, x1, xhat) from the gains at t, when the simulator or the exact
+evaluator reaches that step; its transpose, `policy.stage_transpose`,
+carries the evaluator's exact gradient with respect to those maps back to
+the gains at t.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -133,108 +133,6 @@ def centralized_solve(spec):
 # --- policies ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledPolicy:
-    """A linear policy as stacked closed-loop tables; xi = vec(x0, x1, xhat).
-
-    theta[t, m0, m1, gamma] maps xi to vec(u0, u1). mean_update[t, m0, m1,
-    gamma] maps xi to xhat_{t+1} when the next transmission fails; it is
-    None when xhat simply copies x1.
-    """
-
-    theta: np.ndarray                   # (T+1, kappa0, kappa1, 2, d_u, n_xi)
-    mean_update: Optional[np.ndarray]   # (T+1, kappa0, kappa1, 2, d_x1, n_xi)
-
-
-def _selectors(spec):
-    """Slices of x1 and xhat in xi = vec(x0, x1, xhat), and the 0/1 matrices
-    picking (x0, x1) and (x0, xhat) out of xi; products with them copy
-    entries exactly."""
-    d = spec.dims
-    n = d.d_x0 + 2 * d.d_x1
-    x1 = slice(d.d_x0, d.d_x)
-    return x1, slice(d.d_x, n), np.eye(n)[:d.d_x], np.delete(np.eye(n), x1, axis=0)
-
-
-def compile_policy(spec, policy):
-    """Stage tables of a linear policy, sliced from its gain arrays.
-
-    The policy has the common-information form of Nayyar, Mahajan &
-    Teneketzis (IEEE TAC 58(7), 2013). gamma_t = 1: the received-branch
-    gain for the realized local mode acts on (x0, x1). gamma_t = 0: the
-    empty-branch gain acts on (x0, xhat), and u1 adds the innovation gain on
-    x1 - xhat. The estimate that follows a failed transmission propagates
-    xhat through the realized mode pair after a success, and averages over
-    the unobserved local mode otherwise.
-
-    The tables are filled one step at a time, so that no temporary spans
-    the horizon; each step runs the same per-matrix products.
-    """
-    d, m = spec.dims, spec.modes
-    k0, k1 = m.kappa0, m.kappa1
-    gains = policy.gains
-    x1, xh, sel_x, sel_common = _selectors(spec)
-    steps, n = spec.T + 1, sel_x.shape[-1]
-
-    theta = np.empty((steps, k0, k1, 2, d.d_u, n))
-    if policy.full_information:
-        for t in range(steps):
-            theta[t] = (gains.K_received[t] @ sel_x)[:, :, None]
-        return CompiledPolicy(theta=theta, mean_update=None)
-
-    # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
-    # success; otherwise averaged over the local mode, xhat standing in for x1.
-    D1 = spec.D[:, :, d.d_x0:, :]
-    x_rows, common_rows = (np.broadcast_to(sel, (k0, k1) + sel.shape) for sel in (sel_x, sel_common))
-
-    mean_update = np.empty((steps, k0, k1, 2, d.d_x1, n))
-    for t in range(steps):
-        received = gains.K_received[t] @ sel_x
-        qbar = gains.K_empty[t, :, d.d_u0:].reshape(k0, k1, d.d_u1, d.d_x)
-        u0 = np.broadcast_to(gains.K_empty[t, :, None, :d.d_u0], (k0, k1, d.d_u0, d.d_x))
-        # Actions from common information alone, for every local mode.
-        blind = np.concatenate([u0, qbar], axis=-2) @ sel_common
-        mean_update[t, :, :, 1] = D1 @ np.concatenate([x_rows, received], axis=-2)
-        averaged = D1 @ np.concatenate([common_rows, blind], axis=-2)
-        mean_update[t, :, :, 0] = sum(m.pi_m1[j] * averaged[:, j] for j in range(k1))[:, None]
-        theta[t, :, :, 1] = received
-        theta[t, :, :, 0] = blind
-        theta[t, :, :, 0, d.d_u0:, x1] = gains.Ktilde[t]
-        theta[t, :, :, 0, d.d_u0:, xh] -= gains.Ktilde[t]
-    return CompiledPolicy(theta=theta, mean_update=mean_update)
-
-
-def compile_policy_transpose(spec, theta_bar, mean_update_bar):
-    """Transpose of `compile_policy` for a decentralized policy.
-
-    `compile_policy` is affine in the gain arrays. This maps cotangents of
-    its tables (shaped like `CompiledPolicy.theta` and `.mean_update`) to
-    cotangents of K_empty, K_received and Ktilde, so that
-    <tables(K) - tables(0), bars> = <K, transpose(bars)>.
-    """
-    d, m = spec.dims, spec.modes
-    steps, k0, k1 = spec.T + 1, m.kappa0, m.kappa1
-    x1, xh, sel_x, sel_common = _selectors(spec)
-    B1t = np.swapaxes(spec.D[:, :, d.d_x0:, d.d_x:], -1, -2)
-    blind_bar, received_bar = theta_bar[..., 0, :, :], theta_bar[..., 1, :, :]
-
-    # mean_update[..., 1] = B1 @ received + const; mean_update[..., 0] is
-    # sum_j pi_m1[j] B1[:, j] @ blind[:, :, j] + const, repeated over m1.
-    received_bar = received_bar + B1t @ mean_update_bar[..., 1, :, :]
-    averaged_bar = mean_update_bar[..., 0, :, :].sum(axis=2)[:, :, None]
-    blind_bar = blind_bar + m.pi_m1[:, None, None] * (B1t @ averaged_bar)
-
-    common_bar = blind_bar @ sel_common.T
-    return GainTables(
-        K_empty=np.concatenate([
-            common_bar[:, :, :, :d.d_u0].sum(axis=2),
-            common_bar[:, :, :, d.d_u0:].reshape(steps, k0, k1 * d.d_u1, d.d_x),
-        ], axis=2),
-        K_received=received_bar @ sel_x.T,
-        Ktilde=theta_bar[..., 0, d.d_u0:, x1] - theta_bar[..., 0, d.d_u0:, xh],
-    )
-
-
 class LinearCommonPolicy:
     """Policy linear in (x0, xhat) commonly and (x1 - xhat) locally.
 
@@ -242,23 +140,97 @@ class LinearCommonPolicy:
     vec(x0, xhat) to vec(u0, qbar(1..kappa1)) when nothing was received,
     K_received[t, m0, m1] maps vec(x0, x1) to vec(u0, u1) once m1 was
     received, and Ktilde maps the innovation x1 - xhat to u1. The simulator
-    and the exact evaluator both read the policy through its compiled tables
-    (`compile_policy`), built once per policy. `name` only labels reports.
+    and the exact evaluator both read the policy one step at a time through
+    `stage(t)`; the policy itself holds only its gains and constants whose
+    size does not depend on the horizon. `name` only labels reports.
     """
 
     def __init__(self, spec, gains, name="linear"):
         self.spec = spec
         self.gains = gains
         self.name = name
+        d, m = spec.dims, spec.modes
+        n = d.d_x0 + 2 * d.d_x1
+        # Slices of x1 and xhat in xi = vec(x0, x1, xhat), and the 0/1
+        # matrices picking (x0, x1) and (x0, xhat) out of xi; products with
+        # them copy entries exactly.
+        self._x1, self._xh = slice(d.d_x0, d.d_x), slice(d.d_x, n)
+        self._sel_x = np.eye(n)[:d.d_x]
+        self._sel_common = np.delete(np.eye(n), self._x1, axis=0)
+        # Rows of K_empty[t, m0] that give vec(u0, qbar(m1)), for each m1.
+        self._common = np.concatenate([
+            np.broadcast_to(np.arange(d.d_u0), (m.kappa1, d.d_u0)),
+            d.d_u0 + np.arange(m.kappa1 * d.d_u1).reshape(m.kappa1, d.d_u1),
+        ], axis=1)
+        # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
+        # success; otherwise averaged over the local mode, xhat standing in for x1.
+        self._D1 = spec.D[:, :, d.d_x0:, :]
+        self._x_rows, self._common_rows = (
+            np.broadcast_to(sel, (m.kappa0, m.kappa1) + sel.shape) for sel in (self._sel_x, self._sel_common)
+        )
 
     @property
     def full_information(self):
         """True when both controllers see the true joint state, so xhat is x1."""
         return self.gains.K_empty is None
 
-    @cached_property
-    def tables(self):
-        return compile_policy(self.spec, self)
+    def stage(self, t):
+        """(theta_t, mean_update_t): step t's closed-loop maps of xi =
+        vec(x0, x1, xhat), each shaped (kappa0, kappa1, 2, ., n_xi) over
+        (m0, m1, gamma_t). theta_t maps xi to vec(u0, u1); mean_update_t
+        maps xi to xhat_{t+1} when the next transmission fails, and is None
+        when xhat simply copies x1.
+
+        The policy has the common-information form of Nayyar, Mahajan &
+        Teneketzis (IEEE TAC 58(7), 2013), so step t's maps read only the
+        gains at t. gamma_t = 1: the received-branch gain for the realized
+        local mode acts on (x0, x1). gamma_t = 0: the empty-branch gain acts
+        on (x0, xhat), and u1 adds the innovation gain on x1 - xhat. The
+        estimate that follows a failed transmission propagates xhat through
+        the realized mode pair after a success, and averages over the
+        unobserved local mode otherwise.
+        """
+        d, m, gains = self.spec.dims, self.spec.modes, self.gains
+        received = gains.K_received[t] @ self._sel_x
+        k0, k1, _, n = received.shape
+        if self.full_information:
+            return np.broadcast_to(received[:, :, None], (k0, k1, 2, d.d_u, n)), None
+        # Actions from common information alone, for every local mode.
+        blind = gains.K_empty[t][:, self._common] @ self._sel_common
+        theta = np.empty((k0, k1, 2, d.d_u, n))
+        theta[:, :, 0], theta[:, :, 1] = blind, received
+        theta[:, :, 0, d.d_u0:, self._x1] = gains.Ktilde[t]
+        theta[:, :, 0, d.d_u0:, self._xh] -= gains.Ktilde[t]
+        mean_update = np.empty((k0, k1, 2, d.d_x1, n))
+        mean_update[:, :, 1] = self._D1 @ np.concatenate([self._x_rows, received], axis=-2)
+        averaged = self._D1 @ np.concatenate([self._common_rows, blind], axis=-2)
+        mean_update[:, :, 0] = (m.pi_m1[:, None, None] * averaged).sum(axis=1)[:, None]
+        return theta, mean_update
+
+    def stage_transpose(self, theta_bar, mean_update_bar):
+        """Transpose of `stage` for a decentralized policy.
+
+        `stage(t)` is affine in the gains at t. This maps cotangents of its
+        maps (shaped like theta_t and mean_update_t) to cotangents of
+        (K_empty[t], K_received[t], Ktilde[t]), so that
+        <stage(t) - stage(t) at zero gains, bars> = <gains at t, transpose(bars)>.
+        """
+        d, m = self.spec.dims, self.spec.modes
+        k0, k1 = m.kappa0, m.kappa1
+        B1t = np.swapaxes(self._D1[..., d.d_x:], -1, -2)
+        blind_bar, received_bar = theta_bar[:, :, 0], theta_bar[:, :, 1]
+        # mean_update[:, :, 1] = B1 @ received + const; mean_update[:, :, 0]
+        # is sum_j pi_m1[j] B1[:, j] @ blind[:, j] + const, repeated over m1.
+        received_bar = received_bar + B1t @ mean_update_bar[:, :, 1]
+        averaged_bar = mean_update_bar[:, :, 0].sum(axis=1)[:, None]
+        blind_bar = blind_bar + m.pi_m1[:, None, None] * (B1t @ averaged_bar)
+        common_bar = blind_bar @ self._sel_common.T
+        K_empty = np.concatenate([
+            common_bar[:, :, :d.d_u0].sum(axis=1),
+            common_bar[:, :, d.d_u0:].reshape(k0, k1 * d.d_u1, d.d_x),
+        ], axis=1)
+        Ktilde = theta_bar[:, :, 0, d.d_u0:, self._x1] - theta_bar[:, :, 0, d.d_u0:, self._xh]
+        return K_empty, received_bar @ self._sel_x.T, Ktilde
 
 
 def make_policy(kind, spec, bundle=None):

@@ -9,8 +9,8 @@ linear system recursion of Costa, Fragoso & Marques, 2005, ch. 3), however
 many mode/channel sequences the instance has.
 
 Each step's stage maps are built when a pass reaches that step, as arrays
-over (mode pair, gamma_t), straight from the policy's compiled tables
-(`control.compile_policy`, the ones the simulator steps through): F
+over (mode pair, gamma_t), straight from the policy's step-t maps
+(`policy.stage(t)`, the ones the simulator steps through): F
 propagates xi when the next transmission fails, and M is the stage-cost
 matrix. When it succeeds the map is E F, where E copies the x1 rows into
 the xhat rows; under full information it copies on both bits. The initial
@@ -24,10 +24,10 @@ every moment, so one backward pass of the costates Lambda_t^g = dJ/dS_t^g
 (the dual recursion) gives dJ/dF and dJ/dM for every stage map. That pass
 rebuilds each step's maps rather than keeping them from the forward pass
 (checkpointing: Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-ch. 12), so the gradient keeps only the moments S_t over the horizon. The
-transpose of `compile_policy` carries the maps' cotangents to the gain
-arrays (cf. the gain-gradient conditions of Levine & Athans, IEEE TAC
-15(1), 1970).
+ch. 12), so the gradient keeps only the moments S_t over the horizon. Step t's
+transpose (`policy.stage_transpose`) carries the maps' cotangents to the
+gains at t as the pass reaches it (cf. the gain-gradient conditions of
+Levine & Athans, IEEE TAC 15(1), 1970).
 `stationarity_check` certifies every gain entry with that gradient. A
 non-finite cost, probability mass or gradient raises NonFiniteError.
 """
@@ -35,10 +35,10 @@ non-finite cost, probability mass or gradient raises NonFiniteError.
 import numpy as np
 
 from . import philox
-from .control import LinearCommonPolicy, compile_policy_transpose, make_policy
+from .control import LinearCommonPolicy, make_policy
 from .errors import NonFiniteError, OptimalityViolation, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
-from .solver import GainTables
+from .solver import GainTables, gain_shapes
 
 
 def _T(M):
@@ -46,7 +46,7 @@ def _T(M):
 
 
 def _check_policy(policy):
-    if not hasattr(policy, "tables"):
+    if not hasattr(policy, "stage"):
         raise UnsupportedPolicyError(
             f"policy {getattr(policy, 'name', policy)!r} does not expose linear stage maps"
         )
@@ -70,9 +70,9 @@ def _copy_maps(spec, full_information):
 
 
 def _stage_maps(spec, theta, mean_update, D, Q, R):
-    """(F, Theta_aug, M) for stacked nodes (t, modes, gamma_t).
+    """(F, Theta_aug, M) for stacked nodes (modes, gamma_t) of one step.
 
-    The leading axes of the policy tables `theta` and `mean_update` (None
+    The leading axes of the policy's maps `theta` and `mean_update` (None
     under full information, whose xhat rows the copy maps E fill), of
     D = [A B] and of the cost weights Q and R broadcast together. F
     propagates the augmented state when the next transmission fails,
@@ -102,18 +102,18 @@ def build_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     one node of the step maps the evaluator builds (`_ClosedLoop.maps`).
     """
     _check_policy(policy)
-    d, tables = spec.dims, policy.tables
-    node = (t, m0, m1, gamma_t)
+    theta, mean_update = policy.stage(t)
+    node = (m0, m1, gamma_t)
     F, theta_aug, M = _stage_maps(
         spec,
-        tables.theta[node],
-        None if tables.mean_update is None else tables.mean_update[node],
+        theta[node],
+        None if mean_update is None else mean_update[node],
         spec.D[m0, m1],
         spec.cost.Q[t, m0, m1],
         spec.cost.R[t, m0, m1],
     )
-    E = _copy_maps(spec, tables.mean_update is None)[1][gamma_next]
-    return E @ F, E[:, :d.d_x], theta_aug, M
+    E = _copy_maps(spec, mean_update is None)[1][gamma_next]
+    return E @ F, E[:, :spec.dims.d_x], theta_aug, M
 
 
 class _ClosedLoop:
@@ -126,13 +126,13 @@ class _ClosedLoop:
     def __init__(self, spec, policy):
         _check_policy(policy)
         m = spec.modes
-        self.spec, self.tables = spec, policy.tables
+        self.spec, self.policy = spec, policy
         w = np.outer(m.pi_m0, m.pi_m1).ravel()
         p = np.array([1.0 - spec.channel.p1, spec.channel.p1])
         self.pairs = np.flatnonzero(w > 0.0)[:, None]  # (P, 1) flat m0 * kappa1 + m1
         self.gammas = np.flatnonzero(p > 0.0)          # (C,) channel bits g
         self.w, self.p = w[self.pairs[:, 0]], p[self.gammas]
-        E0, E = _copy_maps(spec, policy.tables.mean_update is None)
+        E0, E = _copy_maps(spec, policy.full_information)
         self.E0, self.E = E0[self.gammas], E[self.gammas]
         self.D = self.rows(spec.D)
 
@@ -140,21 +140,28 @@ class _ClosedLoop:
         """The kept pairs of a (..., kappa0, kappa1, a, b) table, as (..., P, 1, a, b)."""
         return table.reshape(table.shape[:-4] + (-1,) + table.shape[-2:])[..., self.pairs, :, :]
 
-    @staticmethod
-    def at(table, t):
-        """Step t of a (T+1, kappa0, kappa1, 2, ...) table, as a view over
-        (flat pair, g); index it with (pairs, gammas) for the kept nodes."""
-        return table[t].reshape((-1, 2) + table.shape[4:])
+    def nodes(self, table):
+        """The kept (pair, g) of a step's (kappa0, kappa1, 2, a, b) map, as (P, C, a, b)."""
+        return table.reshape((-1, 2) + table.shape[3:])[self.pairs, self.gammas]
+
+    def scatter(self, bar):
+        """Transpose of `nodes`: a (kappa0, kappa1, 2, a, b) map that is `bar`
+        at the kept (pair, g) and zero elsewhere."""
+        m = self.spec.modes
+        table = np.zeros((m.kappa0 * m.kappa1, 2) + bar.shape[2:])
+        table[self.pairs, self.gammas] = bar
+        return table.reshape((m.kappa0, m.kappa1) + table.shape[1:])
 
     def maps(self, t):
         """(F, Theta_aug, M) of step t over the kept (pair, g), from
         `_stage_maps`, and W, the covariance vec(w0_t, w1_t) adds to the x
         rows of the augmented state."""
-        spec, tables, node = self.spec, self.tables, (self.pairs, self.gammas)
+        spec = self.spec
+        theta, mean_update = self.policy.stage(t)
         F, theta_aug, M = _stage_maps(
             spec,
-            self.at(tables.theta, t)[node],
-            None if tables.mean_update is None else self.at(tables.mean_update, t)[node],
+            self.nodes(theta),
+            None if mean_update is None else self.nodes(mean_update),
             self.D,
             self.rows(spec.cost.Q[t]),
             self.rows(spec.cost.R[t]),
@@ -238,9 +245,8 @@ def exact_gradient(spec, policy):
 
     With L_t the costate of `_costates`, step t's maps get dJ/dTheta_aug =
     2 w (R Theta_aug + B' (L_t F)[x rows]) S_t^g and dJ/d(mean_update) =
-    2 w (L_t F)[xhat rows] S_t^g, written into table-shaped cotangents as
-    the costate pass reaches t; the transpose of `compile_policy` sums them
-    into the gain arrays.
+    2 w (L_t F)[xhat rows] S_t^g; as the costate pass reaches t, step t's
+    transpose (`policy.stage_transpose`) carries them to the gains at t.
     """
     if getattr(policy, "full_information", False):
         raise UnsupportedPolicyError(
@@ -248,20 +254,23 @@ def exact_gradient(spec, policy):
         )
     loop = _ClosedLoop(spec, policy)
     costs, S = zip(*_moments(spec, loop))
-    d, w, node = spec.dims, loop.w[:, None, None, None], (loop.pairs, loop.gammas)
+    d, w = spec.dims, loop.w[:, None, None, None]
     _, _, hat = _layout(spec)
     B = loop.D[..., d.d_x:]
-    theta_bar = np.zeros(policy.tables.theta.shape)
-    mean_bar = np.zeros(policy.tables.mean_update.shape)
+    grads = GainTables(*(np.zeros(shape) for shape in gain_shapes(spec)))
     for t, F, theta_aug, L in _costates(spec, loop):
         d_theta = loop.rows(spec.cost.R[t]) @ theta_aug
-        if L is not None:
+        if L is None:
+            mean_bar = np.zeros(F[..., hat, :-1].shape)
+        else:
             LF = L @ F
             d_theta += _T(B) @ LF[..., :d.d_x, :]
-            loop.at(mean_bar, t)[node] = (2.0 * w * (LF[..., hat, :] @ S[t]))[..., :-1]
-        loop.at(theta_bar, t)[node] = (2.0 * w * (d_theta @ S[t]))[..., :-1]
+            mean_bar = (2.0 * w * (LF[..., hat, :] @ S[t]))[..., :-1]
+        theta_bar = (2.0 * w * (d_theta @ S[t]))[..., :-1]
+        grads.K_empty[t], grads.K_received[t], grads.Ktilde[t] = policy.stage_transpose(
+            loop.scatter(theta_bar), loop.scatter(mean_bar)
+        )
     cost = sum(costs)
-    grads = compile_policy_transpose(spec, theta_bar, mean_bar)
     if not (np.isfinite(cost) and all(np.isfinite(g).all() for g in vars(grads).values())):
         raise NonFiniteError(f"exact cost {cost!r} or its gain gradient non-finite")
     return cost, grads

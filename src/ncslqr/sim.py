@@ -20,11 +20,11 @@ uint64 arrays, so no command imports `numpy.random`:
   (u2, u3). The first d_x of them are the (x0, x1) noise that enters x_t:
   the initial state at t = 0, the process noise w_{t-1} after that.
 
-Runs advance together in chunks, through the policy's compiled stage
-tables (`control.compile_policy`), and one kernel call draws a chunk's
-words for every t and block. Each row's arithmetic sums elementwise
-products over the contracted index in a fixed order (no BLAS gemm), so a
-run's trajectory does not depend on which runs share its chunk:
+Runs advance together in chunks, through the policy's step maps, which
+`policy.stage(t)` builds when a chunk reaches step t, and one kernel call
+draws a chunk's words for every t and block. Each row's arithmetic sums
+elementwise products over the contracted index in a fixed order (no BLAS
+gemm), so a run's trajectory does not depend on which runs share its chunk:
 `simulate_run(seed, i)` reproduces run i of any batch bitwise, and no
 result depends on chunking.
 """
@@ -144,7 +144,6 @@ def _rollout(spec, policy, noise, key, indices, record):
     non-finite, at its first such step (None if every run stayed finite).
     """
     d, st, T = spec.dims, spec.stoch, spec.T
-    tables = policy.tables
     runs = len(indices)
     unif, normal = _draws(key, indices, T, _normal_blocks(spec))
     # Normalized cumulative weights, as Generator.choice builds them.
@@ -166,7 +165,8 @@ def _rollout(spec, policy, noise, key, indices, record):
         gamma = received.astype(int)
         x_hat = np.where(received[:, None], x[:, d.d_x0:], x_hat_fail)
         xi = np.concatenate([x, x_hat], axis=1)
-        u = _rows_dot(tables.theta[t, m0, m1, gamma], xi)
+        theta, mean_update = policy.stage(t)
+        u = _rows_dot(theta[m0, m1, gamma], xi)
         cost = _quad(spec.cost.Q[t, m0, m1], x) + _quad(spec.cost.R[t, m0, m1], u)
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(u).all(axis=1) & np.isfinite(cost))
         first_bad[bad & (first_bad < 0)] = t
@@ -177,10 +177,10 @@ def _rollout(spec, policy, noise, key, indices, record):
             x = _rows_dot(spec.D[m0, m1], np.concatenate([x, u], axis=1))
             if noise is not None:
                 x += _rows_dot(f_w[t][None], normal[:, t + 1, :d.d_x])
-            if tables.mean_update is None:
+            if mean_update is None:
                 x_hat_fail = x[:, d.d_x0:]  # xhat copies x1 under full information
             else:
-                x_hat_fail = _rows_dot(tables.mean_update[t, m0, m1, gamma], xi)
+                x_hat_fail = _rows_dot(mean_update[m0, m1, gamma], xi)
     rec = [np.stack(column, axis=1) for column in zip(*steps)] if record else None
     bad = np.flatnonzero(first_bad >= 0)
     failed = (int(bad[0]), int(first_bad[bad[0]])) if bad.size else None

@@ -147,15 +147,16 @@ def reference_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     """Stage maps (F, G, Theta_aug, M) of one node, built on their own.
 
     A per-node copy of the maps the oracle builds per step, written against
-    single entries of the policy's compiled tables and `assemble_system`,
-    so that the brute-force enumeration does not share the oracle's builder.
+    single entries of the policy's step-t maps (`policy.stage(t)`) and
+    `assemble_system`, so that the brute-force enumeration does not share
+    the oracle's builder.
     """
     d = spec.dims
     n = d.d_x0 + 2 * d.d_x1 + 1
     lam_x = np.zeros((d.d_x, n))
     lam_x[:, :d.d_x] = np.eye(d.d_x)
-    tables = policy.tables
-    theta_aug = np.hstack([tables.theta[t, m0, m1, gamma_t], np.zeros((d.d_u, 1))])
+    theta, mean_update = policy.stage(t)
+    theta_aug = np.hstack([theta[m0, m1, gamma_t], np.zeros((d.d_u, 1))])
     Q, R = spec.cost.Q[t, m0, m1], spec.cost.R[t, m0, m1]
     M = lam_x.T @ Q @ lam_x + theta_aug.T @ R @ theta_aug
 
@@ -166,12 +167,12 @@ def reference_closed_loop(spec, policy, t, m0, m1, gamma_t, gamma_next):
     G[:d.d_x, :] = np.eye(d.d_x)
     F[-1, -1] = 1.0
     hat = slice(d.d_x, d.d_x + d.d_x1)
-    if gamma_next == 1 or tables.mean_update is None:
+    if gamma_next == 1 or mean_update is None:
         # xhat copies x1 (always, for the full-information reference).
         F[hat, :] = F[d.d_x0:d.d_x, :]
         G[hat, :] = G[d.d_x0:d.d_x, :]
     else:
-        F[hat, :-1] = tables.mean_update[t, m0, m1, gamma_t]
+        F[hat, :-1] = mean_update[m0, m1, gamma_t]
     return F, G, theta_aug, 0.5 * (M + M.T)
 
 

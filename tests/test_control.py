@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ncslqr import control, solver
+from ncslqr import control, model, solver
 from ncslqr.solver import EMPTY
+from conftest import random_config
 
 
 @pytest.fixture
@@ -119,19 +120,21 @@ def _expected_action(policy, kind, cen, t, m0, m1, gamma, x0, x1, xh):
 
 
 class TestPolicyMaps:
-    """The compiled stage tables agree with the prescription/estimator
-    functions and with the reference policies' gain formulas."""
+    """Each step's maps (`policy.stage(t)`) agree with the
+    prescription/estimator functions and with the reference policies' gain
+    formulas."""
 
     @pytest.mark.parametrize("kind", ["optimal", "zero", "ce", "centralized"])
     def test_action_map_consistency(self, battery, kind):
         for spec in battery[:6]:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
-            tables = control.compile_policy(spec, policy)
             cen = control.centralized_solve(spec) if kind in ("ce", "centralized") else None
             rng = np.random.default_rng(7)
             d = spec.dims
             for t in range(spec.T + 1):
+                theta_t = policy.stage(t)[0]
+                assert theta_t.shape == (spec.modes.kappa0, spec.modes.kappa1, 2, d.d_u, d.d_x + d.d_x1)
                 for m0 in range(spec.modes.kappa0):
                     for m1 in range(spec.modes.kappa1):
                         for gamma in (0, 1):
@@ -143,8 +146,8 @@ class TestPolicyMaps:
                                 # received state; the maps assume that.
                                 xh = x1.copy()
                             xi = np.concatenate([x0, x1, xh])
-                            theta = tables.theta[t, m0, m1, gamma]
-                            assert np.array_equal(policy.tables.theta[t, m0, m1, gamma], theta)
+                            theta = theta_t[m0, m1, gamma]
+                            assert np.array_equal(policy.stage(t)[0][m0, m1, gamma], theta)
                             assert theta @ xi == pytest.approx(
                                 _expected_action(policy, kind, cen, t, m0, m1, gamma, x0, x1, xh),
                                 abs=1e-10,
@@ -155,10 +158,11 @@ class TestPolicyMaps:
         for spec in battery[:6]:
             bundle = solver.solve_backward(spec) if kind == "optimal" else None
             policy = control.make_policy(kind, spec, bundle=bundle)
-            tables = control.compile_policy(spec, policy)
             rng = np.random.default_rng(11)
             d = spec.dims
             for t in range(spec.T + 1):
+                mean_update_t = policy.stage(t)[1]
+                assert mean_update_t.shape == (spec.modes.kappa0, spec.modes.kappa1, 2, d.d_x1, d.d_x + d.d_x1)
                 for m0 in range(spec.modes.kappa0):
                     for m1 in range(spec.modes.kappa1):
                         for gamma_t in (0, 1):
@@ -171,47 +175,57 @@ class TestPolicyMaps:
                                 policy.gains, spec, t, m0, zt, x0, xh
                             )
                             vec = control.estimator_update(spec, xh, x0, m0, zt, presc, None)
-                            M = tables.mean_update[t, m0, m1, gamma_t]
-                            assert np.array_equal(policy.tables.mean_update[t, m0, m1, gamma_t], M)
+                            M = mean_update_t[m0, m1, gamma_t]
+                            assert np.array_equal(policy.stage(t)[1][m0, m1, gamma_t], M)
                             assert M @ xi == pytest.approx(vec, abs=1e-10)
 
     def test_centralized_estimate_copies_state(self, s2_spec):
         policy = control.make_policy("centralized", s2_spec)
-        assert policy.tables.mean_update is None
-        theta = policy.tables.theta
-        assert np.array_equal(theta[:, :, :, 0], theta[:, :, :, 1])
+        for t in range(s2_spec.T + 1):
+            theta, mean_update = policy.stage(t)
+            assert mean_update is None
+            assert np.array_equal(theta[:, :, 0], theta[:, :, 1])
 
-    def test_transpose_is_adjoint_of_compile(self, battery):
-        # compile_policy is affine in the gains; its transpose must satisfy
-        # <tables(K) - tables(0), bars> = <K, transpose(bars)>.
+    def test_stage_transpose_is_adjoint_of_stage(self, battery):
+        # stage(t) is affine in the gains at t; its transpose must satisfy
+        # <stage_K(t) - stage_0(t), bars> = <K[t], transpose(bars)> at every t.
         rng = np.random.default_rng(13)
         for spec in battery:
             zero = control.make_policy("zero", spec)
             gains = solver.GainTables(*(rng.standard_normal(a.shape) for a in (
                 zero.gains.K_empty, zero.gains.K_received, zero.gains.Ktilde
             )))
-            tables = control.LinearCommonPolicy(spec, gains).tables
-            theta_bar = rng.standard_normal(tables.theta.shape)
-            mean_bar = rng.standard_normal(tables.mean_update.shape)
-            lhs = (
-                np.sum((tables.theta - zero.tables.theta) * theta_bar)
-                + np.sum((tables.mean_update - zero.tables.mean_update) * mean_bar)
-            )
-            back = control.compile_policy_transpose(spec, theta_bar, mean_bar)
-            assert back.shapes() == gains.shapes()
-            rhs = sum(
-                np.sum(getattr(gains, name) * getattr(back, name))
-                for name in ("K_empty", "K_received", "Ktilde")
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            policy = control.LinearCommonPolicy(spec, gains)
+            for t in range(spec.T + 1):
+                (theta, mean_update), (theta_0, mean_update_0) = policy.stage(t), zero.stage(t)
+                theta_bar = rng.standard_normal(theta.shape)
+                mean_bar = rng.standard_normal(mean_update.shape)
+                lhs = np.sum((theta - theta_0) * theta_bar) + np.sum((mean_update - mean_update_0) * mean_bar)
+                back = policy.stage_transpose(theta_bar, mean_bar)
+                step = (gains.K_empty[t], gains.K_received[t], gains.Ktilde[t])
+                assert [b.shape for b in back] == [k.shape for k in step]
+                rhs = sum(np.sum(k * b) for k, b in zip(step, back))
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
-    def test_tables_compiled_once(self, s2_spec):
-        policy = control.make_policy("zero", s2_spec)
-        assert policy.tables is policy.tables
+    def test_policy_holds_nothing_that_grows_with_the_horizon(self):
+        # Beside its spec and gains, a policy keeps only per-policy
+        # constants, the same at T and at 4T, even after every step was built.
+        def held(T):
+            spec = model.load_config(random_config(np.random.default_rng(7), T=T))
+            policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
+            for t in range(spec.T + 1):
+                policy.stage(t)
+            return {k: getattr(v, "shape", v) for k, v in vars(policy).items() if k not in ("spec", "gains")}
+
+        assert held(240) == held(60)
 
     def test_zero_policy_is_zero(self, s2_spec):
         policy = control.make_policy("zero", s2_spec)
-        assert not policy.tables.theta.any()
+        for t in range(s2_spec.T + 1):
+            theta, mean_update = policy.stage(t)
+            assert not theta.any()
+            # The estimate still propagates the plant's own state.
+            assert mean_update.any()
 
     def test_unknown_kind(self, s2_spec):
         with pytest.raises(ValueError):

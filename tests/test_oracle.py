@@ -171,14 +171,13 @@ class TestExactEvaluation:
 
     def test_working_memory_does_not_grow_with_the_horizon(self):
         # One battery shape (every block 2-dimensional, kappa0 = kappa1 =
-        # 2) at T and 4T: beyond the policy's compiled tables the cost holds
-        # one step's maps and moments, about 26 KB at either horizon. Maps
-        # stacked over the horizon would take 0.57 MB at T = 60 and 2.1 MB
-        # at T = 240.
+        # 2) at T and 4T: the cost holds one step's policy maps, stage maps
+        # and moments, about 26 KB at either horizon. Maps stacked over the
+        # horizon would take 0.57 MB at T = 60 and 2.1 MB at T = 240.
         def working_peak(T):
             spec = model.load_config(random_config(np.random.default_rng(7), T=T))
             policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
-            oracle.exact_expected_cost(spec, policy)  # compiles the tables outside the peak
+            oracle.exact_expected_cost(spec, policy)  # first-call imports and caches stay out of the peak
             tracemalloc.start()
             try:
                 oracle.exact_expected_cost(spec, policy)
@@ -187,6 +186,25 @@ class TestExactEvaluation:
                 tracemalloc.stop()
 
         assert working_peak(240) <= 1.25 * working_peak(60)
+
+    def test_gradient_holds_its_moments_and_gain_shaped_arrays(self):
+        # The same shape at T = 240: the gradient keeps the T+1 moments S_t
+        # (92 KB) and arrays shaped like the gains (241 KB), and builds each
+        # step's maps and cotangents as its costate pass reaches that step;
+        # its peak is about 1.3 gains beyond the moments. Cotangents of the
+        # policy's maps stacked over the horizon would add about 4.6 gains.
+        spec = model.load_config(random_config(np.random.default_rng(7), T=240))
+        policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
+        oracle.exact_gradient(spec, control.make_policy("zero", spec))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            oracle.exact_gradient(spec, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        moments = sum(S.nbytes for _, S in oracle._moments(spec, oracle._ClosedLoop(spec, policy)))
+        gains = sum(a.nbytes for a in vars(policy.gains).values())
+        assert peak <= moments + 2 * gains
 
 
 def _innovation_means(spec, policy):
@@ -231,8 +249,7 @@ class TestEstimatorExactlyUnbiased:
             first = dataclasses.replace(
                 spec, modes=dataclasses.replace(spec.modes, pi_m1=np.eye(spec.modes.kappa1)[0]),
             )
-            mutant = control.LinearCommonPolicy(spec, policy.gains)
-            mutant.tables = control.compile_policy(first, policy)
+            mutant = control.LinearCommonPolicy(first, policy.gains)
             means, scale = _innovation_means(spec, mutant)
             assert np.abs(means).max() > 1e-3 * scale
             caught += 1

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     divergent_config,
     philox_block,
     rand_psd,
+    random_config,
     reference_draws,
     reference_rollout,
     s2_config,
@@ -271,6 +273,26 @@ class TestRollout:
         policy = control.make_policy("zero", s2_spec)
         rep = sim.monte_carlo(s2_spec, policy, runs=1, seed=1)
         assert rep.std_err == 0.0
+
+    def test_working_memory_does_not_grow_with_the_horizon(self):
+        # One battery shape (every block 2-dimensional, kappa0 = kappa1 =
+        # 2) at T and 4T, 200 runs: a chunk holds as many runs as fit in a
+        # fixed number of Philox blocks, and each step's maps are built when
+        # a chunk reaches that step, so the peak stays near 0.9 MB at either
+        # horizon. Maps stacked over the horizon would add 0.14 MB at T = 60
+        # and 0.56 MB at T = 240.
+        def peak(T):
+            spec = model.load_config(random_config(np.random.default_rng(7), T=T))
+            policy = control.make_policy("optimal", spec, solver.solve_backward(spec))
+            sim.monte_carlo(spec, control.make_policy("zero", spec), 1, seed=0)  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                sim.monte_carlo(spec, policy, 200, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(240) <= 1.1 * peak(60)
 
 
 class TestReference:
