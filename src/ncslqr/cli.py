@@ -313,14 +313,6 @@ def build_parser():
         description="Solve, simulate, and verify optimal decentralized control "
         "of a two-plant switched linear system over a lossy acknowledged channel.",
     )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        # A string default goes through `type`, so a bad NCSLQR_THREADS is
-        # a usage error like a bad --threads.
-        default=os.environ.get("NCSLQR_THREADS", "1"),
-        help="worker count hint (results are identical at any value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the backward recursions, write the solution bundle")

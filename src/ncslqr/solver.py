@@ -280,10 +280,10 @@ def analytic_cost(spec, values):
 
 # --- serialization ----------------------------------------------------------
 #
-# A bundle file nests every table as t -> m0 (1-based) -> key, the key being
-# "empty" or "m<l>" for received local mode l (1-based); K holds the empty
-# and received gains side by side. The key order is the one bundles have
-# always been written in: Ptilde lists "empty" last except at t = T+1.
+# A bundle file nests every table as t -> m0 (1-based) -> key ("empty", or
+# "m<l>" for received local mode l), K holding the empty and received gains
+# side by side: a table step sits 2 levels deep and its slots 3. Ptilde lists
+# "empty" last except at t = T+1, the order bundles have always been in.
 
 
 def _tables(bundle):
@@ -398,17 +398,23 @@ def bundle_from_json(obj):
     )
 
 
-# Values formatted together in save_bundle: enough that a slab repeats
-# many of its values, few enough that its strings stay small next to the
-# tables. A single larger leaf is a slab of its own.
+# Values formatted together in save_bundle: enough that a slab repeats many
+# of its values, few enough that its strings stay small next to the tables.
 _SLAB_VALUES = 16384
 
 
-def _layout(shape, depth):
-    """json.dumps(indent=1) text of an array of `shape` nested `depth` levels
-    deep, with one %s per element."""
-    text = json.dumps(np.full(shape, None).tolist(), indent=1)
-    return text.replace("\n", "\n" + " " * depth).replace("null", "%s")
+def _layout(value, depth, arrays):
+    """json.dumps(indent=1) text of a matrix, or of a dict of them, nested
+    `depth` levels deep, with one %s per matrix entry. Matrix layouts are
+    kept in `arrays` per (shape, depth)."""
+    if isinstance(value, dict):
+        pad = "\n" + " " * (depth + 1)
+        members = ",".join(f"{pad}{json.dumps(key)}: {_layout(v, depth + 1, arrays)}" for key, v in value.items())
+        return "{" + members + "\n" + " " * depth + "}" if members else "{}"
+    if (value.shape, depth) not in arrays:
+        text = json.dumps(np.full(value.shape, None).tolist(), indent=1)
+        arrays[value.shape, depth] = text.replace("\n", "\n" + " " * depth).replace("null", "%s")
+    return arrays[value.shape, depth]
 
 
 def _reprs(values):
@@ -420,40 +426,31 @@ def _reprs(values):
     return text[where].tolist()
 
 
-def _object(items, depth):
-    """json.dumps(dict(items), indent=1) of an object nested `depth` levels
-    deep, in file order: its skeleton as strings, and (matrix, depth) in
-    place of each ndarray. A dict value is walked the same way."""
-    pad = "\n" + " " * (depth + 1)
-    opening = "{"
-    for key, value in items:
-        yield f"{opening}{pad}{json.dumps(key)}: "
-        opening = ","
-        if isinstance(value, dict):
-            yield from _object(value.items(), depth + 1)
-        else:
-            yield value, depth + 1
-    yield "{}" if opening == "{" else "\n" + " " * depth + "}"
-
-
-def _pieces(bundle):
-    """json.dumps(bundle_to_json(bundle), indent=1) as _object's pieces,
-    one table step at a time."""
-    opening = "{"
-    for name, steps in _tables(bundle):
-        yield f'{opening}\n "{name}": '
-        opening = ","
-        yield from _object(((str(t), _step(bundle, name, t)) for t in range(steps)), 1)
-    yield ',\n "e": '
-    yield bundle.values.e, 1
-    # The last members dumped on their own sit at the document's depth, so
-    # that text without its "{" is the document's tail.
-    yield "," + json.dumps({"j_star": bundle.j_star, "solve_metadata": bundle.solve_metadata}, indent=1)[1:]
-
-
-def _fill(template, leaves):
-    """A slab's text: its template filled with its leaves' values."""
-    return "".join(template) % tuple(_reprs(np.concatenate([a.ravel() for a in leaves], dtype=float)))
+def _slabs(bundle):
+    """json.dumps(bundle_to_json(bundle), indent=1) up to its "e" member, as
+    (template, matrices) slabs of whole table steps, of at most _SLAB_VALUES
+    values unless one step is larger. Each step's layout (_layout) is built
+    once per (table, slot order)."""
+    arrays, steps = {}, {}
+    template, matrices, size = ["{"], [], 0
+    for name, count in _tables(bundle):
+        template.append(f'\n "{name}": {{')
+        for t in range(count):
+            step = _step(bundle, name, t)
+            key = name, *next(iter(step.values()), ())
+            if key not in steps:
+                steps[key] = _layout(step, 2, arrays)
+            leaves = [m for slot in step.values() for m in slot.values()]
+            n = sum(m.size for m in leaves)
+            if matrices and size + n > _SLAB_VALUES:
+                yield template, matrices
+                template, matrices, size = [], [], 0
+            # The layout goes in as an item of its own: the slab's steps share it.
+            template += f'{"," if t else ""}\n  "{t}": ', steps[key]
+            matrices += leaves
+            size += n
+        template.append("\n },")
+    yield template, matrices
 
 
 def _non_finite(bundle):
@@ -472,38 +469,25 @@ def save_bundle(bundle, path):
     table step at a time.
 
     json's C encoder does not indent, so its pure-Python one would format
-    every float. Instead the writer emits the skeleton text itself
-    (_pieces), and each matrix from a layout built once per (shape, depth).
-    The matrices are formatted in slabs of at most _SLAB_VALUES values that
-    run across steps, one repr per distinct value in each slab (symmetric
-    tables, repeated slots and converged steps hold many copies), and one %
-    per slab fills a template of the slab's skeleton text and layouts. So
-    the writer holds one slab, not the horizon, and the bytes are the same
-    as json's. A non-finite entry raises NonFiniteError, since json would
-    write it as NaN or Infinity, not as its repr.
+    every float. Instead the table steps fill their text layouts (_slabs)
+    with one % per slab of steps and one repr per distinct value in it
+    (symmetric tables, repeated slots and converged steps hold many
+    copies), so the writer holds one slab, not the horizon; json dumps `e`,
+    `j_star` and `solve_metadata`. A non-finite entry raises
+    NonFiniteError, since json would write it as NaN or Infinity, not as
+    its repr.
     """
     problem = _non_finite(bundle)
     if problem:
         raise NonFiniteError(problem)
-    layouts = {}
+    tail = {"e": bundle.values.e.tolist(), "j_star": bundle.j_star, "solve_metadata": bundle.solve_metadata}
     try:
         with open(path, "w") as fh:
-            template, leaves, size = [], [], 0
-            for piece in _pieces(bundle):
-                if isinstance(piece, str):
-                    template.append(piece.replace("%", "%%"))
-                    continue
-                leaf, depth = piece
-                if leaves and size + leaf.size > _SLAB_VALUES:
-                    fh.write(_fill(template, leaves))
-                    template, leaves, size = [], [], 0
-                key = (leaf.shape, depth)
-                if key not in layouts:
-                    layouts[key] = _layout(*key)
-                template.append(layouts[key])
-                leaves.append(leaf)
-                size += leaf.size
-            fh.write(_fill(template, leaves))
+            for template, matrices in _slabs(bundle):
+                # One expression, so that no slab's values outlive its write.
+                fh.write("".join(template) % tuple(_reprs(np.concatenate([m.ravel() for m in matrices], dtype=float))))
+            # Dumped at the document's depth: without its "{", the document's tail.
+            fh.write(json.dumps(tail, indent=1)[1:])
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
@@ -512,23 +496,20 @@ def save_bundle(bundle, path):
 _WINDOW = 1 << 16
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
-# An object's opening up to its first member's value, group 1. Every part
-# after the brace is optional, so text cut off by the window's edge still
-# matches up to that edge.
-_OPENING = re.compile(r'\{[ \t\n\r]*(?:"(?:[^"\\]|\\.?)*(?:"[ \t\n\r]*(?::[ \t\n\r]*(.)?)?)?)?', re.DOTALL)
 
 
 class _JsonStream:
     """json.loads(text, object_hook=_slot_arrays) of the UTF-8 text of a
-    binary file read one _WINDOW of bytes at a time.
+    binary file read one _WINDOW of bytes at a time, errors included.
 
-    An object whose first member is an object (a bundle's top level, a
-    table, one step of it) is walked member by member; every other value
-    (a table slot, `e`, `j_star`, `solve_metadata`) is decoded whole by
-    json's C scanner. A value that runs past the window is decoded again
-    with more text. The bytes go through an incremental decoder, so no
-    text file object keeps its own copies of each window; an invalid or
-    truncated UTF-8 sequence raises UnicodeDecodeError.
+    The objects less than 3 levels deep (the top level, each table, each
+    step) are walked member by member; every other value (a table slot,
+    `e`, `j_star`, `solve_metadata`) is decoded whole by json's C scanner,
+    again with more text if it runs past the window. The bytes go through
+    an incremental decoder, so no text file object keeps its own copies of
+    each window; invalid or truncated UTF-8 raises UnicodeDecodeError. An
+    error names its position in the file: the stream counts the characters
+    and lines of the text it drops.
     """
 
     _decode = json.JSONDecoder(object_hook=_slot_arrays).raw_decode
@@ -536,6 +517,7 @@ class _JsonStream:
     def __init__(self, fh):
         self.fh, self.text, self.pos, self.eof = fh, "", 0, False
         self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.chars = self.lines = self.column = 0  # dropped characters, lines, last line's columns
 
     def _more(self):
         """Drop the text before pos and read at least a window more; at EOF
@@ -546,8 +528,10 @@ class _JsonStream:
             self.decoder.decode(b"", final=True)  # a truncated last character raises
             self.eof = True
             return False
-        # The old window and the bytes are freed before the new text is
-        # joined to what is left of the window.
+        lines = self.text.count("\n", 0, self.pos)
+        self.column = self.pos - 1 - self.text.rfind("\n", 0, self.pos) if lines else self.column + self.pos
+        self.chars, self.lines = self.chars + self.pos, self.lines + lines
+        # The old window and the bytes are freed before the join.
         rest, self.text = self.text[self.pos:], ""
         chunk = self.decoder.decode(chunk)
         self.text, self.pos = rest + chunk, 0
@@ -581,42 +565,43 @@ class _JsonStream:
                 self.pos = end
                 return value
 
-    def _error(self, message):
-        return json.JSONDecodeError(message, self.text, self.pos)
-
-    def value(self):
-        """The next value."""
-        if self._next() != "{":
-            return self._whole()
-        while True:
-            opening = _OPENING.match(self.text, self.pos)
-            if opening.end() < len(self.text) or not self._more():
-                break
-        if opening[1] != "{":
+    def value(self, depth=0):
+        """The next value, `depth` levels deep in the document."""
+        if self._next() != "{" or depth > 2:
             return self._whole()
         self.pos += 1
         obj = {}
-        while True:
+        delimiter = self._next()
+        while delimiter != "}":
+            if obj and delimiter != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", self.text, self.pos)
+            self.pos += bool(obj)  # past the comma before every member but the first
             if self._next() != '"':
-                raise self._error("Expecting property name enclosed in double quotes")
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", self.text, self.pos)
             key = self._whole()
             if self._next() != ":":
-                raise self._error("Expecting ':' delimiter")
+                raise json.JSONDecodeError("Expecting ':' delimiter", self.text, self.pos)
             self.pos += 1
-            obj[key] = self.value()
+            obj[key] = self.value(depth + 1)
             delimiter = self._next()
-            if delimiter == "}":
-                self.pos += 1
-                return _slot_arrays(obj)
-            if delimiter != ",":
-                raise self._error("Expecting ',' delimiter")
-            self.pos += 1
+        self.pos += 1
+        return _slot_arrays(obj)
 
     def document(self):
         """The file's one value; anything after it but whitespace is an error."""
-        obj = self.value()
-        if self._next():
-            raise self._error("Extra data")
+        try:
+            obj = self.value()
+            if self._next():
+                raise json.JSONDecodeError("Extra data", self.text, self.pos)
+        except json.JSONDecodeError as exc:  # its position counts from the window
+            exc.colno += self.column if exc.lineno == 1 else 0
+            exc.pos, exc.lineno = exc.pos + self.chars, exc.lineno + self.lines
+            exc.args = (f"{exc.msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
+            raise
+        except UnicodeDecodeError as exc:  # counted from the file's start; earlier bytes read as 0
+            before = self.fh.tell() - len(exc.object)
+            exc.object, exc.start, exc.end = bytes(before) + exc.object, exc.start + before, exc.end + before
+            raise
         return obj
 
 

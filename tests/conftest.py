@@ -87,10 +87,11 @@ def rand_psd(rng, n, scale=1.0):
     return scale * (A @ A.T / n + 0.1 * np.eye(n))
 
 
-def random_config(rng, p1=None, kappa1=None, T=None):
-    """Random battery instance: block dims <= 2, kappa <= 2, T <= 3."""
-    d = {k: int(rng.integers(1, 3)) for k in ("d_x0", "d_x1", "d_u0", "d_u1")}
-    k0 = int(rng.integers(1, 3))
+def random_config(rng, p1=None, kappa1=None, T=None, dims=None, kappa0=None):
+    """Random battery instance: block dims <= 2, kappa <= 2, T <= 3, unless
+    given."""
+    d = {k: int(rng.integers(1, 3)) for k in ("d_x0", "d_x1", "d_u0", "d_u1")} if dims is None else dims
+    k0 = int(rng.integers(1, 3)) if kappa0 is None else kappa0
     k1 = int(rng.integers(1, 3)) if kappa1 is None else kappa1
     if T is None:
         T = int(rng.integers(0, 4))

@@ -205,27 +205,6 @@ class TestArguments:
         assert exc.value.code == 2
         assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
 
-    def test_threads_environment_must_be_integer(self, s2_path, capsys, monkeypatch):
-        monkeypatch.setenv("NCSLQR_THREADS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--config", s2_path, "--runs", "5"])
-        assert exc.value.code == 2
-        assert "argument --threads: expected a positive integer, got 'abc'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_must_be_positive_integer(self, s2_path, capsys, threads):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--threads", threads, "simulate", "--config", s2_path, "--runs", "5"])
-        assert exc.value.code == 2
-        assert f"argument --threads: expected a positive integer, got '{threads}'" in capsys.readouterr().err
-
-    def test_threads_environment_must_be_positive(self, s2_path, capsys, monkeypatch):
-        monkeypatch.setenv("NCSLQR_THREADS", "-1")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--config", s2_path, "--runs", "5"])
-        assert exc.value.code == 2
-        assert "argument --threads: expected a positive integer, got '-1'" in capsys.readouterr().err
-
     def test_sweep_values_must_be_numbers(self, s2_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", s2_path, "--values", "0.5,abc"])
@@ -640,15 +619,6 @@ class TestSimulate:
             assert cli.main([
                 "simulate", "--config", s2_path, "--runs", "100",
                 "--seed", "7", "--out", str(out),
-            ]) == 0
-        assert a.read_text() == b.read_text()
-
-    def test_threads_do_not_change_results(self, s2_path, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for threads, out in (("1", a), ("8", b)):
-            assert cli.main([
-                "--threads", threads, "simulate", "--config", s2_path,
-                "--runs", "100", "--seed", "7", "--out", str(out),
             ]) == 0
         assert a.read_text() == b.read_text()
 

@@ -278,11 +278,26 @@ class TestSerialization:
             bundle = solver.solve_backward(spec)
             solver.save_bundle(bundle, path)
             assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
-        # The writer fills each slab's template with %, so a % in the
-        # skeleton's text must come out as it went in.
+        # The writer fills each slab of table steps with %, and json dumps
+        # the metadata after them, so a % there must come out as it went in.
         bundle.solve_metadata = {"note": "100% of %s", "%d": "%%"}
         solver.save_bundle(bundle, path)
         assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
+
+    def test_writes_wide_steps_like_json(self, tmp_path):
+        # Multi-row blocks (d_x = 6) and eight local modes, so that each
+        # value table's m0 entry holds nine 6 x 6 matrices.
+        dims = {"d_x0": 3, "d_x1": 3, "d_u0": 2, "d_u1": 2}
+        config = random_config(np.random.default_rng(11), p1=0.5, kappa1=8, T=2, dims=dims, kappa0=3)
+        bundle = solver.solve_backward(model.load_config(config))
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)
+        text = path.read_text()
+        assert text == json.dumps(solver.bundle_to_json(bundle), indent=1)
+        # Ptilde lists "empty" last except at t = T+1.
+        steps, received = json.loads(text)["Ptilde"], [f"m{l}" for l in range(1, 9)]
+        assert list(steps["2"]["3"]) == received + ["empty"]
+        assert list(steps["3"]["3"]) == ["empty"] + received
 
     def test_writes_float_edge_cases_like_json(self, tmp_path):
         bundle = _edge_bundle()
@@ -427,10 +442,13 @@ WINDOWS = [1, 2, 7, 64]
 
 
 def _outcome(read):
-    """("ok", value) or ("error", None), the errors being those load_bundle
-    turns into ParseError."""
+    """("ok", value) or ("error", where), the errors being those load_bundle
+    turns into ParseError; `where` is the "line … column … (char …)" suffix
+    of a JSONDecodeError's message, None for any other error."""
     try:
         return "ok", read()
+    except json.JSONDecodeError as exc:
+        return "error", re.search(r"line \d+ column \d+ \(char \d+\)$", str(exc))[0]
     except (LookupError, TypeError, ValueError, OverflowError, RecursionError):
         return "error", None
 
@@ -457,7 +475,7 @@ def _assert_streams_like_json(text, windows=WINDOWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_WINDOW", window)
             got = _outcome(lambda: solver._JsonStream(io.BytesIO(text.encode())).document())
-        assert got[0] == want[0] and _same(got[1], want[1]), (window, text)
+        assert got[0] == want[0] and _same(got[1], want[1]), (window, text, want, got)
 
 
 _SPACE = st.sampled_from(["", " ", "\n", "\n   ", "\t", "\r\n"])
@@ -534,6 +552,22 @@ class TestStream:
             return
         with pytest.raises(ParseError, match=r": JSONDecodeError: Extra data: "):
             solver.load_bundle(path)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("where, bad", [(0.5, b"\xff"), (1.0, b"\xe2\x82")], ids=["stray-byte", "cut-last-character"])
+    def test_utf8_error_names_its_byte_in_the_file(self, tmp_path, monkeypatch, window, where, bad):
+        # The bad bytes lie past the first window, and the error names
+        # their offset in the file, as json.loads's does.
+        data = S2_TEXT.encode()
+        i = int(where * len(data))
+        path = tmp_path / "bundle.json"
+        path.write_bytes(data[:i] + bad + data[i:])
+        with pytest.raises(UnicodeDecodeError) as want:
+            json.loads(path.read_bytes())
+        monkeypatch.setattr(solver, "_WINDOW", window)
+        with pytest.raises(ParseError) as got:
+            solver.load_bundle(path)
+        assert str(got.value).endswith(f": UnicodeDecodeError: {want.value}")
 
     def test_peak_memory_below_the_file(self, tmp_path):
         # A bundle of 8 x 8 value blocks (d_x = 8), 2.3 MB: the load holds

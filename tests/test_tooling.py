@@ -100,7 +100,7 @@ def _readme_cli_flags():
 
 
 def test_readme_cli_block_names_every_flag():
-    # -h/--help is argparse's own; the global --threads is documented in prose.
+    # -h/--help is argparse's own.
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     options = {
