@@ -91,8 +91,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_output(path, what):
-    """Fail before any work when `path` cannot become a file: its
-    directory is missing or it is a directory itself."""
+    """Fail before any work when `path` cannot become a file: it is
+    empty, its directory is missing or it is a directory itself."""
+    if not path:
+        raise OutputError(f"cannot write {what}: empty path")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise OutputError(f"cannot write {what}: no directory {directory}")
@@ -112,7 +114,7 @@ def _write_output(path, what, write):
 def _report_rows(rows, path, what):
     """Write `rows` as CSV to `path`, if given, through `_write_output`;
     then print them."""
-    if path:
+    if path is not None:
         import csv
 
         _write_output(path, what, lambda fh: csv.writer(fh).writerows(rows))
@@ -125,7 +127,7 @@ def _build_policy(kind, spec, solution_path):
     ShapeError becomes a SolutionError."""
     from . import control
 
-    if not solution_path:
+    if solution_path is None:
         bundle = solver.solve_backward(spec) if kind == "optimal" else None
         return control.make_policy(kind, spec, bundle=bundle), bundle
     try:
@@ -136,10 +138,10 @@ def _build_policy(kind, spec, solution_path):
 
 
 def cmd_solve(args):
-    if args.out:
+    if args.out is not None:
         _check_output(args.out, "solution bundle")
     bundle = solver.solve_backward(model.load_problem(args.config))
-    if args.out:
+    if args.out is not None:
         solver.save_bundle(bundle, args.out)
     print(f"j_star = {bundle.j_star:.12g}")
     for t, (lo_p, lo_pt) in enumerate(bundle.stage_min_eig):
@@ -150,9 +152,9 @@ def cmd_solve(args):
 def cmd_simulate(args):
     from . import sim
 
-    if args.out:
+    if args.out is not None:
         _check_output(args.out, "report")
-    if args.dump_trajectories:
+    if args.dump_trajectories is not None:
         try:
             os.makedirs(args.dump_trajectories, exist_ok=True)
         except OSError as exc:
@@ -175,7 +177,7 @@ def cmd_simulate(args):
 def cmd_evaluate_exact(args):
     from . import oracle
 
-    if args.out:
+    if args.out is not None:
         _check_output(args.out, "report")
     spec = model.load_problem(args.config)
     policy, bundle = _build_policy(args.policy, spec, args.solution)
@@ -191,7 +193,7 @@ def cmd_evaluate_exact(args):
             "ok": stat["ok"],
         }
     text = json.dumps(report, indent=1)
-    if args.out:
+    if args.out is not None:
         _write_output(args.out, "report", lambda fh: fh.write(text + "\n"))
     print(text)
     return EXIT_OTHER if "stationarity" in report and not report["stationarity"]["ok"] else EXIT_OK
@@ -283,7 +285,7 @@ def cmd_validate(args):
 def cmd_sweep(args):
     from . import control, sim
 
-    if args.out:
+    if args.out is not None:
         _check_output(args.out, "sweep table")
     spec = model.load_problem(args.config)
     values = []

@@ -17,7 +17,6 @@ recursion (over m0, m1). Each block is one guarded solve that yields both
 the Schur complement and the gain.
 """
 
-import codecs
 import json
 import re
 import sys
@@ -492,7 +491,7 @@ def save_bundle(bundle, path):
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
 
-# Bytes of a bundle file read at a time by _JsonStream.
+# Bytes of a bundle file read at a time by _JsonStream, before the rest of their line.
 _WINDOW = 1 << 16
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
@@ -500,41 +499,39 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 class _JsonStream:
     """json.loads(text, object_hook=_slot_arrays) of the UTF-8 text of a
-    binary file read one _WINDOW of bytes at a time, errors included.
+    binary file, errors included, read one window at a time: _WINDOW bytes
+    and the rest of their line. No JSON token and no UTF-8 character holds
+    a newline byte, so each window decodes on its own ("surrogatepass", as
+    json.loads decodes bytes).
 
     The objects less than 3 levels deep (the top level, each table, each
     step) are walked member by member; every other value (a table slot,
     `e`, `j_star`, `solve_metadata`) is decoded whole by json's C scanner,
-    again with more text if it runs past the window. The bytes go through
-    an incremental decoder, so no text file object keeps its own copies of
-    each window; invalid or truncated UTF-8 raises UnicodeDecodeError. An
-    error names its position in the file: the stream counts the characters
-    and lines of the text it drops.
+    again with more text if it runs past the window. An error names its
+    position in the file: the stream drops whole lines and counts their
+    characters and lines.
     """
 
     _decode = json.JSONDecoder(object_hook=_slot_arrays).raw_decode
 
     def __init__(self, fh):
         self.fh, self.text, self.pos, self.eof = fh, "", 0, False
-        self.decoder = codecs.getincrementaldecoder("utf-8")()
-        self.chars = self.lines = self.column = 0  # dropped characters, lines, last line's columns
+        self.chars = self.lines = 0  # dropped characters and lines
 
     def _more(self):
-        """Drop the text before pos and read at least a window more; at EOF
-        change nothing and return False. A read that ends inside a
-        character adds only the characters before it."""
-        chunk = b"" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos))
+        """Drop the lines before pos's line and read at least a window
+        more; at EOF change nothing and return False. EOF is read once:
+        each read allocates its full size first."""
+        chunk = b"" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos)) + self.fh.readline()
         if not chunk:
-            self.decoder.decode(b"", final=True)  # a truncated last character raises
             self.eof = True
             return False
-        lines = self.text.count("\n", 0, self.pos)
-        self.column = self.pos - 1 - self.text.rfind("\n", 0, self.pos) if lines else self.column + self.pos
-        self.chars, self.lines = self.chars + self.pos, self.lines + lines
+        cut = self.text.rfind("\n", 0, self.pos) + 1
+        self.chars, self.lines = self.chars + cut, self.lines + self.text.count("\n", 0, cut)
         # The old window and the bytes are freed before the join.
-        rest, self.text = self.text[self.pos:], ""
-        chunk = self.decoder.decode(chunk)
-        self.text, self.pos = rest + chunk, 0
+        rest, self.text = self.text[cut:], ""
+        chunk = chunk.decode("utf-8", "surrogatepass")
+        self.text, self.pos = rest + chunk, self.pos - cut
         return True
 
     def _next(self):
@@ -545,25 +542,21 @@ class _JsonStream:
                 return self.text[self.pos:self.pos + 1]
 
     def _whole(self):
-        """The value at pos, decoded by json's scanner. The scanner reads up
-        to two characters past a number ("e+", ".") before it gives them
-        back, so a value is final only when more than two characters
-        follow it, or at EOF: a number split by the window's edge never
-        parses as its prefix. Less than half a window ahead is topped up
-        first, since each decode that fails at the edge counts the lines
-        before it for its message."""
+        """The value at pos, decoded by json's scanner. Only an error at
+        the end of the text can be the window's doing: then more text is
+        read and the value decoded again; any other error is raised at
+        once. Less than half a window ahead is topped up first, since each
+        decode that fails at the edge counts the lines before it for its
+        message."""
         if len(self.text) - self.pos < _WINDOW // 2:
             self._more()
         while True:
             try:
-                value, end = self._decode(self.text, self.pos)
-            except json.JSONDecodeError:
-                if self._more():
-                    continue
-                raise
-            if end + 2 < len(self.text) or not self._more():
-                self.pos = end
+                value, self.pos = self._decode(self.text, self.pos)
                 return value
+            except json.JSONDecodeError as exc:
+                if exc.pos != len(self.text) or not self._more():
+                    raise
 
     def value(self, depth=0):
         """The next value, `depth` levels deep in the document."""
@@ -593,8 +586,7 @@ class _JsonStream:
             obj = self.value()
             if self._next():
                 raise json.JSONDecodeError("Extra data", self.text, self.pos)
-        except json.JSONDecodeError as exc:  # its position counts from the window
-            exc.colno += self.column if exc.lineno == 1 else 0
+        except json.JSONDecodeError as exc:  # its position counts from the window, which starts a line
             exc.pos, exc.lineno = exc.pos + self.chars, exc.lineno + self.lines
             exc.args = (f"{exc.msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
             raise

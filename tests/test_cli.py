@@ -175,6 +175,26 @@ class TestOutputs:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: cannot write ")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--out"],
+        ["simulate", "--runs", "5", "--out"],
+        ["simulate", "--runs", "5", "--dump-trajectories"],
+        ["evaluate-exact", "--out"],
+        ["sweep", "--values", "0.5", "--runs", "5", "--out"],
+    ])
+    def test_empty_output_path_fails_before_work(self, s2_path, capsys, monkeypatch, argv):
+        # An empty path names no file: it is refused, not taken as absent.
+        def no_work(spec):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(solver, "solve_backward", no_work)
+        command, *rest = argv
+        assert cli.main([command, "--config", s2_path] + rest + [""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write ")
+
 
 class TestArguments:
     @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
@@ -224,6 +244,16 @@ class TestSolutionBundle:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"solution error: cannot read solution bundle {bundle}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_empty_solution_path_exit_code(self, s2_path, capsys, command):
+        # An empty path names no bundle: it is not taken as absent, which
+        # would solve afresh.
+        assert cli.main([command, "--config", s2_path, "--solution", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("solution error: cannot read solution bundle : ")
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     def test_invalid_utf8_bundle_exit_code(self, s2_path, tmp_path, capsys, command):

@@ -434,6 +434,16 @@ class TestLoad:
         path.write_text(json.dumps(_s2_json_with(("solve_metadata",), meta)))
         assert solver.load_bundle(path).solve_metadata == meta
 
+    def test_lone_surrogate_loads_like_json(self, tmp_path):
+        # json.loads decodes UTF-8 bytes with "surrogatepass", so the bytes
+        # of a lone surrogate in a string load as that surrogate.
+        data = json.dumps(_s2_json_with(("solve_metadata",), {"note": "a\ud800b"}), ensure_ascii=False)
+        data = data.encode("utf-8", "surrogatepass")
+        assert b"\xed\xa0\x80" in data
+        path = tmp_path / "bundle.json"
+        path.write_bytes(data)
+        assert solver.load_bundle(path).solve_metadata == json.loads(data)["solve_metadata"]
+
 
 # --- the streaming reader ----------------------------------------------------
 
@@ -474,7 +484,7 @@ def _assert_streams_like_json(text, windows=WINDOWS):
     for window in windows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_WINDOW", window)
-            got = _outcome(lambda: solver._JsonStream(io.BytesIO(text.encode())).document())
+            got = _outcome(lambda: solver._JsonStream(io.BytesIO(text.encode("utf-8", "surrogatepass"))).document())
         assert got[0] == want[0] and _same(got[1], want[1]), (window, text, want, got)
 
 
@@ -514,6 +524,27 @@ def _edited(text, edits):
 S2_TEXT = (DATA / "s2_bundle.json").read_text()
 
 
+def _wide_bundle():
+    """A random bundle of 8 x 8 value blocks (d_x = 8) over T = 60: 2.3 MB as a file."""
+    rng = np.random.default_rng(3)
+    T, k0, k1, dx, dx1, du0, du1 = 60, 2, 4, 8, 4, 2, 2
+
+    def table(*shape):
+        return rng.standard_normal(shape)
+
+    return solver.SolutionBundle(
+        values=solver.ValueTables(
+            P=table(T + 2, k0, k1 + 1, dx, dx), Ptilde=table(T + 2, k0, k1 + 1, dx1, dx1), e=table(T + 2),
+        ),
+        gains=solver.GainTables(
+            K_empty=table(T + 1, k0, du0 + k1 * du1, dx),
+            K_received=table(T + 1, k0, k1, du0 + du1, dx),
+            Ktilde=table(T + 1, k0, k1, du1, dx1),
+        ),
+        j_star=1.0,
+    )
+
+
 class TestStream:
     @given(_SPACE, _DOCUMENTS, _SPACE, _EDITS)
     @example(" ", '{"m1": {"a": 1}}', "", [])  # a walked object the hook refuses
@@ -521,6 +552,9 @@ class TestStream:
     @example("\ufeff", '{"P": {"0": 1}}', "", [])
     @example("", '{"P": {"0": 1}, }', "", [])
     @example("", '{"P": {"0": 1}}', " x", [])
+    @example("", '{"solve_metadata": "\ud800"}', "", [])  # a lone surrogate, as json.loads reads its bytes
+    # At window 7 the error's line is read on from its middle.
+    @example("", '{"P": {"0": 1},\n "e": [1, 2],\n "j": x\n}', "", [])
     @settings(max_examples=100, deadline=None)
     def test_matches_json_loads(self, before, document, after, edits):
         _assert_streams_like_json(_edited(before + document + after, edits))
@@ -573,23 +607,7 @@ class TestStream:
         # A bundle of 8 x 8 value blocks (d_x = 8), 2.3 MB: the load holds
         # the tables and one or two windows of text, not the file's text.
         # Reading the whole text first (json.load) peaks at 2x the file.
-        rng = np.random.default_rng(3)
-        T, k0, k1, dx, dx1, du0, du1 = 60, 2, 4, 8, 4, 2, 2
-
-        def table(*shape):
-            return rng.standard_normal(shape)
-
-        bundle = solver.SolutionBundle(
-            values=solver.ValueTables(
-                P=table(T + 2, k0, k1 + 1, dx, dx), Ptilde=table(T + 2, k0, k1 + 1, dx1, dx1), e=table(T + 2),
-            ),
-            gains=solver.GainTables(
-                K_empty=table(T + 1, k0, du0 + k1 * du1, dx),
-                K_received=table(T + 1, k0, k1, du0 + du1, dx),
-                Ktilde=table(T + 1, k0, k1, du1, dx1),
-            ),
-            j_star=1.0,
-        )
+        bundle = _wide_bundle()
         path = tmp_path / "bundle.json"
         solver.save_bundle(bundle, path)
         solver.load_bundle(path)  # first-call imports and caches stay out of the peak
@@ -600,4 +618,28 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert np.array_equal(again.values.P, bundle.values.P)
+        assert peak <= 0.75 * path.stat().st_size
+
+    @pytest.mark.parametrize("where", [0.25, 0.5, 0.9])
+    def test_syntax_error_stops_the_read(self, tmp_path, where):
+        # A stray token in the 2.3 MB bundle above: the read stops at it,
+        # holding the tables before it and a window of text, not the rest
+        # of the file, and the error is json's own.
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(_wide_bundle(), path)
+        data = path.read_bytes()
+        i = int(where * len(data))
+        path.write_bytes(data[:i] + b"x" + data[i:])
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(path.read_bytes())
+        with pytest.raises(ParseError):
+            solver.load_bundle(path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as got:
+                solver.load_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value).endswith(f": JSONDecodeError: {want.value}")
         assert peak <= 0.75 * path.stat().st_size
