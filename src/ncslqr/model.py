@@ -57,12 +57,24 @@ class ChannelSpec:
     p1: float
 
 
+def non_number(value):
+    """The first bool or string among the entries of `value`, or None:
+    numpy casts true and "3.0" to floats, but JSON calls neither a number."""
+    leaves = np.asarray(value, dtype=object).ravel().tolist()
+    bad = set(map(type, leaves)) & {bool, str}
+    return next(v for v in leaves if type(v) in bad) if bad else None
+
+
 def _numbers(value, name):
-    """`value` as a float array; ParseError unless every entry is a finite number."""
+    """`value` as a float array; ParseError unless every entry is a finite
+    number (non_number)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name} must hold numbers: {exc}") from exc
+    leaf = non_number(value)
+    if leaf is not None:
+        raise ParseError(f"{name} must hold numbers, got {leaf!r}")
     if not np.isfinite(arr).all():
         raise ParseError(f"{name} has a non-finite entry")
     return arr

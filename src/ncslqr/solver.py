@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, matkit
 from .errors import NonFiniteError, OutputError, ParseError, SingularBlockError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps solver.assemble_system)
+from .model import non_number
 
 PSD_SLACK = 1e-9
 
@@ -65,35 +66,11 @@ def op_psi(G1, G2, spec):
     return op_pi(_branches(G1, G2), spec)
 
 
-@dataclass(frozen=True)
-class StaticMatrices:
-    """Mode-indexed matrices the recursion consumes; built once per solve."""
-
-    L: np.ndarray       # (k1, d_x + d_u, ne) selector per m1
-    D: np.ndarray       # (k0, k1, d_x, d_x + d_u) [A B]
-    D11: np.ndarray     # (k0, k1, d_x1, d_x1 + d_u1) [A11 B11]
-    Daug: np.ndarray    # (k0, k1, d_x, ne) D @ L[m1]
-    Dempty: np.ndarray  # (k0, d_x, ne) sum_m1 pi(m1) Daug
-
-
-def build_static(spec):
-    """The matrices of `spec` that do not depend on t (StaticMatrices),
-    built once per solve; the cost blocks come from cost_blocks per step."""
-    d, m = spec.dims, spec.modes
-    k1, pi1 = m.kappa1, m.pi_m1
-    L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])
-    D = spec.D
-    D11 = np.concatenate([D[:, :, d.d_x0:, d.d_x0:d.d_x], D[:, :, d.d_x0:, d.d_x + d.d_u0:]], axis=-1)
-    Daug = D @ L
-    Dempty = (Daug * pi1[:, None, None]).sum(axis=1)
-    return StaticMatrices(L=L, D=D, D11=D11, Daug=Daug, Dempty=Dempty)
-
-
 def cost_blocks(spec, L, t):
     """Step t's cost blocks from Q[t] and R[t]: C = blockdiag(Q, R) (k0, k1,
     n, n), its local block C11 = blockdiag(Q11, R11) (k0, k1, n1, n1) and
     the empty branch's Cempty = sum_m1 pi(m1) L' C L (k0, ne, ne), for the
-    selectors L of build_static."""
+    selectors L[m1] of matkit.build_L."""
     d, pi1 = spec.dims, spec.modes.pi_m1
     Q, R = spec.cost.Q[t], spec.cost.R[t]
     C = np.zeros(Q.shape[:2] + (d.d_x + d.d_u,) * 2)
@@ -190,9 +167,13 @@ def solve_backward(spec):
     """
     d, m = spec.dims, spec.modes
     T, k1 = spec.T, m.kappa1
-    st = build_static(spec)
     pi1 = m.pi_m1[:, None, None]
-    De1, Da1 = st.Dempty[:, d.d_x0:], st.Daug[:, :, d.d_x0:]  # local-state rows
+    D = spec.D  # (k0, k1, d_x, d_x + d_u): [A B]
+    L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])  # (k1, d_x + d_u, ne)
+    D11 = np.concatenate([D[:, :, d.d_x0:, d.d_x0:d.d_x], D[:, :, d.d_x0:, d.d_x + d.d_u0:]], axis=-1)  # [A11 B11]
+    Daug = D @ L  # (k0, k1, d_x, ne)
+    Dempty = (Daug * pi1).sum(axis=1)  # (k0, d_x, ne): sum_m1 pi(m1) Daug
+    De1, Da1 = Dempty[:, d.d_x0:], Daug[:, :, d.d_x0:]  # local-state rows
 
     P = np.zeros((T + 2, m.kappa0, k1 + 1, d.d_x, d.d_x))
     Ptilde = np.zeros((T + 2, m.kappa0, k1 + 1, d.d_x1, d.d_x1))
@@ -201,12 +182,12 @@ def solve_backward(spec):
     stage_min_eig = np.empty((T + 1, 2))
 
     for t in range(T, -1, -1):
-        C, C11, Cempty = cost_blocks(spec, st.L, t)
+        C, C11, Cempty = cost_blocks(spec, L, t)
         pi_next = op_pi(P[t + 1], spec)
         psi_next = op_psi(Ptilde[t + 1], P[t + 1, ..., d.d_x0:, d.d_x0:], spec)
 
         # ztilde = empty: u0 and every qbar(m1) from the common information.
-        E = _T(st.Dempty) @ pi_next @ st.Dempty
+        E = _T(Dempty) @ pi_next @ Dempty
         F = (_T(Da1) @ psi_next @ Da1 * pi1).sum(axis=1) - _T(De1) @ psi_next @ De1
         P[t, :, EMPTY], gain = _schur(
             matkit.sym(Cempty + E + F), d.d_x, "H^UU",
@@ -216,14 +197,14 @@ def solve_backward(spec):
 
         # ztilde = m1: the received local mode is known to both controllers.
         P[t, :, :EMPTY], gain = _schur(
-            matkit.sym(C + _T(st.D) @ pi_next @ st.D), d.d_x, "H^UU",
+            matkit.sym(C + _T(D) @ pi_next @ D), d.d_x, "H^UU",
             lambda m0, m1: f"t={t}, m0={m0 + 1}, ztilde=m{m1 + 1}",
         )
         K_received[t] = -gain
 
         # Local value recursion.
         sc, gain = _schur(
-            matkit.sym(C11 + _T(st.D11) @ psi_next @ st.D11), d.d_x1, "Htilde^U1U1",
+            matkit.sym(C11 + _T(D11) @ psi_next @ D11), d.d_x1, "Htilde^U1U1",
             lambda m0, m1: f"t={t}, m0={m0 + 1}, m1={m1 + 1}",
         )
         Ptilde[t, :, :EMPTY] = sc
@@ -374,13 +355,18 @@ def _slot_arrays(obj):
 def bundle_from_json(obj):
     """The bundle of a JSON object as bundle_to_json writes it; its slots may
     hold nested lists or, as load_bundle reads them, arrays. A table whose
-    steps, m0 keys or slot keys do not follow that layout raises ValueError.
+    steps, m0 keys or slot keys do not follow that layout raises ValueError,
+    and so does a bool or a string as j_star or in e.
 
     Each table leaves a copy of `obj` as it is stacked, so that when the
     caller keeps no other reference (load_bundle), its slots are freed
     before the next table is stacked; P, the largest, goes last.
     """
     obj = {**obj}
+    for key in ("j_star", "e"):
+        leaf = non_number(obj[key])
+        if leaf is not None:
+            raise ValueError(f"{key} must hold numbers, got {leaf!r}")
     keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
     slots = keys + ["empty"]
     Ktilde = _stack(obj.pop("Ktilde"), "Ktilde", keys)
@@ -402,18 +388,11 @@ def bundle_from_json(obj):
 _SLAB_VALUES = 16384
 
 
-def _layout(value, depth, arrays):
-    """json.dumps(indent=1) text of a matrix, or of a dict of them, nested
-    `depth` levels deep, with one %s per matrix entry. Matrix layouts are
-    kept in `arrays` per (shape, depth)."""
-    if isinstance(value, dict):
-        pad = "\n" + " " * (depth + 1)
-        members = ",".join(f"{pad}{json.dumps(key)}: {_layout(v, depth + 1, arrays)}" for key, v in value.items())
-        return "{" + members + "\n" + " " * depth + "}" if members else "{}"
-    if (value.shape, depth) not in arrays:
-        text = json.dumps(np.full(value.shape, None).tolist(), indent=1)
-        arrays[value.shape, depth] = text.replace("\n", "\n" + " " * depth).replace("null", "%s")
-    return arrays[value.shape, depth]
+def _layout(step):
+    """json.dumps(indent=1) text of a table step (_step) as it sits 2 levels
+    deep in the file, with one %s per matrix entry."""
+    nulls = {m0: {key: np.full(m.shape, None).tolist() for key, m in slot.items()} for m0, slot in step.items()}
+    return json.dumps(nulls, indent=1).replace("\n", "\n  ").replace("null", "%s")
 
 
 def _reprs(values):
@@ -430,7 +409,7 @@ def _slabs(bundle):
     (template, matrices) slabs of whole table steps, of at most _SLAB_VALUES
     values unless one step is larger. Each step's layout (_layout) is built
     once per (table, slot order)."""
-    arrays, steps = {}, {}
+    steps = {}
     template, matrices, size = ["{"], [], 0
     for name, count in _tables(bundle):
         template.append(f'\n "{name}": {{')
@@ -438,7 +417,7 @@ def _slabs(bundle):
             step = _step(bundle, name, t)
             key = name, *next(iter(step.values()), ())
             if key not in steps:
-                steps[key] = _layout(step, 2, arrays)
+                steps[key] = _layout(step)
             leaves = [m for slot in step.values() for m in slot.values()]
             n = sum(m.size for m in leaves)
             if matrices and size + n > _SLAB_VALUES:

@@ -99,6 +99,18 @@ class TestSolve:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("modes", "pi_m0"), [True], "modes.pi_m0 must hold numbers, got True"),
+        (("stoch", "init", "mu_x1"), ["0.5"], "stoch.init.mu_x1 must hold numbers, got '0.5'"),
+        (("cost", "Q"), [[[1.0, True], [True, 1.0]]], "cost.Q must hold numbers, got True"),
+    ], ids=["bool-leaf", "numeric-string-leaf", "mixed"])
+    def test_config_arrays_take_only_numbers(self, tmp_path, capsys, path, value, message):
+        # numpy casts true and "0.5" to floats, but neither is a JSON number.
+        assert cli.main(["solve", "--config", _config_path(tmp_path, _with(s2_config(), path, value))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
         # json's scanner recurses once per nesting level.
         path = tmp_path / "deep.json"

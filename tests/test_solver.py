@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncslqr
-from ncslqr import control, model, solver
+from ncslqr import control, matkit, model, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import random_config, s1_config, s2_config, zero_weight_mode_config
@@ -179,14 +179,15 @@ class TestStructure:
     def test_gain_residual(self, battery):
         # K solves H_uu K = -H_ux; check by reconstructing H from the tables.
         for spec in battery[:8]:
-            static = solver.build_static(spec)
-            C = solver.cost_blocks(spec, static.L, spec.T)[0]
+            k1 = spec.modes.kappa1
+            L = np.array([matkit.build_L(spec.dims, k1, m1) for m1 in range(k1)])
+            C = solver.cost_blocks(spec, L, spec.T)[0]
             bundle = solver.solve_backward(spec)
             d = spec.dims
             for m0 in range(spec.modes.kappa0):
                 for m1 in range(spec.modes.kappa1):
                     Pn = solver.op_pi(bundle.values.P[spec.T + 1], spec)
-                    H = C[m0, m1] + static.D[m0, m1].T @ Pn @ static.D[m0, m1]
+                    H = C[m0, m1] + spec.D[m0, m1].T @ Pn @ spec.D[m0, m1]
                     K = bundle.gains.K_received[spec.T, m0, m1]
                     Huu = H[d.d_x:, d.d_x:]
                     Hux = H[d.d_x:, :d.d_x]
@@ -421,7 +422,14 @@ class TestLoad:
         (("K", "1", "1", "m1", 0, 0), 10 ** 400),
         (("j_star",), 10 ** 400),
         (("e", 0), 10 ** 400),
-    ], ids=["string-entry", "ragged-row", "missing-slot", "extra-slot", "huge-K", "huge-j_star", "huge-e"])
+        (("j_star",), True),
+        (("j_star",), "16.2"),
+        (("e",), ["1.0", "2.0", "0.0"]),
+        (("e", 1), False),
+    ], ids=[
+        "string-entry", "ragged-row", "missing-slot", "extra-slot", "huge-K", "huge-j_star", "huge-e",
+        "bool-j_star", "string-j_star", "string-e", "bool-e",
+    ])
     def test_bad_entry_raises_parse_error(self, tmp_path, where, value):
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(_s2_json_with(where, value)))
