@@ -7,7 +7,8 @@ Commands let package errors rise to `main`, which prints one stderr line
 `config error` 2 (ParseError, ShapeError, ProbabilityError), `numerical
 error` 3 (SingularBlockError, DefinitenessError, NonFiniteError) and `error`
 1 (any other NcslqrError). A bad argument exits 2 through argparse; a failed
-validate check or stationarity certificate exits 1 after its report.
+validate check or stationarity certificate exits 1 after its report. A
+stdout closed by its reader exits 1 with nothing on stderr.
 """
 
 import argparse
@@ -358,12 +359,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except NcslqrError as exc:
         for types, prefix, code in ERRORS:
             if isinstance(exc, types):
                 print(f"{prefix}: {exc}", file=sys.stderr)
                 return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: exit quietly. Python flushes stdout
+        # again at exit, so it now points at devnull (the recipe in the
+        # signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

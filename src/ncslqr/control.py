@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularBlockError
-from .model import assemble_system
+from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps control.assemble_system)
 from .solver import EMPTY, GainTables, gain_shapes, value_shapes
 
 
@@ -51,32 +51,6 @@ def compute_prescription(gains, spec, t, m0, ztilde, x0, x_hat1):
     v = gains.K_received[t, m0, ztilde] @ xin
     qbar[ztilde] = v[d.d_u0:]
     return Prescription(u0=v[:d.d_u0], qbar=qbar, ktilde=None, ztilde=ztilde)
-
-
-def local_action(presc, x1, m1, x_hat1):
-    """u1 = qbar(m1) plus the innovation term when nothing was transmitted."""
-    if presc.ztilde == EMPTY:
-        return presc.qbar[m1] + presc.ktilde[m1] @ (x1 - x_hat1)
-    # Successful transmission: the prescription already pins qbar(ztilde)
-    # and the local mode observed by C0 is the true one.
-    return presc.qbar[presc.ztilde].copy()
-
-
-def estimator_update(spec, x_hat1, x0, m0, ztilde_t, presc, z_next):
-    """Three-branch conditional-mean recursion for xhat."""
-    d, m = spec.dims, spec.modes
-    if z_next is not None:
-        return np.array(z_next, dtype=float)
-    if ztilde_t == EMPTY:
-        x_next = np.zeros(d.d_x1)
-        for m1 in range(m.kappa1):
-            _, _, D = assemble_system(spec, m0, m1)
-            s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[m1]])
-            x_next += m.pi_m1[m1] * (D[d.d_x0:, :] @ s)
-        return x_next
-    _, _, D = assemble_system(spec, m0, ztilde_t)
-    s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[ztilde_t]])
-    return D[d.d_x0:, :] @ s
 
 
 # --- centralized oracle -----------------------------------------------------

@@ -17,9 +17,10 @@ recursion (over m0, m1). Each block is one guarded solve that yields both
 the Schur complement and the gain.
 """
 
+import base64
 import json
-import re
-import sys
+import math
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,176 +260,12 @@ def analytic_cost(spec, values):
 
 
 # --- serialization ----------------------------------------------------------
-#
-# A bundle file nests every table as t -> m0 (1-based) -> key ("empty", or
-# "m<l>" for received local mode l), K holding the empty and received gains
-# side by side: a table step sits 2 levels deep and its slots 3. Ptilde lists
-# "empty" last except at t = T+1, the order bundles have always been in.
 
-
-def _tables(bundle):
-    """(name, steps) of each table, in file order."""
-    steps = len(bundle.gains.K_received)
-    return (("P", steps + 1), ("Ptilde", steps + 1), ("K", steps), ("Ktilde", steps))
-
-
-def _step(bundle, name, t):
-    """Step t of table `name` as the file nests it, {m0: {key: matrix}}
-    with 1-based m0 keys and each matrix a view of its table."""
-    v, g = bundle.values, bundle.gains
-    steps, k0, k1 = g.K_received.shape[:3]
-    keys = [f"m{j + 1}" for j in range(k1)]
-    empty = None
-    if name in ("P", "Ptilde"):
-        table = getattr(v, name)[t]
-        received, empty = table[:, :EMPTY], table[:, EMPTY]
-    elif name == "K":
-        received, empty = g.K_received[t], g.K_empty[t]
-    else:
-        received = g.Ktilde[t]
-
-    def slot(m0):
-        slots = dict(zip(keys, received[m0]))
-        if empty is None:
-            return slots
-        if name == "Ptilde" and t < steps:
-            return {**slots, "empty": empty[m0]}
-        return {"empty": empty[m0], **slots}
-
-    return {str(m0 + 1): slot(m0) for m0 in range(k0)}
-
-
-def _tolist(step):
-    """A step of _step with each matrix as nested lists."""
-    return {key: _tolist(value) if isinstance(value, dict) else value.tolist() for key, value in step.items()}
-
-
-def bundle_to_json(bundle):
-    """The bundle as a JSON object. json.dump(..., indent=1) of it is the
-    reference for the bytes save_bundle writes."""
-    return {
-        **{name: {str(t): _tolist(_step(bundle, name, t)) for t in range(steps)} for name, steps in _tables(bundle)},
-        "e": bundle.values.e.tolist(),
-        "j_star": bundle.j_star,
-        "solve_metadata": bundle.solve_metadata,
-    }
-
-
-def _in_order(obj, first, where):
-    """The values of `obj`, whose keys must read first, first + 1, ... in some order."""
-    keys = [str(k) for k in range(first, first + len(obj))]
-    if set(obj) != set(keys):
-        raise ValueError(f"{where} has keys {list(obj)}, expected {keys}")
-    return [obj[k] for k in keys]
-
-
-def _stack(table, name, keys, slots=None):
-    """Array [t, m0, key] of the nested t -> m0 -> key table `name`. Its t
-    keys must count up from 0, its m0 keys from 1, and every slot must hold
-    exactly the keys `slots` (by default `keys`)."""
-    where = f"solution table {name}"
-    want = sorted(keys if slots is None else slots)
-    rows = []
-    for t, per_t in enumerate(_in_order(table, 0, where)):
-        row = []
-        for m0, slot in enumerate(_in_order(per_t, 1, f"{where} at t={t}"), 1):
-            if sorted(slot) != want:
-                raise ValueError(f"{where} at t={t}, m0={m0} has slots {sorted(slot)}, expected {want}")
-            row.append([slot[k] for k in keys])
-        rows.append(row)
-    return np.array(rows, dtype=float)
-
-
-def _slot_arrays(obj):
-    """json object_hook: a table slot, an object whose every key is "empty"
-    or "m<l>", with each matrix as a float64 array; any other object as it is.
-
-    With it, a parse holds the Python floats of one slot at a time. The
-    keys are interned: _JsonStream decodes each slot in a call of its own,
-    and json shares equal keys only within one call.
-    """
-    if obj and all(k == "empty" or k[:1] == "m" and k[1:].isdigit() for k in obj):
-        return {sys.intern(k): np.array(v, dtype=float) for k, v in obj.items()}
-    return obj
-
-
-def bundle_from_json(obj):
-    """The bundle of a JSON object as bundle_to_json writes it; its slots may
-    hold nested lists or, as load_bundle reads them, arrays. A table whose
-    steps, m0 keys or slot keys do not follow that layout raises ValueError,
-    and so does a bool or a string as j_star or in e.
-
-    Each table leaves a copy of `obj` as it is stacked, so that when the
-    caller keeps no other reference (load_bundle), its slots are freed
-    before the next table is stacked; P, the largest, goes last.
-    """
-    obj = {**obj}
-    for key in ("j_star", "e"):
-        leaf = non_number(obj[key])
-        if leaf is not None:
-            raise ValueError(f"{key} must hold numbers, got {leaf!r}")
-    keys = [f"m{j + 1}" for j in range(len(obj["Ktilde"]["0"]["1"]))]
-    slots = keys + ["empty"]
-    Ktilde = _stack(obj.pop("Ktilde"), "Ktilde", keys)
-    K = obj.pop("K")
-    K_empty, K_received = _stack(K, "K", ["empty"], slots)[:, :, 0], _stack(K, "K", keys, slots)
-    del K
-    Ptilde = _stack(obj.pop("Ptilde"), "Ptilde", slots)
-    P = _stack(obj.pop("P"), "P", slots)
-    return SolutionBundle(
-        values=ValueTables(P=P, Ptilde=Ptilde, e=np.asarray(obj["e"], dtype=float)),
-        gains=GainTables(K_empty=K_empty, K_received=K_received, Ktilde=Ktilde),
-        j_star=float(obj["j_star"]),
-        solve_metadata=dict(obj.get("solve_metadata", {})),
-    )
-
-
-# Values formatted together in save_bundle: enough that a slab repeats many
-# of its values, few enough that its strings stay small next to the tables.
-_SLAB_VALUES = 16384
-
-
-def _layout(step):
-    """json.dumps(indent=1) text of a table step (_step) as it sits 2 levels
-    deep in the file, with one %s per matrix entry."""
-    nulls = {m0: {key: np.full(m.shape, None).tolist() for key, m in slot.items()} for m0, slot in step.items()}
-    return json.dumps(nulls, indent=1).replace("\n", "\n  ").replace("null", "%s")
-
-
-def _reprs(values):
-    """float.__repr__ of each entry of a float64 vector, which is what json
-    writes for a finite float, with one repr per distinct bit pattern, so
-    that -0.0 and 0.0 stay apart."""
-    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[where].tolist()
-
-
-def _slabs(bundle):
-    """json.dumps(bundle_to_json(bundle), indent=1) up to its "e" member, as
-    (template, matrices) slabs of whole table steps, of at most _SLAB_VALUES
-    values unless one step is larger. Each step's layout (_layout) is built
-    once per (table, slot order)."""
-    steps = {}
-    template, matrices, size = ["{"], [], 0
-    for name, count in _tables(bundle):
-        template.append(f'\n "{name}": {{')
-        for t in range(count):
-            step = _step(bundle, name, t)
-            key = name, *next(iter(step.values()), ())
-            if key not in steps:
-                steps[key] = _layout(step)
-            leaves = [m for slot in step.values() for m in slot.values()]
-            n = sum(m.size for m in leaves)
-            if matrices and size + n > _SLAB_VALUES:
-                yield template, matrices
-                template, matrices, size = [], [], 0
-            # The layout goes in as an item of its own: the slab's steps share it.
-            template += f'{"," if t else ""}\n  "{t}": ', steps[key]
-            matrices += leaves
-            size += n
-        template.append("\n },")
-    yield template, matrices
+# A bundle file is one JSON object: "format", "j_star", "e", "solve_metadata"
+# and, per table, {"shape": [...], "data": base64 of its zlib-compressed <f8 bytes}.
+FORMAT = "ncslqr-bundle 2"
+_TABLES = ("P", "Ptilde", "K_empty", "K_received", "Ktilde")
+_MAX_INFLATION = 1032  # deflate's largest ratio of inflated to compressed bytes
 
 
 def _non_finite(bundle):
@@ -442,157 +279,68 @@ def _non_finite(bundle):
     return None
 
 
-def save_bundle(bundle, path):
-    """Write exactly json.dump(bundle_to_json(bundle), fh, indent=1), one
-    table step at a time.
+def _deflate(table):
+    """A table as the file holds it."""
+    data = zlib.compress(np.ascontiguousarray(table, "<f8"), 1)
+    return {"shape": list(table.shape), "data": base64.b64encode(data).decode("ascii")}
 
-    json's C encoder does not indent, so its pure-Python one would format
-    every float. Instead the table steps fill their text layouts (_slabs)
-    with one % per slab of steps and one repr per distinct value in it
-    (symmetric tables, repeated slots and converged steps hold many
-    copies), so the writer holds one slab, not the horizon; json dumps `e`,
-    `j_star` and `solve_metadata`. A non-finite entry raises
-    NonFiniteError, since json would write it as NaN or Infinity, not as
-    its repr.
-    """
+
+def _inflate(entry, name):
+    """The table of a file entry (_deflate), as a read-only array. The
+    shape and the data are checked before the data is inflated, into a
+    buffer of exactly the shape's size."""
+    shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")
+    if not isinstance(data, str):
+        raise ValueError(f"solution table {name} has data of type {type(data).__name__}, expected a base64 string")
+    data = base64.b64decode(data, validate=True)
+    size = 8 * math.prod(shape)
+    if size > _MAX_INFLATION * len(data):
+        raise ValueError(f"solution table {name} has shape {shape}, more than its {len(data)} bytes of data hold")
+    data = zlib.decompress(data, bufsize=size)
+    if len(data) != size:
+        raise ValueError(f"solution table {name} holds {len(data)} bytes, expected {size} for shape {shape}")
+    return np.frombuffer(data, "<f8").reshape(shape)
+
+
+def save_bundle(bundle, path):
+    """Write the bundle file: json.dump(..., indent=1) of its object. A
+    non-finite entry raises NonFiniteError, since json would write it as
+    NaN or Infinity."""
     problem = _non_finite(bundle)
     if problem:
         raise NonFiniteError(problem)
-    tail = {"e": bundle.values.e.tolist(), "j_star": bundle.j_star, "solve_metadata": bundle.solve_metadata}
+    tables = {**vars(bundle.values), **vars(bundle.gains)}
+    doc = {"format": FORMAT, "j_star": bundle.j_star, "e": bundle.values.e.tolist(), "solve_metadata": bundle.solve_metadata}
+    doc.update((name, _deflate(tables[name])) for name in _TABLES)
     try:
-        with open(path, "w") as fh:
-            for template, matrices in _slabs(bundle):
-                # One expression, so that no slab's values outlive its write.
-                fh.write("".join(template) % tuple(_reprs(np.concatenate([m.ravel() for m in matrices], dtype=float))))
-            # Dumped at the document's depth: without its "{", the document's tail.
-            fh.write(json.dumps(tail, indent=1)[1:])
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
 
-# Bytes of a bundle file read at a time by _JsonStream, before the rest of their line.
-_WINDOW = 1 << 16
-
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-
-
-class _JsonStream:
-    """json.loads(text, object_hook=_slot_arrays) of the UTF-8 text of a
-    binary file, errors included, read one window at a time: _WINDOW bytes
-    and the rest of their line. No JSON token and no UTF-8 character holds
-    a newline byte, so each window decodes on its own ("surrogatepass", as
-    json.loads decodes bytes).
-
-    The objects less than 3 levels deep (the top level, each table, each
-    step) are walked member by member; every other value (a table slot,
-    `e`, `j_star`, `solve_metadata`) is decoded whole by json's C scanner,
-    again with more text if it runs past the window. An error names its
-    position in the file: the stream drops whole lines and counts their
-    characters and lines.
-    """
-
-    _decode = json.JSONDecoder(object_hook=_slot_arrays).raw_decode
-
-    def __init__(self, fh):
-        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
-        self.chars = self.lines = 0  # dropped characters and lines
-
-    def _more(self):
-        """Drop the lines before pos's line and read at least a window
-        more; at EOF change nothing and return False. EOF is read once:
-        each read allocates its full size first."""
-        chunk = b"" if self.eof else self.fh.read(max(_WINDOW, len(self.text) - self.pos)) + self.fh.readline()
-        if not chunk:
-            self.eof = True
-            return False
-        cut = self.text.rfind("\n", 0, self.pos) + 1
-        self.chars, self.lines = self.chars + cut, self.lines + self.text.count("\n", 0, cut)
-        # The old window and the bytes are freed before the join.
-        rest, self.text = self.text[cut:], ""
-        chunk = chunk.decode("utf-8", "surrogatepass")
-        self.text, self.pos = rest + chunk, self.pos - cut
-        return True
-
-    def _next(self):
-        """The next character that is not whitespace, or "" at EOF."""
-        while True:
-            self.pos = _WHITESPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or not self._more():
-                return self.text[self.pos:self.pos + 1]
-
-    def _whole(self):
-        """The value at pos, decoded by json's scanner. Only an error at
-        the end of the text can be the window's doing: then more text is
-        read and the value decoded again; any other error is raised at
-        once. Less than half a window ahead is topped up first, since each
-        decode that fails at the edge counts the lines before it for its
-        message."""
-        if len(self.text) - self.pos < _WINDOW // 2:
-            self._more()
-        while True:
-            try:
-                value, self.pos = self._decode(self.text, self.pos)
-                return value
-            except json.JSONDecodeError as exc:
-                if exc.pos != len(self.text) or not self._more():
-                    raise
-
-    def value(self, depth=0):
-        """The next value, `depth` levels deep in the document."""
-        if self._next() != "{" or depth > 2:
-            return self._whole()
-        self.pos += 1
-        obj = {}
-        delimiter = self._next()
-        while delimiter != "}":
-            if obj and delimiter != ",":
-                raise json.JSONDecodeError("Expecting ',' delimiter", self.text, self.pos)
-            self.pos += bool(obj)  # past the comma before every member but the first
-            if self._next() != '"':
-                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", self.text, self.pos)
-            key = self._whole()
-            if self._next() != ":":
-                raise json.JSONDecodeError("Expecting ':' delimiter", self.text, self.pos)
-            self.pos += 1
-            obj[key] = self.value(depth + 1)
-            delimiter = self._next()
-        self.pos += 1
-        return _slot_arrays(obj)
-
-    def document(self):
-        """The file's one value; anything after it but whitespace is an error."""
-        try:
-            obj = self.value()
-            if self._next():
-                raise json.JSONDecodeError("Extra data", self.text, self.pos)
-        except json.JSONDecodeError as exc:  # its position counts from the window, which starts a line
-            exc.pos, exc.lineno = exc.pos + self.chars, exc.lineno + self.lines
-            exc.args = (f"{exc.msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
-            raise
-        except UnicodeDecodeError as exc:  # counted from the file's start; earlier bytes read as 0
-            before = self.fh.tell() - len(exc.object)
-            exc.object, exc.start, exc.end = bytes(before) + exc.object, exc.start + before, exc.end + before
-            raise
-        return obj
-
-
 def load_bundle(path):
-    """Read a bundle file; any failure to read or parse it, or a non-finite
-    table entry or j_star (json reads NaN and Infinity), raises ParseError.
-
-    The file is read one window at a time (_JsonStream), and each table
-    slot becomes arrays as soon as it is parsed (_slot_arrays), so the
-    load holds the tables, not the file's text: it peaks below the file
-    size unless the matrices are tiny.
-    """
+    """Read a bundle file. A failure to read or parse it, a file of another
+    format (such as the nested tables of earlier releases) or a non-finite
+    table entry or j_star (json reads NaN and Infinity) raises ParseError."""
     try:
-        with open(path, "rb") as fh:
-            bundle = bundle_from_json(_JsonStream(fh).document())
-    except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors; an
-        # integer literal beyond float range raises OverflowError when it
-        # becomes a float; a deeply nested value exhausts the recursion
-        # limit.
+        # As json.loads decodes bytes: a lone surrogate loads as it is.
+        with open(path, encoding="utf-8", errors="surrogatepass") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+            raise ValueError(f"not an {FORMAT!r} file; solve the problem again to write one")
+        for key in ("j_star", "e"):
+            leaf = non_number(doc[key])
+            if leaf is not None:
+                raise ValueError(f"{key} must hold numbers, got {leaf!r}")
+        tables = {name: _inflate(doc.pop(name), name) for name in _TABLES}
+        values = ValueTables(P=tables.pop("P"), Ptilde=tables.pop("Ptilde"), e=np.asarray(doc["e"], dtype=float))
+        bundle = SolutionBundle(values, GainTables(**tables), float(doc["j_star"]), dict(doc.get("solve_metadata", {})))
+    except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError, zlib.error) as exc:
+        # JSONDecodeError, UnicodeDecodeError and binascii.Error are ValueErrors;
+        # a huge integer literal overflows as a float; deep nesting recurses.
         raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc
     problem = _non_finite(bundle)
     if problem:

@@ -1,10 +1,15 @@
+import base64
 import itertools
+import json
 import math
+import os
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
 
-from ncslqr import control, model, sim
+from ncslqr import control, model, sim, solver
 from ncslqr.errors import NonFiniteError
 from ncslqr.solver import EMPTY
 
@@ -259,13 +264,69 @@ def reference_draws(key, run, t, count):
     return uniforms(0)[:3], np.array(normals[:count])
 
 
+def bundle_document(bundle):
+    """The JSON object of `bundle`'s file, as save_bundle writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bundle.json")
+        solver.save_bundle(bundle, path)
+        with open(path) as fh:
+            return json.load(fh)
+
+
+def document_table(doc, name):
+    """Table `name` of a bundle document as a writable array, decoded here
+    from the file format rather than by the package."""
+    entry = doc[name]
+    data = zlib.decompress(base64.b64decode(entry["data"]))
+    return np.frombuffer(data, "<f8").reshape(entry["shape"]).copy()
+
+
+def with_table(doc, name, table):
+    """A copy of the bundle document `doc` whose table `name` is `table`."""
+    data = base64.b64encode(zlib.compress(np.asarray(table, "<f8").tobytes())).decode()
+    return {**doc, name: {"shape": list(table.shape), "data": data}}
+
+
+def with_entry(doc, name, index, value):
+    """A copy of the bundle document `doc` whose table `name` holds `value` at `index`."""
+    table = document_table(doc, name)
+    table[index] = value
+    return with_table(doc, name, table)
+
+
+def local_action(presc, x1, m1, x_hat1):
+    """u1 = qbar(m1) plus the innovation term when nothing was transmitted."""
+    if presc.ztilde == EMPTY:
+        return presc.qbar[m1] + presc.ktilde[m1] @ (x1 - x_hat1)
+    # Successful transmission: the prescription already pins qbar(ztilde)
+    # and the local mode observed by C0 is the true one.
+    return presc.qbar[presc.ztilde].copy()
+
+
+def estimator_update(spec, x_hat1, x0, m0, ztilde_t, presc, z_next):
+    """Three-branch conditional-mean recursion for xhat."""
+    d, m = spec.dims, spec.modes
+    if z_next is not None:
+        return np.array(z_next, dtype=float)
+    if ztilde_t == EMPTY:
+        x_next = np.zeros(d.d_x1)
+        for m1 in range(m.kappa1):
+            _, _, D = model.assemble_system(spec, m0, m1)
+            s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[m1]])
+            x_next += m.pi_m1[m1] * (D[d.d_x0:, :] @ s)
+        return x_next
+    _, _, D = model.assemble_system(spec, m0, ztilde_t)
+    s = np.concatenate([x0, x_hat1, presc.u0, presc.qbar[ztilde_t]])
+    return D[d.d_x0:, :] @ s
+
+
 def reference_rollout(spec, policy, seed, run_index):
     """One run by a plain per-step loop, as a cross-check of the simulator.
 
     The draws follow the layout in the `ncslqr.sim` docstring but come from
     numpy's Philox (`reference_draws`); modes are picked by a scan of the
     cumulative weights, the dynamics come from `assemble_system` at every
-    step, and actions and estimates from `compute_prescription`,
+    step, and actions and estimates from `control.compute_prescription`,
     `local_action` and `estimator_update` (the full-information reference
     applies its received-branch gain and copies x1 into the estimate). Raises
     NonFiniteError at the first non-finite state, action or stage cost.
@@ -301,7 +362,7 @@ def reference_rollout(spec, policy, seed, run_index):
         elif policy.full_information:
             x_hat1 = x1.copy()
         else:
-            x_hat1 = control.estimator_update(spec, *pending, x1 if gamma == 1 else None)
+            x_hat1 = estimator_update(spec, *pending, x1 if gamma == 1 else None)
 
         if policy.full_information:
             u = policy.gains.K_received[t, m0, m1] @ np.concatenate([x0, x1])
@@ -309,7 +370,7 @@ def reference_rollout(spec, policy, seed, run_index):
         else:
             zt = m1 if gamma == 1 else EMPTY
             presc = control.compute_prescription(policy.gains, spec, t, m0, zt, x0, x_hat1)
-            u0, u1 = presc.u0, control.local_action(presc, x1, m1, x_hat1)
+            u0, u1 = presc.u0, local_action(presc, x1, m1, x_hat1)
             pending = (x_hat1, x0, m0, zt, presc)
         x = np.concatenate([x0, x1])
         u = np.concatenate([u0, u1])

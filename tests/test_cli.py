@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import csv
@@ -23,15 +24,22 @@ from ncslqr import cli, control, errors, matkit, model, oracle, sim, solver
 from ncslqr.errors import NonFiniteError, ParseError, ShapeError
 from conftest import (
     battery_configs,
+    bundle_document,
+    document_table,
     divergent_config,
     long_horizon_config,
     random_config,
     reference_rollout,
     s2_config,
+    with_entry,
+    with_table,
     zero_weight_mode_config,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+# The JSON object of the S2 instance's bundle file.
+S2_BUNDLE = bundle_document(solver.solve_backward(model.load_config(s2_config())))
+S2_DATA = S2_BUNDLE["P"]["data"]
 
 
 @pytest.fixture
@@ -208,6 +216,21 @@ class TestOutputs:
         assert captured.err.startswith("error: cannot write ")
 
 
+
+    def test_closed_stdout_exits_quietly(self, s2_path):
+        # The reader closes its end of the pipe before the command prints:
+        # the write fails with EPIPE, and the command exits 1 with no
+        # traceback, as it does at exit when the reader leaves early.
+        src = str(Path(ncslqr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ncslqr.cli", "evaluate-exact", "--config", s2_path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (1, b"")
+
 class TestArguments:
     @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
     @pytest.mark.parametrize("runs", ["0", "-3", "2.5", "many"])
@@ -317,11 +340,7 @@ class TestSolutionBundle:
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     def test_non_finite_bundle_exit_code(self, s2_path, tmp_path, capsys, command):
         bundle = tmp_path / "bundle.json"
-        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
-        obj = json.loads(bundle.read_text())
-        obj["Ktilde"]["1"]["1"]["m1"][0][0] = float("nan")
-        bundle.write_text(json.dumps(obj))
-        capsys.readouterr()
+        bundle.write_text(json.dumps(with_entry(S2_BUNDLE, "Ktilde", (1, 0, 0, 0, 0), math.nan)))
         assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
         assert capsys.readouterr().err == (
             f"solution error: cannot read solution bundle {bundle}: "
@@ -329,7 +348,7 @@ class TestSolutionBundle:
         )
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
-    @pytest.mark.parametrize("where", [("K", "1", "1", "m1", 0, 0), ("j_star",)])
+    @pytest.mark.parametrize("where", [("e", 0), ("j_star",)])
     def test_huge_integer_bundle_exit_code(self, s2_path, tmp_path, capsys, command, where):
         # 10**400 is a valid JSON number that no float holds.
         bundle = tmp_path / "bundle.json"
@@ -393,37 +412,77 @@ class TestSolutionBundle:
 
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
-    @pytest.mark.parametrize("change, message", [
-        pytest.param(
-            "step 9", "solution table P has keys ['0', '1', '2', '9'], expected ['0', '1', '2', '3']", id="step-9",
-        ),
-        pytest.param(
-            "stray m7", "solution table P at t=0, m0=1 has slots ['empty', 'm1', 'm7'], "
-            "expected ['empty', 'm1']", id="stray-m7",
-        ),
-        pytest.param(
-            "missing m1", "solution table K at t=1, m0=1 has slots ['empty'], expected ['empty', 'm1']",
-            id="missing-m1",
-        ),
+    def test_old_format_exit_code(self, s2_path, capsys, command):
+        # A bundle of the nested layout that earlier releases wrote.
+        path = DATA / "s2_bundle.json"
+        assert cli.main([command, "--config", s2_path, "--solution", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"solution error: cannot read solution bundle {path}: ValueError: "
+            "not an 'ncslqr-bundle 2' file; solve the problem again to write one\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("change", [
+        pytest.param("step 9", id="step-9"),
+        pytest.param("stray m7", id="stray-m7"),
+        pytest.param("missing m1", id="missing-m1"),
     ])
-    def test_bundle_out_of_layout_exit_code(self, s2_path, tmp_path, capsys, command, change, message):
-        # Every step, m0 key and slot key counts, not only those the
-        # problem's shapes read. S2 has T = 1, so P has steps 0, 1 and 2.
+    def test_bundle_out_of_layout_exit_code(self, s2_path, tmp_path, capsys, command, change):
+        # S2 has T = 1, so P has steps 0, 1 and 2, and each table's third
+        # axis holds the slots "empty" and m1. A shape that claims 9 steps,
+        # a stray slot appended to P and a file without the m1-slot gains
+        # are each refused, by the reader or by the fit to the problem.
         obj = copy.deepcopy(S2_BUNDLE)
         if change == "step 9":
-            obj["P"]["9"] = obj["P"]["2"]
+            obj["P"]["shape"][0] = 9
+            message = "cannot read solution bundle {bundle}: ValueError: solution table P holds 192 bytes, expected 576 for shape [9, 1, 2, 2, 2]"
         elif change == "stray m7":
-            for per_t in obj["P"].values():
-                for slot in per_t.values():
-                    slot["m7"] = slot["m1"]
+            steps = document_table(obj, "P")
+            obj = with_table(obj, "P", np.concatenate([steps, steps[:, :, 1:]], axis=2))
+            message = ("solution value tables have shapes ((3, 1, 3, 2, 2), (3, 1, 2, 1, 1), (3,)), "
+                       "but this problem needs ((3, 1, 2, 2, 2), (3, 1, 2, 1, 1), (3,))")
         else:
-            del obj["K"]["1"]["1"]["m1"]
+            del obj["K_received"]
+            message = "cannot read solution bundle {bundle}: KeyError: 'K_received'"
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps(obj))
         assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"solution error: cannot read solution bundle {bundle}: ValueError: {message}\n"
+        assert err == f"solution error: {message.format(bundle=bundle)}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    @pytest.mark.parametrize("where, value, message", [
+        (("P", "data"), True, "ValueError: solution table P has data of type bool, expected a base64 string"),
+        (("P", "data"), 2.5, "ValueError: solution table P has data of type float, expected a base64 string"),
+        (("P", "data"), [1.0], "ValueError: solution table P has data of type list, expected a base64 string"),
+        # Decoding that skipped characters outside the base64 alphabet would
+        # read this data as the table it was.
+        (("P", "data"), S2_DATA[:8] + "*" + S2_DATA[8:], "Error: Only base64 data is allowed"),
+        (("P", "shape", 1), True, "ValueError: solution table P has shape [3, True, 2, 2, 2], "
+         "expected a list of non-negative integers"),
+        (("P", "shape", 1), 2.5, "ValueError: solution table P has shape [3, 2.5, 2, 2, 2], "
+         "expected a list of non-negative integers"),
+        (("P", "shape", 1), -1, "ValueError: solution table P has shape [3, -1, 2, 2, 2], "
+         "expected a list of non-negative integers"),
+        (("P", "shape"), 72, "ValueError: solution table P has shape 72, expected a list of non-negative integers"),
+        (("P", "shape", 1), 10 ** 9, "ValueError: solution table P has shape [3, 1000000000, 2, 2, 2], "
+         f"more than its {len(base64.b64decode(S2_DATA))} bytes of data hold"),
+        (("P", "shape", 1), 2, "ValueError: solution table P holds 192 bytes, expected 384 for shape [3, 2, 2, 2, 2]"),
+        (("format",), "ncslqr-bundle 1", "ValueError: not an 'ncslqr-bundle 2' file; solve the problem again to write one"),
+    ], ids=[
+        "bool-data", "number-data", "list-data", "stray-character", "bool-shape", "fraction-shape", "negative-shape",
+        "number-shape", "huge-shape", "short-data", "old-format-tag",
+    ])
+    def test_malformed_table_exit_code(self, s2_path, tmp_path, capsys, command, where, value, message):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(_with(S2_BUNDLE, where, value)))
+        assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"solution error: cannot read solution bundle {bundle}: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
     @pytest.mark.parametrize("table", ["P", "Ptilde", "e"])
@@ -434,7 +493,8 @@ class TestSolutionBundle:
         if table == "e":
             obj["e"].append(0.0)
         else:
-            obj[table]["3"] = obj[table]["2"]
+            steps = document_table(obj, table)
+            obj = with_table(obj, table, np.concatenate([steps, steps[-1:]]))
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps(obj))
         assert cli.main([command, "--config", s2_path, "--solution", str(bundle)]) == 2
@@ -527,11 +587,7 @@ class TestNumericalInputs:
     @pytest.mark.parametrize("command", [["simulate", "--runs", "3"], ["evaluate-exact"]], ids=lambda argv: argv[0])
     def test_overflowing_bundle_gain_exit_code(self, s2_path, tmp_path, capsys, command):
         bundle = tmp_path / "bundle.json"
-        assert cli.main(["solve", "--config", s2_path, "--out", str(bundle)]) == 0
-        obj = json.loads(bundle.read_text())
-        obj["K"]["0"]["1"]["m1"][0][0] = 1e308
-        bundle.write_text(json.dumps(obj))
-        capsys.readouterr()
+        bundle.write_text(json.dumps(with_entry(S2_BUNDLE, "K_received", (0, 0, 0, 0, 0), 1e308)))
         assert cli.main(command + ["--config", s2_path, "--solution", str(bundle)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -574,9 +630,6 @@ def _leaf_paths(obj, path=()):
     return [path]
 
 
-S2_BUNDLE = solver.bundle_to_json(solver.solve_backward(model.load_config(s2_config())))
-
-
 @st.composite
 def one_bad_input(draw):
     """(config, bundle or None, argv): one leaf of the config or the
@@ -609,7 +662,7 @@ class TestBadInputs:
     @example((_with(s2_config(), ("stoch", "T"), 2**70), None, ["validate", "--runs", "3"]))
     @example((_with(s2_config(), ("cost", "R", 0, 0, 0), -1e308), None, ["solve"]))
     @example((_with(s2_config(), ("stoch", "init", "mu_x0", 0), 1e308), None, ["validate", "--runs", "3"]))
-    @example((s2_config(), _with(S2_BUNDLE, ("K", "0", "1", "m1", 0, 0), 1e308), ["evaluate-exact"]))
+    @example((s2_config(), with_entry(S2_BUNDLE, "K_received", (0, 0, 0, 0, 0), 1e308), ["evaluate-exact"]))
     @example((s2_config(), _with(S2_BUNDLE, ("j_star",), math.nan), ["evaluate-exact"]))
     @settings(max_examples=300, deadline=None)
     def test_documented_exit(self, case):

@@ -3,7 +3,7 @@ import pytest
 
 from ncslqr import control, model, solver
 from ncslqr.solver import EMPTY
-from conftest import random_config
+from conftest import estimator_update, local_action, random_config
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ class TestEstimator:
         presc = control.compute_prescription(
             s2_bundle.gains, s2_spec, 0, 0, EMPTY, np.array([1.0]), xh
         )
-        out = control.estimator_update(s2_spec, xh, np.array([1.0]), 0, EMPTY, presc, [7.0])
+        out = estimator_update(s2_spec, xh, np.array([1.0]), 0, EMPTY, presc, [7.0])
         assert out == pytest.approx([7.0])
 
     def test_update_failure_propagates_closed_loop(self, s2_spec, s2_bundle):
@@ -26,7 +26,7 @@ class TestEstimator:
         x0 = np.array([1.0])
         xh = np.array([2.0])
         presc = control.compute_prescription(s2_bundle.gains, s2_spec, 0, 0, EMPTY, x0, xh)
-        out = control.estimator_update(s2_spec, xh, x0, 0, EMPTY, presc, None)
+        out = estimator_update(s2_spec, xh, x0, 0, EMPTY, presc, None)
         expected = x0[0] + xh[0] + presc.u0[0] + presc.qbar[0, 0]
         assert out == pytest.approx([expected])
 
@@ -36,7 +36,7 @@ class TestEstimator:
         x0 = np.array([0.0])
         xh = np.array([4.0])
         presc = control.compute_prescription(s2_bundle.gains, s2_spec, 0, 0, 0, x0, xh)
-        out = control.estimator_update(s2_spec, xh, x0, 0, 0, presc, None)
+        out = estimator_update(s2_spec, xh, x0, 0, 0, presc, None)
         expected = xh[0] + presc.u0[0] + presc.qbar[0, 0]
         assert out == pytest.approx([expected])
 
@@ -57,7 +57,7 @@ class TestPrescription:
         presc = control.compute_prescription(
             s2_bundle.gains, s2_spec, 0, 0, EMPTY, np.array([1.0]), xh
         )
-        u1 = control.local_action(presc, np.array([3.0]), 0, xh)
+        u1 = local_action(presc, np.array([3.0]), 0, xh)
         # Ktilde_0 = -1/2 on the innovation (3 - 1).
         assert u1 == pytest.approx([-0.6 - 1.0])
 
@@ -67,7 +67,7 @@ class TestPrescription:
             s2_bundle.gains, s2_spec, 0, 0, 0, np.array([1.0]), xh
         )
         assert presc.ktilde is None
-        u1 = control.local_action(presc, np.array([3.0]), 0, xh)
+        u1 = local_action(presc, np.array([3.0]), 0, xh)
         assert u1 == pytest.approx(presc.qbar[0])
 
 
@@ -104,7 +104,7 @@ def _expected_action(policy, kind, cen, t, m0, m1, gamma, x0, x1, xh):
         presc = control.compute_prescription(
             policy.gains, spec, t, m0, m1 if gamma == 1 else EMPTY, x0, xh
         )
-        return np.concatenate([presc.u0, control.local_action(presc, x1, m1, xh)])
+        return np.concatenate([presc.u0, local_action(presc, x1, m1, xh)])
     if kind == "zero":
         return np.zeros(d.d_u)
     K = cen.K[t, m0]
@@ -174,7 +174,7 @@ class TestPolicyMaps:
                             presc = control.compute_prescription(
                                 policy.gains, spec, t, m0, zt, x0, xh
                             )
-                            vec = control.estimator_update(spec, xh, x0, m0, zt, presc, None)
+                            vec = estimator_update(spec, xh, x0, m0, zt, presc, None)
                             M = mean_update_t[m0, m1, gamma_t]
                             assert np.array_equal(policy.stage(t)[1][m0, m1, gamma_t], M)
                             assert M @ xi == pytest.approx(vec, abs=1e-10)

@@ -1,5 +1,5 @@
+import copy
 import dataclasses
-import io
 import json
 import re
 import tracemalloc
@@ -7,14 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import ncslqr
-from ncslqr import control, matkit, model, solver
+from ncslqr import matkit, model, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
-from conftest import random_config, s1_config, s2_config, zero_weight_mode_config
+from conftest import bundle_document, document_table, random_config, s1_config, s2_config, zero_weight_mode_config
 
 EMPTY = solver.EMPTY
 DATA = Path(__file__).resolve().parent / "data"
@@ -238,6 +236,15 @@ def _edge_bundle(floats=EDGE_FLOATS):
     )
 
 
+def _assert_same_tables(a, b):
+    """Every table of bundles a and b is the same, bit for bit."""
+    for group in ("values", "gains"):
+        for name, table in vars(getattr(a, group)).items():
+            other = vars(getattr(b, group))[name]
+            assert table.dtype == other.dtype and table.shape == other.shape, name
+            assert table.tobytes() == other.tobytes(), name
+
+
 class TestSerialization:
     def test_roundtrip(self, battery, tmp_path):
         spec = battery[1]
@@ -247,43 +254,28 @@ class TestSerialization:
         again = solver.load_bundle(path)
         assert again.stage_min_eig is None
         assert again.j_star == bundle.j_star
-        assert again.values.e == pytest.approx(bundle.values.e)
-        for name in ("P", "Ptilde"):
-            assert np.array_equal(getattr(again.values, name), getattr(bundle.values, name))
-        for name in ("K_empty", "K_received", "Ktilde"):
-            assert np.array_equal(getattr(again.gains, name), getattr(bundle.gains, name))
+        _assert_same_tables(again, bundle)
 
-    def test_reads_dict_era_bundle(self, s2_spec, tmp_path):
-        # data/s2_bundle.json was written (S2, p1 = 0.5) by the release that
-        # kept the tables as dicts keyed by (m0, ztilde); the file layout is
-        # unchanged, so it loads into the same tables and writes back byte
-        # for byte.
+    def test_refuses_dict_era_bundle(self):
+        # data/s2_bundle.json (S2, p1 = 0.5) nests its tables as t -> m0 ->
+        # slot, as releases before the "ncslqr-bundle 2" format wrote them.
         path = DATA / "s2_bundle.json"
-        old = solver.load_bundle(path)
-        fresh = solver.solve_backward(s2_spec)
-        for name in ("P", "Ptilde", "e"):
-            assert getattr(old.values, name) == pytest.approx(getattr(fresh.values, name), abs=1e-12)
-        assert old.gains.shapes() == solver.gain_shapes(s2_spec)
-        assert old.values.shapes() == solver.value_shapes(s2_spec)
-        control.make_policy("optimal", s2_spec, old)  # fits the problem whole
-        for name in ("K_empty", "K_received", "Ktilde"):
-            assert getattr(old.gains, name) == pytest.approx(getattr(fresh.gains, name), abs=1e-12)
-        assert old.j_star == pytest.approx(fresh.j_star, abs=1e-12)
-        again = tmp_path / "again.json"
-        solver.save_bundle(old, again)
-        assert again.read_bytes() == path.read_bytes()
+        with pytest.raises(ParseError) as exc:
+            solver.load_bundle(path)
+        assert str(exc.value) == (
+            f"cannot read solution bundle {path}: ValueError: "
+            "not an 'ncslqr-bundle 2' file; solve the problem again to write one"
+        )
 
     def test_writes_indented_json_bytes(self, battery, tmp_path):
         path = tmp_path / "bundle.json"
         for spec in battery:
-            bundle = solver.solve_backward(spec)
-            solver.save_bundle(bundle, path)
-            assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
-        # The writer fills each slab of table steps with %, and json dumps
-        # the metadata after them, so a % there must come out as it went in.
-        bundle.solve_metadata = {"note": "100% of %s", "%d": "%%"}
-        solver.save_bundle(bundle, path)
-        assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
+            solver.save_bundle(solver.solve_backward(spec), path)
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1)
+        assert list(json.loads(text)) == [
+            "format", "j_star", "e", "solve_metadata", "P", "Ptilde", "K_empty", "K_received", "Ktilde",
+        ]
 
     def test_writes_wide_steps_like_json(self, tmp_path):
         # Multi-row blocks (d_x = 6) and eight local modes, so that each
@@ -294,37 +286,22 @@ class TestSerialization:
         path = tmp_path / "bundle.json"
         solver.save_bundle(bundle, path)
         text = path.read_text()
-        assert text == json.dumps(solver.bundle_to_json(bundle), indent=1)
-        # Ptilde lists "empty" last except at t = T+1.
-        steps, received = json.loads(text)["Ptilde"], [f"m{l}" for l in range(1, 9)]
-        assert list(steps["2"]["3"]) == received + ["empty"]
-        assert list(steps["3"]["3"]) == ["empty"] + received
+        assert text == json.dumps(json.loads(text), indent=1)
+        doc = json.loads(text)
+        assert doc["P"]["shape"] == [4, 3, 9, 6, 6]
+        assert np.array_equal(document_table(doc, "P"), bundle.values.P)
+        _assert_same_tables(solver.load_bundle(path), bundle)
 
     def test_writes_float_edge_cases_like_json(self, tmp_path):
         bundle = _edge_bundle()
         path = tmp_path / "bundle.json"
         solver.save_bundle(bundle, path)
         text = path.read_text()
-        assert text == json.dumps(solver.bundle_to_json(bundle), indent=1)
-        assert all(f" {v!r}" in text for v in EDGE_FLOATS)
+        assert text == json.dumps(json.loads(text), indent=1)
+        assert json.loads(text)["e"] == EDGE_FLOATS[:3]
         again = solver.load_bundle(path)
-        assert np.array_equal(np.signbit(again.values.P), np.signbit(bundle.values.P))
-
-    @pytest.mark.parametrize("slab", [1, 3, 10, 100, 10**6])
-    def test_slabs_write_json_bytes(self, battery, tmp_path, monkeypatch, slab):
-        # Leaves of 1, 2 and 4 values cycle through 7 floats, so each value
-        # recurs within and across slabs; 0.0 and -0.0 are the same number
-        # but not the same text.
-        monkeypatch.setattr(solver, "_SLAB_VALUES", slab)
-        path = tmp_path / "bundle.json"
-        for bundle in (
-            _edge_bundle([0.0, -0.0, 5e-324, 0.1, -0.0, -5e-324, 0.0]),
-            solver.solve_backward(battery[3]),
-        ):
-            solver.save_bundle(bundle, path)
-            assert path.read_text() == json.dumps(solver.bundle_to_json(bundle), indent=1)
-            again = solver.load_bundle(path)
-            assert np.array_equal(np.signbit(again.values.P), np.signbit(bundle.values.P))
+        _assert_same_tables(again, bundle)
+        assert np.array_equal(np.signbit(again.values.e), np.signbit(bundle.values.e))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, tmp_path, value):
@@ -343,24 +320,6 @@ class TestSerialization:
             "numpy_version": np.__version__,
         }
 
-    def test_writer_holds_one_slab_not_the_horizon(self, tmp_path):
-        # A battery instance (every block 2-dimensional, kappa0 = kappa1 =
-        # 2) at T = 240, a 2.0 MB file. The writer holds one slab of
-        # formatted values, about 1.8 MB here, whatever the horizon (0.91x
-        # the file); a writer that first lays out the whole file's
-        # skeleton peaks at 1.7x.
-        spec = model.load_config(random_config(np.random.default_rng(7), T=240))
-        bundle = solver.solve_backward(spec)
-        path = tmp_path / "bundle.json"
-        solver.save_bundle(bundle, path)  # first-call imports and caches stay out of the peak
-        tracemalloc.start()
-        try:
-            solver.save_bundle(bundle, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * path.stat().st_size
-
     def test_two_solves_write_the_same_bytes(self, s2_spec, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -368,9 +327,12 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
 
 
+S2_DOCUMENT = bundle_document(solver.solve_backward(model.load_config(s2_config())))
+
+
 def _s2_json_with(where, value):
     """The S2 bundle's JSON object with the entry at path `where` set to `value`."""
-    obj = solver.bundle_to_json(solver.solve_backward(model.load_config(s2_config())))
+    obj = copy.deepcopy(S2_DOCUMENT)
     node = obj
     for key in where[:-1]:
         node = node[key]
@@ -379,17 +341,18 @@ def _s2_json_with(where, value):
 
 
 class TestLoad:
-    def test_peak_memory_about_twice_the_file(self, tmp_path):
+    def test_peak_memory_is_the_text_or_the_tables(self, tmp_path):
         # A battery instance (every block 2-dimensional, kappa0 = kappa1 =
-        # 2) at T = 30, so that the file, 0.26 MB, outweighs the reader's
-        # fixed costs. The file's bytes and its decoded text make 2x; a
-        # reader that holds the whole parsed tree of Python floats peaks at
-        # 3x here. (With unit blocks the dicts and arrays of each slot
-        # outweigh its text: the slot-by-slot reader peaks near 3x there,
-        # the whole tree near 4x.)
-        spec = model.load_config(random_config(np.random.default_rng(7), T=30))
+        # 2) at T = 240: its converged steps compress, so the tables (0.48
+        # MB) outweigh the file (0.09 MB). A load holds the file's text and
+        # its parsed strings, then the strings and the tables, each table
+        # inflated into a buffer of its own size: it peaks near the file
+        # plus the tables. Inflating into growing blocks that are then
+        # joined holds P twice, about 1.5x.
+        spec = model.load_config(random_config(np.random.default_rng(7), T=240))
+        bundle = solver.solve_backward(spec)
         path = tmp_path / "bundle.json"
-        solver.save_bundle(solver.solve_backward(spec), path)
+        solver.save_bundle(bundle, path)
         solver.load_bundle(path)  # first-call imports and caches stay out of the peak
         tracemalloc.start()
         try:
@@ -397,29 +360,31 @@ class TestLoad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * path.stat().st_size
+        size = path.stat().st_size
+        tables = sum(a.nbytes for a in (*vars(bundle.values).values(), *vars(bundle.gains).values()))
+        assert peak <= 1.1 * max(2 * size, size + tables)
 
     def test_loads_the_tables_json_reads(self, battery, tmp_path):
-        # The slot-by-slot reader gives the arrays of the plain json tree,
-        # bit for bit.
+        # The loader gives the arrays that the plain json tree decodes to
+        # (conftest's decoder, not the package's), bit for bit.
         path = tmp_path / "bundle.json"
         for spec in battery[:6]:
             solver.save_bundle(solver.solve_backward(spec), path)
-            plain = solver.bundle_from_json(json.loads(path.read_text()))
+            doc = json.loads(path.read_text())
             again = solver.load_bundle(path)
             for table in ("values", "gains"):
-                for name, a in vars(getattr(plain, table)).items():
-                    b = vars(getattr(again, table))[name]
+                for name, b in vars(getattr(again, table)).items():
+                    a = np.asarray(doc["e"], dtype=float) if name == "e" else document_table(doc, name)
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
-            assert again.j_star == plain.j_star
+            assert again.j_star == doc["j_star"]
 
     @pytest.mark.parametrize("where, value", [
-        (("K", "1", "1", "m1", 0, 0), "1.5x"),
-        (("P", "0", "1", "empty", 1), [1.0]),
-        (("Ptilde", "2", "1"), {"empty": [[1.0]]}),
-        (("Ktilde", "0", "1", "m2"), [[1.0]]),
-        (("K", "1", "1", "m1", 0, 0), 10 ** 400),
+        (("P", "data"), "1.5x"),
+        (("P", "shape"), [3, 1, 2, 2, 1]),
+        (("Ktilde",), {"shape": [2, 1, 1, 1, 1]}),
+        (("P", "shape"), [3, 1, 2, 2, 3]),
+        (("K_received", "shape"), [10 ** 400]),
         (("j_star",), 10 ** 400),
         (("e", 0), 10 ** 400),
         (("j_star",), True),
@@ -431,6 +396,9 @@ class TestLoad:
         "bool-j_star", "string-j_star", "string-e", "bool-e",
     ])
     def test_bad_entry_raises_parse_error(self, tmp_path, where, value):
+        # A table's data that is not base64, a shape that names fewer or
+        # more entries than its data holds, a table without data, a shape
+        # no file can fill, and numbers that are not JSON numbers.
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(_s2_json_with(where, value)))
         with pytest.raises(ParseError, match=f"^{re.escape(f'cannot read solution bundle {path}: ')}"):
@@ -451,203 +419,3 @@ class TestLoad:
         path = tmp_path / "bundle.json"
         path.write_bytes(data)
         assert solver.load_bundle(path).solve_metadata == json.loads(data)["solve_metadata"]
-
-
-# --- the streaming reader ----------------------------------------------------
-
-# Windows small enough that every token of a document straddles an edge.
-WINDOWS = [1, 2, 7, 64]
-
-
-def _outcome(read):
-    """("ok", value) or ("error", where), the errors being those load_bundle
-    turns into ParseError; `where` is the "line … column … (char …)" suffix
-    of a JSONDecodeError's message, None for any other error."""
-    try:
-        return "ok", read()
-    except json.JSONDecodeError as exc:
-        return "error", re.search(r"line \d+ column \d+ \(char \d+\)$", str(exc))[0]
-    except (LookupError, TypeError, ValueError, OverflowError, RecursionError):
-        return "error", None
-
-
-def _same(a, b):
-    """a and b are the same JSON value: equal types, keys in the same order,
-    floats and arrays bit for bit."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(a, float):
-        return np.float64(a).tobytes() == np.float64(b).tobytes()
-    return a == b
-
-
-def _assert_streams_like_json(text, windows=WINDOWS):
-    want = _outcome(lambda: json.loads(text, object_hook=solver._slot_arrays))
-    for window in windows:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_WINDOW", window)
-            got = _outcome(lambda: solver._JsonStream(io.BytesIO(text.encode("utf-8", "surrogatepass"))).document())
-        assert got[0] == want[0] and _same(got[1], want[1]), (window, text, want, got)
-
-
-_SPACE = st.sampled_from(["", " ", "\n", "\n   ", "\t", "\r\n"])
-# Slot keys ("empty", "m<l>") make json's hook turn an object into arrays.
-_KEYS = st.sampled_from(["empty", "m1", "m2", "m10", "1", "0", "P", "j_star", "", 'q"\\', "\u00e9"]) | st.text(max_size=3)
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.floats(), st.integers(),
-    st.integers(min_value=10 ** 300, max_value=10 ** 320), st.text(max_size=6),
-).flatmap(lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False)]))
-
-
-def _containers(kids):
-    arrays = st.lists(st.tuples(_SPACE, kids), max_size=4).map(
-        lambda items: "[" + ",".join(space + kid for space, kid in items) + "]")
-    # Keys may repeat: json keeps the first position and the last value.
-    objects = st.lists(st.tuples(_KEYS, _SPACE, kids), max_size=4).map(
-        lambda members: "{" + ",".join(f"{space}{json.dumps(key)}{space}:{space}{kid}" for key, space, kid in members) + "}")
-    return arrays | objects
-
-
-_DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=24)
-# Edits at a fraction of the text: insert a token, or delete one character.
-_EDITS = st.lists(st.tuples(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.sampled_from(["", ",", "}", "]", "{", "[", '"', ":", " ", "x", "1", "e", ".", "-", "\ufeff", ",}", "NaN"]),
-), max_size=3)
-
-
-def _edited(text, edits):
-    for where, token in edits:
-        i = int(where * len(text))
-        text = text[:i] + token + text[i + (token == ""):]
-    return text
-
-
-S2_TEXT = (DATA / "s2_bundle.json").read_text()
-
-
-def _wide_bundle():
-    """A random bundle of 8 x 8 value blocks (d_x = 8) over T = 60: 2.3 MB as a file."""
-    rng = np.random.default_rng(3)
-    T, k0, k1, dx, dx1, du0, du1 = 60, 2, 4, 8, 4, 2, 2
-
-    def table(*shape):
-        return rng.standard_normal(shape)
-
-    return solver.SolutionBundle(
-        values=solver.ValueTables(
-            P=table(T + 2, k0, k1 + 1, dx, dx), Ptilde=table(T + 2, k0, k1 + 1, dx1, dx1), e=table(T + 2),
-        ),
-        gains=solver.GainTables(
-            K_empty=table(T + 1, k0, du0 + k1 * du1, dx),
-            K_received=table(T + 1, k0, k1, du0 + du1, dx),
-            Ktilde=table(T + 1, k0, k1, du1, dx1),
-        ),
-        j_star=1.0,
-    )
-
-
-class TestStream:
-    @given(_SPACE, _DOCUMENTS, _SPACE, _EDITS)
-    @example(" ", '{"m1": {"a": 1}}', "", [])  # a walked object the hook refuses
-    @example("", '{"a": {"b": 1}, "a": {"c": [2, 3]}}', "", [])
-    @example("\ufeff", '{"P": {"0": 1}}', "", [])
-    @example("", '{"P": {"0": 1}, }', "", [])
-    @example("", '{"P": {"0": 1}}', " x", [])
-    @example("", '{"solve_metadata": "\ud800"}', "", [])  # a lone surrogate, as json.loads reads its bytes
-    # At window 7 the error's line is read on from its middle.
-    @example("", '{"P": {"0": 1},\n "e": [1, 2],\n "j": x\n}', "", [])
-    @settings(max_examples=100, deadline=None)
-    def test_matches_json_loads(self, before, document, after, edits):
-        _assert_streams_like_json(_edited(before + document + after, edits))
-
-    @given(_EDITS)
-    @example([])
-    @settings(max_examples=60, deadline=None)
-    def test_matches_json_loads_on_edited_bundles(self, edits):
-        _assert_streams_like_json(_edited(S2_TEXT, edits))
-
-    @pytest.mark.parametrize("text", [
-        "-12.5e-05", '{"j_star": -12.5e-05}', '{"P": {"0": 1}, "j_star": 1.0E+300}', '{"P": {"0": 1}, "e": 7}',
-    ])
-    def test_number_split_at_the_window_edge(self, text):
-        # The first window ends after `window` characters, so some window
-        # cuts each number between any two of its characters; none may
-        # parse as its prefix.
-        _assert_streams_like_json(text, windows=range(1, len(text) + 1))
-
-    @pytest.mark.parametrize("window", WINDOWS + [len(S2_TEXT)])
-    @pytest.mark.parametrize("tail, ok", [("\n \t\r\n", True), ("x", False), ("{}", False), ("\n,", False)])
-    def test_trailing_data_is_an_error(self, tmp_path, monkeypatch, window, tail, ok):
-        # A window of len(S2_TEXT) ends just before the tail.
-        monkeypatch.setattr(solver, "_WINDOW", window)
-        path = tmp_path / "bundle.json"
-        path.write_text(S2_TEXT + tail)
-        if ok:
-            assert solver.load_bundle(path).j_star == json.loads(S2_TEXT)["j_star"]
-            return
-        with pytest.raises(ParseError, match=r": JSONDecodeError: Extra data: "):
-            solver.load_bundle(path)
-
-    @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("where, bad", [(0.5, b"\xff"), (1.0, b"\xe2\x82")], ids=["stray-byte", "cut-last-character"])
-    def test_utf8_error_names_its_byte_in_the_file(self, tmp_path, monkeypatch, window, where, bad):
-        # The bad bytes lie past the first window, and the error names
-        # their offset in the file, as json.loads's does.
-        data = S2_TEXT.encode()
-        i = int(where * len(data))
-        path = tmp_path / "bundle.json"
-        path.write_bytes(data[:i] + bad + data[i:])
-        with pytest.raises(UnicodeDecodeError) as want:
-            json.loads(path.read_bytes())
-        monkeypatch.setattr(solver, "_WINDOW", window)
-        with pytest.raises(ParseError) as got:
-            solver.load_bundle(path)
-        assert str(got.value).endswith(f": UnicodeDecodeError: {want.value}")
-
-    def test_peak_memory_below_the_file(self, tmp_path):
-        # A bundle of 8 x 8 value blocks (d_x = 8), 2.3 MB: the load holds
-        # the tables and one or two windows of text, not the file's text.
-        # Reading the whole text first (json.load) peaks at 2x the file.
-        bundle = _wide_bundle()
-        path = tmp_path / "bundle.json"
-        solver.save_bundle(bundle, path)
-        solver.load_bundle(path)  # first-call imports and caches stay out of the peak
-        tracemalloc.start()
-        try:
-            again = solver.load_bundle(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(again.values.P, bundle.values.P)
-        assert peak <= 0.75 * path.stat().st_size
-
-    @pytest.mark.parametrize("where", [0.25, 0.5, 0.9])
-    def test_syntax_error_stops_the_read(self, tmp_path, where):
-        # A stray token in the 2.3 MB bundle above: the read stops at it,
-        # holding the tables before it and a window of text, not the rest
-        # of the file, and the error is json's own.
-        path = tmp_path / "bundle.json"
-        solver.save_bundle(_wide_bundle(), path)
-        data = path.read_bytes()
-        i = int(where * len(data))
-        path.write_bytes(data[:i] + b"x" + data[i:])
-        with pytest.raises(json.JSONDecodeError) as want:
-            json.loads(path.read_bytes())
-        with pytest.raises(ParseError):
-            solver.load_bundle(path)  # first-call imports and caches stay out of the peak
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError) as got:
-                solver.load_bundle(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(got.value).endswith(f": JSONDecodeError: {want.value}")
-        assert peak <= 0.75 * path.stat().st_size

@@ -6,12 +6,14 @@ name exactly the flags the parser takes."""
 import argparse
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import ncslqr
@@ -84,6 +86,23 @@ def test_evaluate_exact_meets_the_benchmark_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert isinstance(report["rel_diff"], float) and report["rel_diff"] <= 1e-8
     assert report["stationarity"]["ok"] is True
+
+
+def test_saved_bundle_meets_the_benchmark_check(tmp_path, capsys, monkeypatch):
+    # perfbench/run.py's check_solve reads the bundle that `solve --out`
+    # wrote with json.load and compares its j_star, as "%.12g", with the
+    # first stdout line; a bundle format it cannot read fails every
+    # benchmark workload.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    config = Path(__file__).resolve().parent / "data" / "exact_enum_config.json"
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["solve", "--config", str(config), "--out", str(bundle)]) == 0
+    out = capsys.readouterr().out
+    assert run.check_solve(out, types.SimpleNamespace(bundle=str(bundle))) is not None
 
 
 def _readme_cli_flags():
