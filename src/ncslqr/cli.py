@@ -186,7 +186,7 @@ def cmd_evaluate_exact(args):
         bundle = solver.solve_backward(spec)
     report = oracle.oracle_report(spec, policy, j_star=bundle.j_star)
     if args.policy == "optimal":
-        stat = oracle.stationarity_check(spec, bundle, raise_on_violation=False)
+        stat = oracle.stationarity_check(spec, bundle)
         report["stationarity"] = {
             "max_abs_gradient": stat["max_abs_gradient"],
             "worst_entry": stat["worst_entry"],

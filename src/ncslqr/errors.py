@@ -55,11 +55,3 @@ class OutputError(NcslqrError):
 
 class UnsupportedPolicyError(NcslqrError):
     """The exact evaluator was handed a policy it cannot express."""
-
-
-class OptimalityViolation(NcslqrError):
-    """A gain perturbation or gradient check contradicted optimality."""
-
-    def __init__(self, msg, where=None):
-        super().__init__(msg)
-        self.where = where

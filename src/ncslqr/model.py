@@ -320,11 +320,12 @@ def load_config(cfg):
 def load_problem(path):
     """Load and validate a problem instance from a JSON config file."""
     try:
-        with open(path) as fh:
+        # As load_bundle reads a bundle: a lone surrogate loads as it is.
+        with open(path, encoding="utf-8", errors="surrogatepass") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or an over-long integer
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:  # json's scanner recurses once per nesting level
         raise ParseError(f"malformed JSON in {path}: nested too deeply ({exc})") from exc

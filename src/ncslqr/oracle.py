@@ -28,15 +28,16 @@ ch. 12), so the gradient keeps only the moments S_t over the horizon. Step t's
 transpose (`policy.stage_transpose`) carries the maps' cotangents to the
 gains at t as the pass reaches it (cf. the gain-gradient conditions of
 Levine & Athans, IEEE TAC 15(1), 1970).
-`stationarity_check` certifies every gain entry with that gradient. A
-non-finite cost, probability mass or gradient raises NonFiniteError.
+`stationarity_check` certifies every gain entry with that gradient and
+returns its verdict in a report. A non-finite cost, probability mass or
+gradient raises NonFiniteError.
 """
 
 import numpy as np
 
 from . import philox
 from .control import LinearCommonPolicy, make_policy
-from .errors import NonFiniteError, OptimalityViolation, UnsupportedPolicyError
+from .errors import NonFiniteError, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
 from .solver import GainTables, gain_shapes
 
@@ -276,38 +277,18 @@ def exact_gradient(spec, policy):
     return cost, grads
 
 
-def _largest_entry(grads):
-    """(max |entry|, (array name, index)) over the three gradient arrays.
-
-    Ties go to the first entry in the bundle file's order: per (t, m0) the
-    empty-branch gain, then the received ones; then Ktilde. A NaN counts
-    as the largest.
-    """
-    steps, kappa0 = grads.K_received.shape[:2]
-    per_step = np.concatenate([
-        grads.K_empty.reshape(steps, kappa0, -1), grads.K_received.reshape(steps, kappa0, -1)
-    ], axis=2)
-    flat = np.abs(np.concatenate([per_step.ravel(), grads.Ktilde.ravel()]))
+def _worst_entry(grads):
+    """(max |entry|, where) over the gradient tables in the bundle's table
+    order: the first largest entry, a NaN counting as the largest, is at
+    where = {"table": name, "index": its full index into that table}."""
+    tables = vars(grads)
+    flat = np.abs(np.concatenate([table.ravel() for table in tables.values()]))
     i = int(np.argmax(flat))
-    if i >= per_step.size:
-        name, index = "Ktilde", np.unravel_index(i - per_step.size, grads.Ktilde.shape)
-    else:
-        t, m0, j = np.unravel_index(i, per_step.shape)
-        n_empty = grads.K_empty[0, 0].size
-        if j < n_empty:
-            name, index = "K_empty", (t, m0) + np.unravel_index(j, grads.K_empty.shape[2:])
-        else:
-            rest = np.unravel_index(j - n_empty, grads.K_received.shape[2:])
-            name, index = "K_received", (t, m0) + rest
-    return float(flat[i]), (name, tuple(int(k) for k in index))
-
-
-def _describe(name, index):
-    """Report entry in the bundle file's terms: table K or Ktilde, t, the
-    (m0, ztilde) key with ztilde None for the empty branch, and (row, col)."""
-    t, m0, *rest = index
-    key = [m0, None] if name == "K_empty" else [m0, rest.pop(0)]
-    return {"table": "Ktilde" if name == "Ktilde" else "K", "t": t, "index": key, "entry": rest}
+    largest = float(flat[i])
+    for name, table in tables.items():
+        if i < table.size:
+            return largest, {"table": name, "index": [int(k) for k in np.unravel_index(i, table.shape)]}
+        i -= table.size
 
 
 def stationarity_check(
@@ -317,25 +298,24 @@ def stationarity_check(
     perturbation_norm=1e-3,
     grad_tol=1e-6,
     decrease_tol=1e-10,
-    raise_on_violation=True,
 ):
-    """Optimality certificate for the solved gains.
+    """Optimality certificate for the solved gains, as a report whose `ok`
+    holds the verdict; a violation is reported, never raised.
 
     The exact gradient of the exact cost (`exact_gradient`) must vanish in
     every gain entry, and random small gain perturbations must never reduce
-    the exact cost. Perturbation i stacks the three gain arrays' entries in
-    order and draws them as the standard normals of Philox blocks (i, j, 0)
-    under the key of seed 0 (`ncslqr.philox`), four per block j, then scales
-    them to total norm `perturbation_norm`.
+    the exact cost. Perturbation i stacks the gain tables' entries in the
+    bundle's table order (K_empty, K_received, Ktilde) and draws them as
+    the standard normals of Philox blocks (i, j, 0) under the key of seed 0
+    (`ncslqr.philox`), four per block j, then scales them to total norm
+    `perturbation_norm`.
     """
     base_policy = make_policy("optimal", spec, bundle)
     base_cost, grads = exact_gradient(spec, base_policy)
     tol = grad_tol * (1.0 + abs(base_cost))
-    max_grad, (name, index) = _largest_entry(grads)
-    worst = None if max_grad == 0.0 else _describe(name, index)
+    max_grad, where = _worst_entry(grads)
 
-    names = ("K_empty", "K_received", "Ktilde")
-    solved = [getattr(bundle.gains, name) for name in names]
+    solved = list(vars(bundle.gains).values())
     sizes = [gain.size for gain in solved]
     blocks = -(-sum(sizes) // 4)
     words = philox.blocks(
@@ -353,24 +333,17 @@ def stationarity_check(
         cost_p = exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
         max_decrease = max(max_decrease, base_cost - cost_p)
 
-    report = {
+    return {
         "exact_cost": base_cost,
         "j_star": bundle.j_star,
         "max_abs_gradient": max_grad,
         "gradient_tolerance": tol,
-        "worst_entry": worst,
+        "worst_entry": None if max_grad == 0.0 else where,
         "max_cost_decrease": max_decrease,
-        "entries_checked": sum(getattr(grads, name).size for name in names),
+        "entries_checked": sum(sizes),
         "perturbations": n_perturbations,
         "ok": bool(max_grad <= tol and max_decrease <= decrease_tol),
     }
-    if raise_on_violation and not report["ok"]:
-        raise OptimalityViolation(
-            f"gain optimality violated: max |gradient| {max_grad:.3e} "
-            f"(tol {tol:.3e}), max cost decrease {max_decrease:.3e}",
-            where=worst,
-        )
-    return report
 
 
 def oracle_report(spec, policy, j_star):

@@ -25,8 +25,8 @@ Runs advance together in chunks, through the policy's step maps, which
 draws a chunk's words for every t and block. Each row's arithmetic sums
 elementwise products over the contracted index in a fixed order (no BLAS
 gemm), so a run's trajectory does not depend on which runs share its chunk:
-`simulate_run(seed, i)` reproduces run i of any batch bitwise, and no
-result depends on chunking.
+`simulate_run(spec, policy, seed, i)` reproduces run i of any batch
+bitwise, and no result depends on chunking.
 """
 
 import os

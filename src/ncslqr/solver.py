@@ -287,8 +287,10 @@ def _deflate(table):
 
 def _inflate(entry, name):
     """The table of a file entry (_deflate), as a read-only array. The
-    shape and the data are checked before the data is inflated, into a
-    buffer of exactly the shape's size."""
+    shape and the data are checked, and the data's inflated length is
+    counted in 64 KiB steps of input and of output that stop once it
+    passes the shape's size, before the data is inflated into a buffer of
+    exactly that size."""
     shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")
@@ -298,6 +300,14 @@ def _inflate(entry, name):
     size = 8 * math.prod(shape)
     if size > _MAX_INFLATION * len(data):
         raise ValueError(f"solution table {name} has shape {shape}, more than its {len(data)} bytes of data hold")
+    inflater, inflated = zlib.decompressobj(), 0
+    for start in range(0, len(data), 65536):  # fed in pieces, since each unconsumed_tail is a copy
+        tail = data[start:start + 65536]
+        while tail and inflated <= size:
+            inflated += len(inflater.decompress(tail, 65536))
+            tail = inflater.unconsumed_tail
+        if inflated > size:
+            raise ValueError(f"solution table {name} holds more than {size} bytes, expected {size} for shape {shape}")
     data = zlib.decompress(data, bufsize=size)
     if len(data) != size:
         raise ValueError(f"solution table {name} holds {len(data)} bytes, expected {size} for shape {shape}")

@@ -128,6 +128,21 @@ class TestSolve:
         assert err.count("\n") == 1
         assert err.startswith(f"config error: malformed JSON in {path}: nested too deeply (")
 
+    @pytest.mark.parametrize("text", [
+        b'{"a": "\xff"}', b'{"a": ' + b"1" * 4301 + b"}",
+    ], ids=["not-utf8", "over-long-integer"])
+    def test_undecodable_config_exit_code(self, tmp_path, capsys, text):
+        # A byte that is not UTF-8, and an integer literal past Python's
+        # 4300-digit limit: json.load raises a ValueError that is not a
+        # JSONDecodeError for each.
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: malformed JSON in {path}: ")
+
     def test_invalid_probabilities_exit_code(self, tmp_path):
         cfg = s2_config()
         cfg["channel"]["p1"] = -0.5
@@ -518,7 +533,6 @@ class TestErrorTable:
         errors.NonFiniteError: ("numerical error", 3),
         errors.OutputError: ("error", 1),
         errors.UnsupportedPolicyError: ("error", 1),
-        errors.OptimalityViolation: ("error", 1),
     }
 
     def test_rows_cover_every_error_class(self):
@@ -872,6 +886,32 @@ class TestEvaluateExact:
         assert rc == 1
         assert report["stationarity"]["ok"] is False
         assert report["stationarity"]["max_abs_gradient"] > 1e-3
+
+    @pytest.mark.parametrize("table, index", [
+        ("K_empty", (1, 1, 2, 3)), ("K_received", (2, 0, 1, 1, 2)), ("Ktilde", (0, 1, 1, 0, 1)),
+    ])
+    def test_worst_entry_is_the_largest_gradient_entry(self, tmp_path, capsys, table, index):
+        # A battery instance with kappa0 = kappa1 = 2 and p1 = 0.7, one gain
+        # entry shifted by 0.2: the report names a table of the bundle and
+        # the full index of the largest gradient entry in it.
+        cfg = battery_configs()[18]
+        assert cfg["modes"]["kappa1"] == 2 and cfg["channel"]["p1"] == 0.7
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["solve", "--config", str(config), "--out", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        shifted = document_table(doc, table)[index] + 0.2
+        bundle.write_text(json.dumps(with_entry(doc, table, index, shifted)))
+        capsys.readouterr()
+        assert cli.main(["evaluate-exact", "--config", str(config), "--solution", str(bundle)]) == 1
+        stat = json.loads(capsys.readouterr().out)["stationarity"]
+        spec = model.load_problem(config)
+        _, grads = oracle.exact_gradient(spec, control.make_policy("optimal", spec, solver.load_bundle(bundle)))
+        where = stat["worst_entry"]
+        assert set(where) == {"table", "index"}
+        assert len(where["index"]) == getattr(grads, where["table"]).ndim
+        assert abs(getattr(grads, where["table"])[tuple(where["index"])]) == stat["max_abs_gradient"]
 
     def test_reference_policy_no_stationarity(self, s2_path, capsys):
         rc = cli.main(["evaluate-exact", "--config", s2_path, "--policy", "zero"])

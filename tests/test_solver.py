@@ -1,8 +1,10 @@
+import base64
 import copy
 import dataclasses
 import json
 import re
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,23 @@ class TestLoad:
         size = path.stat().st_size
         tables = sum(a.nbytes for a in (*vars(bundle.values).values(), *vars(bundle.gains).values()))
         assert peak <= 1.1 * max(2 * size, size + tables)
+
+    def test_data_inflating_past_its_shape_is_refused_early(self, tmp_path):
+        # Ktilde's data is zlib of 16 MiB of zero bytes: a 22 KB file whose
+        # Ktilde shape asks for 16 bytes. The inflated length is counted in
+        # 64 KiB steps, so the table is refused before 16 MiB are held.
+        path = tmp_path / "bundle.json"
+        data = base64.b64encode(zlib.compress(bytes(16 << 20))).decode()
+        path.write_text(json.dumps(_s2_json_with(("Ktilde", "data"), data)))
+        assert path.stat().st_size < 30_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="solution table Ktilde holds more than 16 bytes, expected 16 "):
+                solver.load_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_loads_the_tables_json_reads(self, battery, tmp_path):
         # The loader gives the arrays that the plain json tree decodes to
