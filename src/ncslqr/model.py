@@ -98,7 +98,8 @@ def channel_spec(p1):
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Stage cost weights, fully broadcast to shape (T+1, kappa0, kappa1, n, n)."""
+    """Stage cost weights, shape (T+1, kappa0, kappa1, n, n): read-only
+    views, in which a time-invariant weight is held once."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -299,11 +300,10 @@ def load_config(cfg):
     mu_x1 = _as_array(_require(init_cfg, "mu_x1", "stoch.init"), (dims.d_x1,), "stoch.init.mu_x1")
     cov_x1 = _as_array(_require(init_cfg, "cov_x1", "stoch.init"), (dims.d_x1, dims.d_x1), "stoch.init.cov_x1")
     Q, R = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
+    Q, R = matkit.assert_psd(Q, name=_pair_label("cost.Q")), matkit.assert_pd(R, name=_pair_label("cost.R"))
 
-    cost = CostSpec(
-        Q=_over_time(matkit.assert_psd(Q, name=_pair_label("cost.Q")), T),
-        R=_over_time(matkit.assert_pd(R, name=_pair_label("cost.R")), T),
-    )
+    # The noise covariances are copied over time, so that a horizon numpy
+    # cannot hold is refused; the weights are views, which would not refuse it.
     stoch = StochasticsSpec(
         T=T,
         covW0=_over_time(matkit.assert_psd(covW0, name=_step_label("stoch.covW0")), T),
@@ -313,6 +313,10 @@ def load_config(cfg):
         mu_x1=mu_x1,
         cov_x1=matkit.assert_psd(cov_x1, name="stoch.init.cov_x1"),
         family=family,
+    )
+    cost = CostSpec(
+        Q=np.broadcast_to(Q, (T + 1,) + Q.shape[1:]),
+        R=np.broadcast_to(R, (T + 1,) + R.shape[1:]),
     )
     return ProblemSpec(dims, modes, channel, D, cost, stoch)
 

@@ -266,6 +266,7 @@ def analytic_cost(spec, values):
 FORMAT = "ncslqr-bundle 2"
 _TABLES = ("P", "Ptilde", "K_empty", "K_received", "Ktilde")
 _MAX_INFLATION = 1032  # deflate's largest ratio of inflated to compressed bytes
+_STEP = 16384  # bytes of input and of output per inflate call
 
 
 def _non_finite(bundle):
@@ -280,17 +281,18 @@ def _non_finite(bundle):
 
 
 def _deflate(table):
-    """A table as the file holds it."""
+    """A table as the file holds it; json.dump calls it on each array as it
+    reaches it, so one table's text is alive at a time."""
     data = zlib.compress(np.ascontiguousarray(table, "<f8"), 1)
     return {"shape": list(table.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
 def _inflate(entry, name):
     """The table of a file entry (_deflate), as a read-only array. The
-    shape and the data are checked, and the data's inflated length is
-    counted in 64 KiB steps of input and of output that stop once it
-    passes the shape's size, before the data is inflated into a buffer of
-    exactly that size."""
+    shape and the data are checked; the data is then inflated once, _STEP
+    bytes of input and of output at a time, each piece copied into a buffer
+    of the shape's size, so that data inflating past its shape is refused
+    as soon as it does."""
     shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")
@@ -300,18 +302,21 @@ def _inflate(entry, name):
     size = 8 * math.prod(shape)
     if size > _MAX_INFLATION * len(data):
         raise ValueError(f"solution table {name} has shape {shape}, more than its {len(data)} bytes of data hold")
-    inflater, inflated = zlib.decompressobj(), 0
-    for start in range(0, len(data), 65536):  # fed in pieces, since each unconsumed_tail is a copy
-        tail = data[start:start + 65536]
-        while tail and inflated <= size:
-            inflated += len(inflater.decompress(tail, 65536))
+    inflater, table, filled = zlib.decompressobj(), bytearray(size), 0
+    for start in range(0, len(data), _STEP):  # fed in pieces, since each unconsumed_tail is a copy
+        tail = data[start:start + _STEP]
+        while tail:
+            piece = inflater.decompress(tail, _STEP)
+            if filled + len(piece) > size:
+                raise ValueError(f"solution table {name} holds more than {size} bytes, expected {size} for shape {shape}")
+            table[filled:filled + len(piece)] = piece
+            filled += len(piece)
             tail = inflater.unconsumed_tail
-        if inflated > size:
-            raise ValueError(f"solution table {name} holds more than {size} bytes, expected {size} for shape {shape}")
-    data = zlib.decompress(data, bufsize=size)
-    if len(data) != size:
-        raise ValueError(f"solution table {name} holds {len(data)} bytes, expected {size} for shape {shape}")
-    return np.frombuffer(data, "<f8").reshape(shape)
+    if filled != size:
+        raise ValueError(f"solution table {name} holds {filled} bytes, expected {size} for shape {shape}")
+    if not inflater.eof:
+        raise ValueError(f"solution table {name} has data that ends before its zlib stream does")
+    return np.frombuffer(memoryview(table).toreadonly(), "<f8").reshape(shape)
 
 
 def save_bundle(bundle, path):
@@ -323,10 +328,10 @@ def save_bundle(bundle, path):
         raise NonFiniteError(problem)
     tables = {**vars(bundle.values), **vars(bundle.gains)}
     doc = {"format": FORMAT, "j_star": bundle.j_star, "e": bundle.values.e.tolist(), "solve_metadata": bundle.solve_metadata}
-    doc.update((name, _deflate(tables[name])) for name in _TABLES)
+    doc.update((name, tables[name]) for name in _TABLES)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, default=_deflate)
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 

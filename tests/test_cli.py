@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ DATA = Path(__file__).resolve().parent / "data"
 # The JSON object of the S2 instance's bundle file.
 S2_BUNDLE = bundle_document(solver.solve_backward(model.load_config(s2_config())))
 S2_DATA = S2_BUNDLE["P"]["data"]
+S2_RAW = base64.b64decode(S2_DATA)
 
 
 @pytest.fixture
@@ -487,9 +489,15 @@ class TestSolutionBundle:
          f"more than its {len(base64.b64decode(S2_DATA))} bytes of data hold"),
         (("P", "shape", 1), 2, "ValueError: solution table P holds 192 bytes, expected 384 for shape [3, 2, 2, 2, 2]"),
         (("format",), "ncslqr-bundle 1", "ValueError: not an 'ncslqr-bundle 2' file; solve the problem again to write one"),
+        # A stream cut short of the table's end, and one cut inside its
+        # checksum, after the table's last byte.
+        (("P", "data"), base64.b64encode(S2_RAW[:-20]).decode(), "ValueError: solution table P holds "
+         f"{len(zlib.decompressobj().decompress(S2_RAW[:-20]))} bytes, expected 192 for shape [3, 1, 2, 2, 2]"),
+        (("P", "data"), base64.b64encode(S2_RAW[:-2]).decode(),
+         "ValueError: solution table P has data that ends before its zlib stream does"),
     ], ids=[
         "bool-data", "number-data", "list-data", "stray-character", "bool-shape", "fraction-shape", "negative-shape",
-        "number-shape", "huge-shape", "short-data", "old-format-tag",
+        "number-shape", "huge-shape", "short-data", "old-format-tag", "truncated-stream", "truncated-check",
     ])
     def test_malformed_table_exit_code(self, s2_path, tmp_path, capsys, command, where, value, message):
         bundle = tmp_path / "bundle.json"

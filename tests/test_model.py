@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from ncslqr.errors import (
     ProbabilityError,
     ShapeError,
 )
-from conftest import s1_config, s2_config
+from conftest import random_config, s1_config, s2_config
 
 DATA = Path(__file__).resolve().parent / "data"
 ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
@@ -186,6 +187,29 @@ class TestLoad:
         }
         spec = model.load_config(cfg)
         assert spec.cost.Q[1, 0, 0] == pytest.approx(2.0 * np.eye(2))
+
+    def test_time_invariant_weights_are_held_once(self):
+        # dims 2 and kappa0 = kappa1 = 2: one step of Q and R is 1 KB, so a
+        # copy over T = 2000 steps would hold 2 MB. Only the noise
+        # covariances, a few floats a step, grow with the horizon.
+        dims = {"d_x0": 2, "d_x1": 2, "d_u0": 2, "d_u1": 2}
+
+        def held(T):
+            cfg = random_config(np.random.default_rng(3), p1=0.5, kappa1=2, T=T, dims=dims, kappa0=2)
+            tracemalloc.start()
+            try:
+                spec = model.load_config(cfg)
+                return spec, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        model.load_config(s2_config())  # first-call imports and caches stay out of the count
+        (short, short_held), (long, long_held) = held(20), held(2000)
+        noise = sum(a.nbytes for a in (long.stoch.covW0, long.stoch.covW1))
+        assert long_held <= short_held + noise
+        assert np.array_equal(long.cost.Q[:21], short.cost.Q)
+        for W in (long.cost.Q, long.cost.R):
+            assert W.shape[0] == 2001 and not W.flags.writeable
 
     def test_time_varying_cost_names_failing_entry(self):
         eye, bad = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import types
 import zlib
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import ncslqr
 from ncslqr import matkit, model, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
-from conftest import bundle_document, document_table, random_config, s1_config, s2_config, zero_weight_mode_config
+from conftest import (
+    bundle_document, document_table, random_config, s1_config, s2_config, with_table, zero_weight_mode_config,
+)
 
 EMPTY = solver.EMPTY
 DATA = Path(__file__).resolve().parent / "data"
@@ -328,6 +331,30 @@ class TestSerialization:
             solver.save_bundle(solver.solve_backward(s2_spec), path)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_peak_memory_is_a_few_tables_text(self, tmp_path):
+        # Five tables of 40,000 random floats each: every table's text is
+        # about 427 KB. The writer deflates a table when json reaches it, so
+        # it holds one table's data, text and written copy at a time, about
+        # three texts. Deflating every table before the dump holds all five.
+        rng = np.random.default_rng(5)
+        tables = {name: rng.standard_normal((40_000,)) for name in solver._TABLES}
+        bundle = solver.SolutionBundle(
+            values=solver.ValueTables(P=tables["P"], Ptilde=tables["Ptilde"], e=np.zeros(3)),
+            gains=solver.GainTables(K_empty=tables["K_empty"], K_received=tables["K_received"], Ktilde=tables["Ktilde"]),
+            j_star=0.1,
+            solve_metadata={},
+        )
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            solver.save_bundle(bundle, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        texts = sum(len(entry["data"]) for entry in map(json.loads(path.read_text()).get, solver._TABLES))
+        assert peak < texts
+
 
 S2_DOCUMENT = bundle_document(solver.solve_backward(model.load_config(s2_config())))
 
@@ -383,6 +410,57 @@ class TestLoad:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_each_table_is_inflated_once(self, tmp_path, monkeypatch):
+        # Every byte zlib gives the loader is counted: the tables' bytes,
+        # each once. T = 240, so that P's data spans several input steps.
+        bundle = solver.solve_backward(model.load_config(random_config(np.random.default_rng(7), T=240)))
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)
+        inflated = []
+
+        class Inflater:
+            def __init__(self, *args):
+                self.inner = zlib.decompressobj(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def decompress(self, *args):
+                out = self.inner.decompress(*args)
+                inflated.append(len(out))
+                return out
+
+            def flush(self, *args):
+                out = self.inner.flush(*args)
+                inflated.append(len(out))
+                return out
+
+        def decompress(*args, **kwargs):
+            out = zlib.decompress(*args, **kwargs)
+            inflated.append(len(out))
+            return out
+
+        counting = types.SimpleNamespace(**{**vars(zlib), "decompressobj": Inflater, "decompress": decompress})
+        monkeypatch.setattr(solver, "zlib", counting)
+        again = solver.load_bundle(path)
+        _assert_same_tables(again, bundle)
+        tables = {**vars(again.values), **vars(again.gains)}
+        assert sum(inflated) == sum(tables[name].nbytes for name in solver._TABLES)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind", ["random", "zeros"])
+    def test_tables_of_whole_steps_load(self, tmp_path, k, kind):
+        # Ktilde's inflated length is k steps exactly, so that its last
+        # piece fills the step. Random floats hardly compress, so their data
+        # spans about k input steps; zeros compress to one step whose output
+        # comes in k pieces.
+        n = k * solver._STEP // 8
+        table = np.random.default_rng(k).standard_normal(n) if kind == "random" else np.zeros(n)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(with_table(S2_DOCUMENT, "Ktilde", table)))
+        loaded = solver.load_bundle(path).gains.Ktilde
+        assert loaded.tobytes() == table.tobytes()
+
     def test_loads_the_tables_json_reads(self, battery, tmp_path):
         # The loader gives the arrays that the plain json tree decodes to
         # (conftest's decoder, not the package's), bit for bit.
@@ -396,6 +474,7 @@ class TestLoad:
                     a = np.asarray(doc["e"], dtype=float) if name == "e" else document_table(doc, name)
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
+                    assert name == "e" or not b.flags.writeable
             assert again.j_star == doc["j_star"]
 
     @pytest.mark.parametrize("where, value", [
