@@ -148,6 +148,8 @@ def assemble_system(spec, m0, m1):
 #
 # Mode-pair lists in config files are flat and m1-major: the entry for
 # (m0, m1), both 1-based, sits at index (m1 - 1) * kappa0 + (m0 - 1).
+# The weights and noise covariances are given for one step or for each of
+# the T+1 steps, and their number of axes says which (`_steps`).
 
 
 def _require(mapping, key, where):
@@ -194,18 +196,11 @@ def _distribution(modes_cfg, key, kappa):
     return p
 
 
-def _pair_list_to_array(entries, k0, k1, block_shape, name):
-    arr = _numbers(entries, name)
-    if arr.shape != (k0 * k1,) + block_shape:
-        raise ShapeError(
-            f"{name} must be a list of {k0 * k1} matrices of shape {block_shape}, "
-            f"got array shape {arr.shape}"
-        )
-    out = np.empty((k0, k1) + block_shape)
-    for m1 in range(k1):
-        for m0 in range(k0):
-            out[m0, m1] = arr[m1 * k0 + m0]
-    return out
+def _by_pair(arr, k0, k1):
+    """A new array of `arr` with its flat, m1-major list over mode pairs
+    (the third axis from the end) split into (m0, m1) axes."""
+    pairs = arr.reshape(arr.shape[:-3] + (k1, k0) + arr.shape[-2:])
+    return pairs.swapaxes(-4, -3).copy()
 
 
 def _pair_label(name):
@@ -239,28 +234,6 @@ def _over_time(arr, T):
         raise ShapeError(f"stoch.T = {T} is too large: {exc}") from exc
 
 
-def _load_cost(cost_cfg, dims, modes, T):
-    """(Q, R), the weights stacked over (t, m0, m1) with a single t when
-    they are time-invariant."""
-    time_varying = cost_cfg.get("time_varying", False) if isinstance(cost_cfg, dict) else False
-    if not isinstance(time_varying, bool):
-        raise ParseError(f"cost.time_varying must be true or false, got {time_varying!r}")
-    stacks = []
-    for key, n in (("Q", dims.d_x), ("R", dims.d_u)):
-        raw = _require(cost_cfg, key, "cost")
-        if time_varying:
-            if not isinstance(raw, list) or len(raw) != T + 1:
-                raise ShapeError(f"cost.{key} must list T+1={T + 1} entries when time_varying")
-            arr = np.stack([
-                _pair_list_to_array(e, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}[t={t}]")
-                for t, e in enumerate(raw)
-            ])
-        else:
-            arr = _pair_list_to_array(raw, modes.kappa0, modes.kappa1, (n, n), f"cost.{key}")[None]
-        stacks.append(arr)
-    return stacks
-
-
 def load_config(cfg):
     """Build a validated ProblemSpec from an already-parsed config dict."""
     dims_cfg = _require(cfg, "dims", "config")
@@ -277,7 +250,7 @@ def load_config(cfg):
         for key, shape in (("A00", (d_x0, d_x0)), ("B00", (d_x0, d_u0)))
     ]
     local = [
-        _pair_list_to_array(_require(sys_cfg, key, "system"), k0, k1, shape, f"system.{key}")
+        _by_pair(_as_array(_require(sys_cfg, key, "system"), (k0 * k1,) + shape, f"system.{key}"), k0, k1)
         for key, shape in (("A10", (d_x1, d_x0)), ("A11", (d_x1, d_x1)), ("B10", (d_x1, d_u0)), ("B11", (d_x1, d_u1)))
     ]
     # Stacked only once every block has its shape; the global plant's rows
@@ -299,7 +272,11 @@ def load_config(cfg):
     cov_x0 = _as_array(_require(init_cfg, "cov_x0", "stoch.init"), (dims.d_x0, dims.d_x0), "stoch.init.cov_x0")
     mu_x1 = _as_array(_require(init_cfg, "mu_x1", "stoch.init"), (dims.d_x1,), "stoch.init.mu_x1")
     cov_x1 = _as_array(_require(init_cfg, "cov_x1", "stoch.init"), (dims.d_x1, dims.d_x1), "stoch.init.cov_x1")
-    Q, R = _load_cost(_require(cfg, "cost", "config"), dims, modes, T)
+    cost_cfg = _require(cfg, "cost", "config")
+    Q, R = [
+        _by_pair(_steps(_require(cost_cfg, key, "cost"), T, (k0 * k1, n, n), f"cost.{key}"), k0, k1)
+        for key, n in (("Q", dims.d_x), ("R", dims.d_u))
+    ]
     Q, R = matkit.assert_psd(Q, name=_pair_label("cost.Q")), matkit.assert_pd(R, name=_pair_label("cost.R"))
 
     # The noise covariances are copied over time, so that a horizon numpy

@@ -291,6 +291,20 @@ def _worst_entry(grads):
         i -= table.size
 
 
+def _perturbed_cost(spec, solved, i, norm):
+    """The exact cost of the gain tables `solved` moved by perturbation i
+    of size `norm` (stationarity_check). It is drawn here, so that the
+    check holds one perturbation at a time."""
+    sizes = [gain.size for gain in solved]
+    blocks = np.arange(-(-sum(sizes) // 4), dtype=np.uint64)
+    words = philox.blocks(philox.key(0), np.full(1, i, dtype=np.uint64), blocks, np.zeros(1, dtype=np.uint64))
+    delta = philox.box_muller(philox.uniforms(words)).ravel()[:sum(sizes)]
+    delta *= norm / np.linalg.norm(delta, axis=0)
+    parts = np.split(delta, np.cumsum(sizes)[:-1])
+    gains = GainTables(*(gain + part.reshape(gain.shape) for gain, part in zip(solved, parts)))
+    return exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
+
+
 def stationarity_check(
     spec,
     bundle,
@@ -316,22 +330,9 @@ def stationarity_check(
     max_grad, where = _worst_entry(grads)
 
     solved = list(vars(bundle.gains).values())
-    sizes = [gain.size for gain in solved]
-    blocks = -(-sum(sizes) // 4)
-    words = philox.blocks(
-        philox.key(0),
-        np.arange(n_perturbations, dtype=np.uint64)[:, None],
-        np.arange(blocks, dtype=np.uint64),
-        np.zeros(1, dtype=np.uint64),
-    )
-    deltas = philox.box_muller(philox.uniforms(words)).reshape(n_perturbations, 4 * blocks)[:, :sum(sizes)]
-    deltas *= perturbation_norm / np.linalg.norm(deltas, axis=1, keepdims=True)
     max_decrease = 0.0
-    for delta in deltas:
-        parts = np.split(delta, np.cumsum(sizes)[:-1])
-        gains = GainTables(*(gain + part.reshape(gain.shape) for gain, part in zip(solved, parts)))
-        cost_p = exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
-        max_decrease = max(max_decrease, base_cost - cost_p)
+    for i in range(n_perturbations):
+        max_decrease = max(max_decrease, base_cost - _perturbed_cost(spec, solved, i, perturbation_norm))
 
     return {
         "exact_cost": base_cost,
@@ -340,7 +341,7 @@ def stationarity_check(
         "gradient_tolerance": tol,
         "worst_entry": None if max_grad == 0.0 else where,
         "max_cost_decrease": max_decrease,
-        "entries_checked": sum(sizes),
+        "entries_checked": sum(gain.size for gain in solved),
         "perturbations": n_perturbations,
         "ok": bool(max_grad <= tol and max_decrease <= decrease_tol),
     }

@@ -292,7 +292,7 @@ def _inflate(entry, name):
     shape and the data are checked; the data is then inflated once, _STEP
     bytes of input and of output at a time, each piece copied into a buffer
     of the shape's size, so that data inflating past its shape is refused
-    as soon as it does."""
+    as soon as it does. The data must be one whole zlib stream."""
     shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")
@@ -316,6 +316,8 @@ def _inflate(entry, name):
         raise ValueError(f"solution table {name} holds {filled} bytes, expected {size} for shape {shape}")
     if not inflater.eof:
         raise ValueError(f"solution table {name} has data that ends before its zlib stream does")
+    if inflater.unused_data:
+        raise ValueError(f"solution table {name} has data after its zlib stream")
     return np.frombuffer(memoryview(table).toreadonly(), "<f8").reshape(shape)
 
 

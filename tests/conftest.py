@@ -26,7 +26,7 @@ def s1_config(p1=0.5, mu_x0=0.0, mu_x1=0.0, cov_x0=1.0, cov_x1=1.0):
             "A00": [ONE], "B00": [ONE],
             "A10": [ONE], "A11": [ONE], "B10": [ONE], "B11": [ONE],
         },
-        "cost": {"Q": [[[1.0, 0.0], [0.0, 1.0]]], "R": [[[1.0, 0.0], [0.0, 1.0]]], "time_varying": False},
+        "cost": {"Q": [[[1.0, 0.0], [0.0, 1.0]]], "R": [[[1.0, 0.0], [0.0, 1.0]]]},
         "stoch": {
             "T": 0,
             "covW0": ONE, "covW1": ONE,
@@ -127,7 +127,6 @@ def random_config(rng, p1=None, kappa1=None, T=None, dims=None, kappa0=None):
         "cost": {
             "Q": [rand_psd(rng, dx).tolist() for _ in range(k0 * k1)],
             "R": [rand_psd(rng, du, 0.5).tolist() for _ in range(k0 * k1)],
-            "time_varying": False,
         },
         "stoch": {
             "T": T,
@@ -395,7 +394,6 @@ def time_varying_config(rng, p1, T=3):
     cfg["cost"] = {
         "Q": [[rand_psd(rng, dx).tolist() for _ in range(pairs)] for _ in range(T + 1)],
         "R": [[rand_psd(rng, du, 0.5).tolist() for _ in range(pairs)] for _ in range(T + 1)],
-        "time_varying": True,
     }
     return cfg
 

@@ -495,9 +495,15 @@ class TestSolutionBundle:
          f"{len(zlib.decompressobj().decompress(S2_RAW[:-20]))} bytes, expected 192 for shape [3, 1, 2, 2, 2]"),
         (("P", "data"), base64.b64encode(S2_RAW[:-2]).decode(),
          "ValueError: solution table P has data that ends before its zlib stream does"),
+        # Bytes, or a second stream, after the table's whole stream.
+        (("P", "data"), base64.b64encode(S2_RAW + b"garbage-after-stream").decode(),
+         "ValueError: solution table P has data after its zlib stream"),
+        (("P", "data"), base64.b64encode(S2_RAW + S2_RAW).decode(),
+         "ValueError: solution table P has data after its zlib stream"),
     ], ids=[
         "bool-data", "number-data", "list-data", "stray-character", "bool-shape", "fraction-shape", "negative-shape",
         "number-shape", "huge-shape", "short-data", "old-format-tag", "truncated-stream", "truncated-check",
+        "trailing-data", "second-stream",
     ])
     def test_malformed_table_exit_code(self, s2_path, tmp_path, capsys, command, where, value, message):
         bundle = tmp_path / "bundle.json"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -15,11 +16,20 @@ from ncslqr.errors import (
     ProbabilityError,
     ShapeError,
 )
-from conftest import random_config, s1_config, s2_config
+from conftest import random_config, s1_config, s2_config, time_varying_config
 
 DATA = Path(__file__).resolve().parent / "data"
 ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
 INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+
+
+def _same_spec(a, b):
+    """Whether two loaded specs hold the same fields, arrays entry by entry."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same_spec(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a == b
 
 
 class TestLoad:
@@ -170,18 +180,39 @@ class TestLoad:
         with pytest.raises(DefinitenessError, match=rf"^{re.escape(label)} is {fault} "):
             model.load_config(cfg)
 
-    @pytest.mark.parametrize("value", ["false", "no", None, 0, 1])
-    def test_time_varying_must_be_boolean(self, value):
-        cfg = s2_config()
+    def test_per_step_weights_are_read_by_their_shape(self):
+        # T+1 pair lists are a weight per step, without the time_varying
+        # key of earlier releases; pair lists are m1-major at every step.
+        cfg = time_varying_config(np.random.default_rng(5), p1=0.3)
+        flagged = copy.deepcopy(cfg)
+        flagged["cost"]["time_varying"] = True
+        spec = model.load_config(cfg)
+        assert _same_spec(spec, model.load_config(flagged))
+        k0 = spec.modes.kappa0
+        for t, m0, m1 in itertools.product(range(spec.T + 1), range(k0), range(spec.modes.kappa1)):
+            assert np.array_equal(spec.cost.Q[t, m0, m1], cfg["cost"]["Q"][t][m1 * k0 + m0])
+            assert np.array_equal(spec.cost.R[t, m0, m1], cfg["cost"]["R"][t][m1 * k0 + m0])
+
+    @pytest.mark.parametrize("per_step", [False, True], ids=["one-step", "per-step"])
+    @pytest.mark.parametrize("value", [True, False, "no", None, 0])
+    def test_time_varying_key_is_ignored(self, per_step, value):
+        cfg = time_varying_config(np.random.default_rng(5), p1=0.3) if per_step else s2_config()
+        spec = model.load_config(cfg)
         cfg["cost"]["time_varying"] = value
-        with pytest.raises(ParseError, match=rf"^cost\.time_varying must be true or false, got {re.escape(repr(value))}$"):
+        assert _same_spec(model.load_config(cfg), spec)
+
+    @pytest.mark.parametrize("key", ["Q", "R"])
+    def test_weight_of_another_shape_names_both_shapes(self, key):
+        # S2: T = 1, one mode pair and 2x2 weights; a stack of one step.
+        cfg = s2_config()
+        cfg["cost"][key] = [cfg["cost"][key]]
+        with pytest.raises(ShapeError, match=rf"^cost\.{key} must have shape \(1, 2, 2\) or \(2, 1, 2, 2\), got \(1, 1, 2, 2\)$"):
             model.load_config(cfg)
 
     def test_time_varying_cost(self):
         cfg = s2_config()
         q = cfg["cost"]["Q"]
         cfg["cost"] = {
-            "time_varying": True,
             "Q": [q, [[[2.0, 0.0], [0.0, 2.0]]]],
             "R": [cfg["cost"]["R"], cfg["cost"]["R"]],
         }
@@ -220,7 +251,6 @@ class TestLoad:
         cfg["stoch"]["T"] = 2
         # Pair lists are m1-major: entry 1 is (m0=2, m1=1).
         cfg["cost"] = {
-            "time_varying": True,
             "Q": [[eye, eye], [eye, eye], [eye, bad]],
             "R": [[eye, eye]] * 3,
         }

@@ -309,6 +309,25 @@ class TestStationarity:
             assert np.linalg.norm(delta) == pytest.approx(1e-3, rel=1e-12)
         assert len({delta.tobytes() for delta in deviations}) == n
 
+    def test_perturbations_are_drawn_one_at_a_time(self):
+        # A battery shape at T = 20, whose gains take 21 KB: the check holds
+        # one perturbation at a time, so 20 of them peak as high as one.
+        # Drawn all at once, they peak about 2 MB higher.
+        spec = model.load_config(random_config(np.random.default_rng(7), T=20))
+        bundle = solver.solve_backward(spec)
+        oracle.stationarity_check(spec, bundle, n_perturbations=1)  # first-call imports and caches
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                oracle.stationarity_check(spec, bundle, n_perturbations=n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gains = sum(a.nbytes for a in vars(bundle.gains).values())
+        assert peak(20) <= peak(1) + gains
+
     def test_adjoint_gradient_matches_central_differences(self, battery):
         # J is quadratic in any single gain entry, so central differences
         # are exact up to rounding; check every entry at perturbed gains.

@@ -1,7 +1,8 @@
 """The traced benchmark (perfbench/launch.py) wraps package functions by
 module and attribute name; a refactor that drops or renames one would break
 the traced run without any other test noticing. The README's CLI block must
-name exactly the flags the parser takes."""
+name exactly the flags the parser takes, and its problem configuration must
+solve to the j_star of its bundle example."""
 
 import argparse
 import ast
@@ -131,6 +132,16 @@ def test_readme_cli_block_names_every_flag():
     for action in parser._actions:
         for option in set(action.option_strings) - {"-h", "--help"}:
             assert f"`{option}`" in readme, option
+
+
+def test_readme_problem_config_solves_to_its_bundle_j_star():
+    # The "Problem configuration" example is the S2 hand instance, the one
+    # whose bundle the README shows.
+    text = (ROOT / "README.md").read_text()
+    example = re.search(r"^## Problem configuration$.*?^```json\n(.*?)^```$", text, re.S | re.M).group(1)
+    shown = re.search(r'^ "j_star": (.*),$', text, re.M).group(1)
+    assert shown == "5.05"
+    assert solver.solve_backward(model.load_config(json.loads(example))).j_star == float(shown)
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
