@@ -40,8 +40,9 @@ def _scale(M):
 
 def _first(bad):
     """Index of the first True entry of a boolean stack, or None."""
-    hits = np.argwhere(bad)
-    return tuple(int(i) for i in hits[0]) if len(hits) else None
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
 def _label(name, index):

@@ -18,9 +18,9 @@ the Schur complement and the gain.
 """
 
 import base64
+import functools
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +161,8 @@ def _schur(H, n_top, name, where):
 def solve_backward(spec):
     """Run the coupled backward recursions and assemble the full solution.
 
-    Step t builds its own cost blocks (cost_blocks) and reads only the t+1
+    Step t builds its own cost blocks (cost_blocks), or keeps step t+1's
+    when Q[t] and R[t] equal Q[t+1] and R[t+1], and reads only the t+1
     tables, so nothing but the returned tables grows with the horizon.
     Overflow is not warned about: a non-finite H block raises
     NonFiniteError before its solve, and so does a non-finite j_star.
@@ -182,8 +183,11 @@ def solve_backward(spec):
     e = np.zeros(T + 2)
     stage_min_eig = np.empty((T + 1, 2))
 
+    Q, R = spec.cost.Q, spec.cost.R
     for t in range(T, -1, -1):
-        C, C11, Cempty = cost_blocks(spec, L, t)
+        # Step t+1's cost blocks serve step t too when its weights are the same.
+        if t == T or not (np.array_equal(Q[t], Q[t + 1]) and np.array_equal(R[t], R[t + 1])):
+            C, C11, Cempty = cost_blocks(spec, L, t)
         pi_next = op_pi(P[t + 1], spec)
         psi_next = op_psi(Ptilde[t + 1], P[t + 1, ..., d.d_x0:, d.d_x0:], spec)
 
@@ -262,78 +266,101 @@ def analytic_cost(spec, values):
 # --- serialization ----------------------------------------------------------
 
 # A bundle file is one JSON object: "format", "j_star", "e", "solve_metadata"
-# and, per table, {"shape": [...], "data": base64 of its zlib-compressed <f8 bytes}.
-FORMAT = "ncslqr-bundle 2"
+# and, per table, {"shape": [...], "data": base64 of its little-endian float64
+# bytes}. P and Ptilde are stacks of symmetric matrices, so their data holds
+# only each matrix's upper triangle, in np.triu_indices(n) order.
+FORMAT = "ncslqr-bundle 3"
 _TABLES = ("P", "Ptilde", "K_empty", "K_received", "Ktilde")
-_MAX_INFLATION = 1032  # deflate's largest ratio of inflated to compressed bytes
-_STEP = 16384  # bytes of input and of output per inflate call
+_PACKED = ("P", "Ptilde")
+_PIECE = 1 << 16  # characters of bundle text per read or write
 
 
 def _non_finite(bundle):
     """Where the first non-finite table entry, or else a non-finite j_star, is; or None."""
     for name, table in {**vars(bundle.values), **vars(bundle.gains)}.items():
-        bad = np.argwhere(~np.isfinite(table))
-        if len(bad):
-            return f"solution table {name} has a non-finite entry at {tuple(bad[0].tolist())}"
+        finite = np.isfinite(table)
+        if not finite.all():
+            return f"solution table {name} has a non-finite entry at {tuple(np.argwhere(~finite)[0].tolist())}"
     if not np.isfinite(bundle.j_star):
         return f"j_star = {bundle.j_star!r} non-finite"
     return None
 
 
-def _deflate(table):
-    """A table as the file holds it; json.dump calls it on each array as it
-    reaches it, so one table's text is alive at a time."""
-    data = zlib.compress(np.ascontiguousarray(table, "<f8"), 1)
-    return {"shape": list(table.shape), "data": base64.b64encode(data).decode("ascii")}
+def _upper(n, size):
+    """(rows, cols) of an n x n matrix's upper triangle, row by row, for a
+    stack of `size` entries: none when it holds no matrices, whatever n."""
+    return np.triu_indices(n if size else 0)
 
 
-def _inflate(entry, name):
-    """The table of a file entry (_deflate), as a read-only array. The
-    shape and the data are checked; the data is then inflated once, _STEP
-    bytes of input and of output at a time, each piece copied into a buffer
-    of the shape's size, so that data inflating past its shape is refused
-    as soon as it does. The data must be one whole zlib stream."""
+def _encode(table, name):
+    """Table `name` as the file holds it. save_bundle hands json.dump one
+    call of it per table, made when the encoder reaches that table, so one
+    table's text is alive at a time. A P or Ptilde that is not a stack of
+    matrices equal to their transposes, bit for bit, raises ValueError,
+    since its upper triangles would not hold it."""
+    data = np.ascontiguousarray(table, "<f8")
+    if name in _PACKED:
+        bits = data.view("<u8")
+        if bits.ndim < 2 or not np.array_equal(bits, _T(bits)):
+            raise ValueError(f"solution table {name} of shape {table.shape} is not a stack of symmetric matrices")
+        rows, cols = _upper(table.shape[-1], data.size)
+        data = np.ascontiguousarray(data[..., rows, cols])
+    data = base64.b64encode(data)  # rebound, so that packed doubles are freed before the string is made
+    return {"shape": list(table.shape), "data": data.decode("ascii")}
+
+
+def _decode(entry, name):
+    """The read-only table of a file entry (_encode). The shape and the data
+    are checked, and the data's length must be the shape's, before anything
+    the shape sizes is allocated."""
     shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")
     if not isinstance(data, str):
         raise ValueError(f"solution table {name} has data of type {type(data).__name__}, expected a base64 string")
+    packed = name in _PACKED
+    if packed and (len(shape) < 2 or shape[-1] != shape[-2]):
+        raise ValueError(f"solution table {name} has shape {shape}, expected a stack of square matrices")
     data = base64.b64decode(data, validate=True)
-    size = 8 * math.prod(shape)
-    if size > _MAX_INFLATION * len(data):
-        raise ValueError(f"solution table {name} has shape {shape}, more than its {len(data)} bytes of data hold")
-    inflater, table, filled = zlib.decompressobj(), bytearray(size), 0
-    for start in range(0, len(data), _STEP):  # fed in pieces, since each unconsumed_tail is a copy
-        tail = data[start:start + _STEP]
-        while tail:
-            piece = inflater.decompress(tail, _STEP)
-            if filled + len(piece) > size:
-                raise ValueError(f"solution table {name} holds more than {size} bytes, expected {size} for shape {shape}")
-            table[filled:filled + len(piece)] = piece
-            filled += len(piece)
-            tail = inflater.unconsumed_tail
-    if filled != size:
-        raise ValueError(f"solution table {name} holds {filled} bytes, expected {size} for shape {shape}")
-    if not inflater.eof:
-        raise ValueError(f"solution table {name} has data that ends before its zlib stream does")
-    if inflater.unused_data:
-        raise ValueError(f"solution table {name} has data after its zlib stream")
-    return np.frombuffer(memoryview(table).toreadonly(), "<f8").reshape(shape)
+    count = math.prod(shape[:-2]) * (shape[-1] * (shape[-1] + 1) // 2) if packed else math.prod(shape)
+    if len(data) != 8 * count:
+        raise ValueError(f"solution table {name} holds {len(data)} bytes, expected {8 * count} for shape {shape}")
+    values = np.frombuffer(data, "<f8")  # read-only, over the decoded bytes
+    if not packed:
+        return values.reshape(shape)
+    rows, cols = _upper(shape[-1], count)
+    table = np.zeros(shape)
+    table[..., rows, cols] = table[..., cols, rows] = values.reshape(*shape[:-2], len(rows))
+    table.flags.writeable = False
+    return table
+
+
+class _Pieces:
+    """A text file that json.dump writes into _PIECE characters at a time:
+    TextIOWrapper.write encodes a longer string whole, a third copy of a
+    table's text beside the two the encoder holds."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        for start in range(0, len(text), _PIECE):
+            self.fh.write(text[start:start + _PIECE])
 
 
 def save_bundle(bundle, path):
     """Write the bundle file: json.dump(..., indent=1) of its object. A
     non-finite entry raises NonFiniteError, since json would write it as
-    NaN or Infinity."""
+    NaN or Infinity, and a P or Ptilde that is not symmetric ValueError."""
     problem = _non_finite(bundle)
     if problem:
         raise NonFiniteError(problem)
     tables = {**vars(bundle.values), **vars(bundle.gains)}
     doc = {"format": FORMAT, "j_star": bundle.j_star, "e": bundle.values.e.tolist(), "solve_metadata": bundle.solve_metadata}
-    doc.update((name, tables[name]) for name in _TABLES)
+    doc.update((name, functools.partial(_encode, tables[name], name)) for name in _TABLES)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, default=_deflate)
+            json.dump(doc, _Pieces(fh), indent=1, default=lambda encode: encode())
     except OSError as exc:
         raise OutputError(f"cannot write solution bundle: {exc}") from exc
 
@@ -343,19 +370,24 @@ def load_bundle(path):
     format (such as the nested tables of earlier releases) or a non-finite
     table entry or j_star (json reads NaN and Infinity) raises ParseError."""
     try:
-        # As json.loads decodes bytes: a lone surrogate loads as it is.
+        # As json.loads decodes bytes: a lone surrogate loads as it is. The
+        # text is read in _PIECE pieces: freeing a buffer the size of the
+        # file before the parse (the bytes fh.read() decodes) raises glibc's
+        # mmap threshold, so the parsed strings land on the heap and stay
+        # resident after the load (1.3 MB more peak in a solve-wide
+        # simulate --solution).
         with open(path, encoding="utf-8", errors="surrogatepass") as fh:
-            doc = json.load(fh)
+            doc = json.loads("".join(iter(functools.partial(fh.read, _PIECE), "")))
         if not isinstance(doc, dict) or doc.get("format") != FORMAT:
             raise ValueError(f"not an {FORMAT!r} file; solve the problem again to write one")
         for key in ("j_star", "e"):
             leaf = non_number(doc[key])
             if leaf is not None:
                 raise ValueError(f"{key} must hold numbers, got {leaf!r}")
-        tables = {name: _inflate(doc.pop(name), name) for name in _TABLES}
+        tables = {name: _decode(doc.pop(name), name) for name in _TABLES}
         values = ValueTables(P=tables.pop("P"), Ptilde=tables.pop("Ptilde"), e=np.asarray(doc["e"], dtype=float))
         bundle = SolutionBundle(values, GainTables(**tables), float(doc["j_star"]), dict(doc.get("solve_metadata", {})))
-    except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError, zlib.error) as exc:
+    except (OSError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError and binascii.Error are ValueErrors;
         # a huge integer literal overflows as a float; deep nesting recurses.
         raise ParseError(f"cannot read solution bundle {path}: {type(exc).__name__}: {exc}") from exc

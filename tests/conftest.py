@@ -4,7 +4,6 @@ import json
 import math
 import os
 import tempfile
-import zlib
 
 import numpy as np
 import pytest
@@ -274,16 +273,33 @@ def bundle_document(bundle):
 
 def document_table(doc, name):
     """Table `name` of a bundle document as a writable array, decoded here
-    from the file format rather than by the package."""
+    from the file format rather than by the package: P and Ptilde hold the
+    upper triangle of each matrix, row by row, and are mirrored below it."""
     entry = doc[name]
-    data = zlib.decompress(base64.b64decode(entry["data"]))
-    return np.frombuffer(data, "<f8").reshape(entry["shape"]).copy()
+    data = np.frombuffer(base64.b64decode(entry["data"]), "<f8")
+    if name not in ("P", "Ptilde"):
+        return data.reshape(entry["shape"]).copy()
+    *stack, n, _ = entry["shape"]
+    table = np.empty((math.prod(stack), n, n))
+    triangles = iter(data)
+    for matrix in table:
+        for i in range(n):
+            for j in range(i, n):
+                matrix[i, j] = matrix[j, i] = next(triangles)
+    return table.reshape(entry["shape"])
 
 
 def with_table(doc, name, table):
-    """A copy of the bundle document `doc` whose table `name` is `table`."""
-    data = base64.b64encode(zlib.compress(np.asarray(table, "<f8").tobytes())).decode()
-    return {**doc, name: {"shape": list(table.shape), "data": data}}
+    """A copy of the bundle document `doc` whose table `name` is `table`,
+    which for P and Ptilde must be a stack of symmetric matrices."""
+    table = np.asarray(table, "<f8")
+    if name in ("P", "Ptilde"):
+        n = table.shape[-1]
+        assert np.array_equal(table, np.swapaxes(table, -1, -2)), name
+        data = np.array([m[i, j] for m in table.reshape(-1, n, n) for i in range(n) for j in range(i, n)], "<f8")
+    else:
+        data = table
+    return {**doc, name: {"shape": list(table.shape), "data": base64.b64encode(data.tobytes()).decode()}}
 
 
 def with_entry(doc, name, index, value):

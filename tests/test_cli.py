@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import weakref
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -437,7 +436,20 @@ class TestSolutionBundle:
         assert out == ""
         assert err == (
             f"solution error: cannot read solution bundle {path}: ValueError: "
-            "not an 'ncslqr-bundle 2' file; solve the problem again to write one\n"
+            "not an 'ncslqr-bundle 3' file; solve the problem again to write one\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
+    def test_format_2_bundle_exit_code(self, s2_path, capsys, command):
+        # S2's bundle as the "ncslqr-bundle 2" format wrote it, its tables
+        # zlib-compressed.
+        path = DATA / "s2_bundle_format2.json"
+        assert cli.main([command, "--config", s2_path, "--solution", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"solution error: cannot read solution bundle {path}: ValueError: "
+            "not an 'ncslqr-bundle 3' file; solve the problem again to write one\n"
         )
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate-exact"])
@@ -454,7 +466,7 @@ class TestSolutionBundle:
         obj = copy.deepcopy(S2_BUNDLE)
         if change == "step 9":
             obj["P"]["shape"][0] = 9
-            message = "cannot read solution bundle {bundle}: ValueError: solution table P holds 192 bytes, expected 576 for shape [9, 1, 2, 2, 2]"
+            message = "cannot read solution bundle {bundle}: ValueError: solution table P holds 144 bytes, expected 432 for shape [9, 1, 2, 2, 2]"
         elif change == "stray m7":
             steps = document_table(obj, "P")
             obj = with_table(obj, "P", np.concatenate([steps, steps[:, :, 1:]], axis=2))
@@ -485,25 +497,25 @@ class TestSolutionBundle:
         (("P", "shape", 1), -1, "ValueError: solution table P has shape [3, -1, 2, 2, 2], "
          "expected a list of non-negative integers"),
         (("P", "shape"), 72, "ValueError: solution table P has shape 72, expected a list of non-negative integers"),
-        (("P", "shape", 1), 10 ** 9, "ValueError: solution table P has shape [3, 1000000000, 2, 2, 2], "
-         f"more than its {len(base64.b64decode(S2_DATA))} bytes of data hold"),
-        (("P", "shape", 1), 2, "ValueError: solution table P holds 192 bytes, expected 384 for shape [3, 2, 2, 2, 2]"),
-        (("format",), "ncslqr-bundle 1", "ValueError: not an 'ncslqr-bundle 2' file; solve the problem again to write one"),
-        # A stream cut short of the table's end, and one cut inside its
-        # checksum, after the table's last byte.
-        (("P", "data"), base64.b64encode(S2_RAW[:-20]).decode(), "ValueError: solution table P holds "
-         f"{len(zlib.decompressobj().decompress(S2_RAW[:-20]))} bytes, expected 192 for shape [3, 1, 2, 2, 2]"),
-        (("P", "data"), base64.b64encode(S2_RAW[:-2]).decode(),
-         "ValueError: solution table P has data that ends before its zlib stream does"),
-        # Bytes, or a second stream, after the table's whole stream.
+        (("P", "shape", 1), 10 ** 9, "ValueError: solution table P holds 144 bytes, "
+         "expected 144000000000 for shape [3, 1000000000, 2, 2, 2]"),
+        (("P", "shape", 1), 2, "ValueError: solution table P holds 144 bytes, expected 288 for shape [3, 2, 2, 2, 2]"),
+        (("format",), "ncslqr-bundle 1", "ValueError: not an 'ncslqr-bundle 3' file; solve the problem again to write one"),
+        # Data cut short of the table's end, and bytes after it.
+        (("P", "data"), base64.b64encode(S2_RAW[:-20]).decode(),
+         "ValueError: solution table P holds 124 bytes, expected 144 for shape [3, 1, 2, 2, 2]"),
         (("P", "data"), base64.b64encode(S2_RAW + b"garbage-after-stream").decode(),
-         "ValueError: solution table P has data after its zlib stream"),
-        (("P", "data"), base64.b64encode(S2_RAW + S2_RAW).decode(),
-         "ValueError: solution table P has data after its zlib stream"),
+         "ValueError: solution table P holds 164 bytes, expected 144 for shape [3, 1, 2, 2, 2]"),
+        # P's matrices whole rather than their upper triangles, and a stack
+        # of matrices that are not square.
+        (("P", "data"), base64.b64encode(solver.solve_backward(model.load_config(s2_config())).values.P).decode(),
+         "ValueError: solution table P holds 192 bytes, expected 144 for shape [3, 1, 2, 2, 2]"),
+        (("P", "shape"), [3, 1, 2, 2, 3],
+         "ValueError: solution table P has shape [3, 1, 2, 2, 3], expected a stack of square matrices"),
     ], ids=[
         "bool-data", "number-data", "list-data", "stray-character", "bool-shape", "fraction-shape", "negative-shape",
-        "number-shape", "huge-shape", "short-data", "old-format-tag", "truncated-stream", "truncated-check",
-        "trailing-data", "second-stream",
+        "number-shape", "huge-shape", "short-data", "old-format-tag", "truncated-stream", "trailing-data",
+        "both-triangles", "unequal-axes",
     ])
     def test_malformed_table_exit_code(self, s2_path, tmp_path, capsys, command, where, value, message):
         bundle = tmp_path / "bundle.json"

@@ -56,6 +56,22 @@ class TestExactEvaluation:
         cost = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
         assert abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star)) <= 1e-8
 
+    @pytest.mark.parametrize("varying", ["Q", "R"])
+    def test_one_varying_weight_matches_analytic_optimum(self, varying):
+        # Only one weight changes from step to step; the other lists one
+        # matrix T+1 times. A solver that kept step t+1's cost blocks for
+        # step t whenever that other weight repeats would solve another
+        # problem. The tolerance is c01's.
+        cfg = time_varying_config(np.random.default_rng(13), 0.3)
+        fixed = "R" if varying == "Q" else "Q"
+        cfg["cost"][fixed] = [cfg["cost"][fixed][0]] * (cfg["stoch"]["T"] + 1)
+        spec = model.load_config(cfg)
+        weights = getattr(spec.cost, varying)
+        assert all(not np.allclose(weights[t], weights[t + 1]) for t in range(spec.T))
+        bundle = solver.solve_backward(spec)
+        cost = oracle.exact_expected_cost(spec, control.make_policy("optimal", spec, bundle))
+        assert abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star)) <= 1e-8
+
     def test_optimum_dominates_references(self, battery):
         for spec in battery[:10]:
             bundle = solver.solve_backward(spec)

@@ -1,11 +1,9 @@
-import base64
 import copy
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
-import types
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,8 @@ from ncslqr import matkit, model, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import (
-    bundle_document, document_table, random_config, s1_config, s2_config, with_table, zero_weight_mode_config,
+    battery_specs, bundle_document, document_table, random_config, s1_config, s2_config, time_varying_config,
+    with_table, zero_weight_mode_config,
 )
 
 EMPTY = solver.EMPTY
@@ -226,13 +225,17 @@ EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.7976931348623157e308, 1.0]
 def _edge_bundle(floats=EDGE_FLOATS):
     """A kappa1 = 1 bundle (T = 1, kappa0 = 2, unit dimensions) whose tables
     cycle through `floats`, by default floats that json writes in different
-    notations."""
+    notations. P and Ptilde mirror each matrix's upper triangle below it."""
 
     def table(*shape):
         return np.resize(floats, shape)
 
+    def symmetric(*shape):
+        upper = table(*shape)
+        return np.where(np.tri(shape[-1], k=-1, dtype=bool), np.swapaxes(upper, -1, -2), upper)
+
     return solver.SolutionBundle(
-        values=solver.ValueTables(P=table(3, 2, 2, 2, 2), Ptilde=table(3, 2, 2, 1, 1), e=table(3)),
+        values=solver.ValueTables(P=symmetric(3, 2, 2, 2, 2), Ptilde=symmetric(3, 2, 2, 1, 1), e=table(3)),
         gains=solver.GainTables(
             K_empty=table(2, 2, 2, 2), K_received=table(2, 2, 1, 2, 2), Ktilde=table(2, 2, 1, 1, 1),
         ),
@@ -250,16 +253,59 @@ def _assert_same_tables(a, b):
             assert table.tobytes() == other.tobytes(), name
 
 
+def _roundtrip_specs():
+    """The 20-instance battery, a time-varying instance, and instances with
+    kappa1 = 1 and with T = 0."""
+    rng = np.random.default_rng(23)
+    configs = [time_varying_config(rng, 0.3), random_config(rng, kappa1=1, T=2), random_config(rng, T=0)]
+    return battery_specs() + [model.load_config(cfg) for cfg in configs]
+
+
 class TestSerialization:
-    def test_roundtrip(self, battery, tmp_path):
-        spec = battery[1]
-        bundle = solver.solve_backward(spec)
+    def test_roundtrip(self, tmp_path):
         path = tmp_path / "bundle.json"
-        solver.save_bundle(bundle, path)
-        again = solver.load_bundle(path)
-        assert again.stage_min_eig is None
-        assert again.j_star == bundle.j_star
-        _assert_same_tables(again, bundle)
+        for spec in _roundtrip_specs():
+            bundle = solver.solve_backward(spec)
+            solver.save_bundle(bundle, path)
+            again = solver.load_bundle(path)
+            assert again.stage_min_eig is None
+            assert again.j_star == bundle.j_star
+            _assert_same_tables(again, bundle)
+
+    def test_value_tables_equal_their_transposes(self):
+        # The file keeps the upper triangles of P and Ptilde, so the
+        # solver's value tables must be symmetric bit for bit.
+        for spec in _roundtrip_specs():
+            values = solver.solve_backward(spec).values
+            for table in (values.P, values.Ptilde):
+                assert table.tobytes() == np.ascontiguousarray(np.swapaxes(table, -1, -2)).tobytes()
+
+    @pytest.mark.parametrize("name", ["P", "Ptilde"])
+    @pytest.mark.parametrize("shape", [(40_000,), (3, 2, 2, 2, 3), (3, 2, 2, 2, 2)], ids=["flat", "oblong", "asymmetric"])
+    def test_refuses_value_table_its_triangles_cannot_hold(self, tmp_path, name, shape):
+        # A flat table of 40,000 entries is refused before a triangle index
+        # of that size (6 GiB) is built.
+        bundle = _edge_bundle()
+        setattr(bundle.values, name, np.arange(math.prod(shape), dtype=float).reshape(shape))
+        path = tmp_path / "bundle.json"
+        with pytest.raises(ValueError, match=f"^solution table {name} of shape {re.escape(str(shape))} is not a stack of symmetric matrices$"):
+            solver.save_bundle(bundle, path)
+
+    def test_stack_of_no_matrices_round_trips(self, tmp_path):
+        # Value tables of no matrices of size 10**6: nothing to write, and
+        # no triangle index of that size (4 TB) is built on either side.
+        bundle = _edge_bundle()
+        bundle.values.P = np.zeros((0, 1, 1, 10 ** 6, 10 ** 6))
+        bundle.values.Ptilde = np.zeros((0, 1, 1, 10 ** 6, 10 ** 6))
+        path = tmp_path / "bundle.json"
+        tracemalloc.start()
+        try:
+            solver.save_bundle(bundle, path)
+            _assert_same_tables(solver.load_bundle(path), bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_refuses_dict_era_bundle(self):
         # data/s2_bundle.json (S2, p1 = 0.5) nests its tables as t -> m0 ->
@@ -269,7 +315,18 @@ class TestSerialization:
             solver.load_bundle(path)
         assert str(exc.value) == (
             f"cannot read solution bundle {path}: ValueError: "
-            "not an 'ncslqr-bundle 2' file; solve the problem again to write one"
+            "not an 'ncslqr-bundle 3' file; solve the problem again to write one"
+        )
+
+    def test_refuses_format_2_bundle(self):
+        # data/s2_bundle_format2.json is S2's bundle as the "ncslqr-bundle 2"
+        # format wrote it: every table zlib-compressed, both triangles of P.
+        path = DATA / "s2_bundle_format2.json"
+        with pytest.raises(ParseError) as exc:
+            solver.load_bundle(path)
+        assert str(exc.value) == (
+            f"cannot read solution bundle {path}: ValueError: "
+            "not an 'ncslqr-bundle 3' file; solve the problem again to write one"
         )
 
     def test_writes_indented_json_bytes(self, battery, tmp_path):
@@ -332,12 +389,17 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_peak_memory_is_a_few_tables_text(self, tmp_path):
-        # Five tables of 40,000 random floats each: every table's text is
-        # about 427 KB. The writer deflates a table when json reaches it, so
-        # it holds one table's data, text and written copy at a time, about
-        # three texts. Deflating every table before the dump holds all five.
+        # Five tables of 40,000 random floats each, P and Ptilde as 2,500
+        # symmetric 4 x 4 matrices: a gain table's text is about 427 KB and
+        # a value table's, its upper triangles, about 267 KB. The writer
+        # encodes a table when json reaches it, so it holds one table's
+        # data, text and written copy at a time, about three texts. Encoding
+        # every table before the dump holds all five.
         rng = np.random.default_rng(5)
         tables = {name: rng.standard_normal((40_000,)) for name in solver._TABLES}
+        for name in ("P", "Ptilde"):
+            square = tables[name].reshape(2_500, 4, 4)
+            tables[name] = square + np.swapaxes(square, -1, -2)
         bundle = solver.SolutionBundle(
             values=solver.ValueTables(P=tables["P"], Ptilde=tables["Ptilde"], e=np.zeros(3)),
             gains=solver.GainTables(K_empty=tables["K_empty"], K_received=tables["K_received"], Ktilde=tables["Ktilde"]),
@@ -354,6 +416,31 @@ class TestSerialization:
             tracemalloc.stop()
         texts = sum(len(entry["data"]) for entry in map(json.loads(path.read_text()).get, solver._TABLES))
         assert peak < texts
+
+    def test_peak_memory_is_two_copies_of_the_largest_text(self, tmp_path):
+        # P as 10,000 symmetric 4 x 4 matrices, its upper triangles about
+        # 1.07 MB of text, and the other tables tiny. The writer holds two
+        # copies of P's text at a time: its base64 bytes and string, then
+        # the string and json's quoted copy. Keeping the packed doubles
+        # while the string is made, or letting the file encode the quoted
+        # copy whole, holds about a third.
+        square = np.random.default_rng(5).standard_normal((10_000, 4, 4))
+        small = np.zeros((1, 2, 2))
+        bundle = solver.SolutionBundle(
+            values=solver.ValueTables(P=square + np.swapaxes(square, -1, -2), Ptilde=small, e=np.zeros(3)),
+            gains=solver.GainTables(K_empty=small, K_received=small, Ktilde=small),
+            j_star=0.1,
+            solve_metadata={},
+        )
+        path = tmp_path / "bundle.json"
+        solver.save_bundle(bundle, path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            solver.save_bundle(bundle, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(json.loads(path.read_text())["P"]["data"])
 
 
 S2_DOCUMENT = bundle_document(solver.solve_backward(model.load_config(s2_config())))
@@ -372,12 +459,10 @@ def _s2_json_with(where, value):
 class TestLoad:
     def test_peak_memory_is_the_text_or_the_tables(self, tmp_path):
         # A battery instance (every block 2-dimensional, kappa0 = kappa1 =
-        # 2) at T = 240: its converged steps compress, so the tables (0.48
-        # MB) outweigh the file (0.09 MB). A load holds the file's text and
-        # its parsed strings, then the strings and the tables, each table
-        # inflated into a buffer of its own size: it peaks near the file
-        # plus the tables. Inflating into growing blocks that are then
-        # joined holds P twice, about 1.5x.
+        # 2) at T = 240. A load holds the file's text and its parsed
+        # strings, then the strings, each table's decoded bytes and the
+        # tables: it peaks near twice the file, or the file plus the
+        # tables.
         spec = model.load_config(random_config(np.random.default_rng(7), T=240))
         bundle = solver.solve_backward(spec)
         path = tmp_path / "bundle.json"
@@ -393,68 +478,42 @@ class TestLoad:
         tables = sum(a.nbytes for a in (*vars(bundle.values).values(), *vars(bundle.gains).values()))
         assert peak <= 1.1 * max(2 * size, size + tables)
 
-    def test_data_inflating_past_its_shape_is_refused_early(self, tmp_path):
-        # Ktilde's data is zlib of 16 MiB of zero bytes: a 22 KB file whose
-        # Ktilde shape asks for 16 bytes. The inflated length is counted in
-        # 64 KiB steps, so the table is refused before 16 MiB are held.
+    @pytest.mark.parametrize("name, shape, data", [
+        ("P", [3, 100_000, 2, 2, 2], None),
+        ("Ktilde", [2, 1, 1, 100_000, 100_000], None),
+        ("P", [0, 1, 1, 10 ** 6, 10 ** 6], ""),
+        ("Ptilde", [0, 1, 1, 10 ** 6, 10 ** 6], ""),
+    ], ids=["P-far-beyond", "Ktilde-far-beyond", "P-no-matrices", "Ptilde-no-matrices"])
+    def test_shape_is_checked_against_its_data_first(self, tmp_path, name, shape, data):
+        # A shape far beyond its data (S2's own) is refused before a table
+        # of its size (19 MB for P, 160 GB for Ktilde) is allocated. A stack
+        # of no matrices of size 10**6 holds no data and loads without a
+        # triangle index of that size (4 TB).
+        doc = copy.deepcopy(S2_DOCUMENT)
+        doc[name]["shape"] = shape
+        if data is not None:
+            doc[name]["data"] = data
         path = tmp_path / "bundle.json"
-        data = base64.b64encode(zlib.compress(bytes(16 << 20))).decode()
-        path.write_text(json.dumps(_s2_json_with(("Ktilde", "data"), data)))
-        assert path.stat().st_size < 30_000
+        path.write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match="solution table Ktilde holds more than 16 bytes, expected 16 "):
-                solver.load_bundle(path)
+            if data is None:
+                with pytest.raises(ParseError, match=f": solution table {name} holds .* bytes, expected .* for shape "):
+                    solver.load_bundle(path)
+            else:
+                table = getattr(solver.load_bundle(path).values, name)
+                assert table.shape == tuple(shape) and not table.flags.writeable
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_each_table_is_inflated_once(self, tmp_path, monkeypatch):
-        # Every byte zlib gives the loader is counted: the tables' bytes,
-        # each once. T = 240, so that P's data spans several input steps.
-        bundle = solver.solve_backward(model.load_config(random_config(np.random.default_rng(7), T=240)))
-        path = tmp_path / "bundle.json"
-        solver.save_bundle(bundle, path)
-        inflated = []
-
-        class Inflater:
-            def __init__(self, *args):
-                self.inner = zlib.decompressobj(*args)
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-            def decompress(self, *args):
-                out = self.inner.decompress(*args)
-                inflated.append(len(out))
-                return out
-
-            def flush(self, *args):
-                out = self.inner.flush(*args)
-                inflated.append(len(out))
-                return out
-
-        def decompress(*args, **kwargs):
-            out = zlib.decompress(*args, **kwargs)
-            inflated.append(len(out))
-            return out
-
-        counting = types.SimpleNamespace(**{**vars(zlib), "decompressobj": Inflater, "decompress": decompress})
-        monkeypatch.setattr(solver, "zlib", counting)
-        again = solver.load_bundle(path)
-        _assert_same_tables(again, bundle)
-        tables = {**vars(again.values), **vars(again.gains)}
-        assert sum(inflated) == sum(tables[name].nbytes for name in solver._TABLES)
-
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("kind", ["random", "zeros"])
     def test_tables_of_whole_steps_load(self, tmp_path, k, kind):
-        # Ktilde's inflated length is k steps exactly, so that its last
-        # piece fills the step. Random floats hardly compress, so their data
-        # spans about k input steps; zeros compress to one step whose output
-        # comes in k pieces.
-        n = k * solver._STEP // 8
+        # A Ktilde of k times 2,048 random floats, or zeros, loads bit for
+        # bit.
+        n = k * 2_048
         table = np.random.default_rng(k).standard_normal(n) if kind == "random" else np.zeros(n)
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(with_table(S2_DOCUMENT, "Ktilde", table)))

@@ -1,8 +1,9 @@
 """The traced benchmark (perfbench/launch.py) wraps package functions by
 module and attribute name; a refactor that drops or renames one would break
 the traced run without any other test noticing. The README's CLI block must
-name exactly the flags the parser takes, and its problem configuration must
-solve to the j_star of its bundle example."""
+name exactly the flags the parser takes, its problem configuration must
+solve to the j_star of its bundle example, and that example must be the
+bundle save_bundle writes for it."""
 
 import argparse
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import ncslqr
 from ncslqr import cli, control, model, sim, solver
-from conftest import s2_config
+from conftest import bundle_document, s2_config
 from run_mutants import MUTANTS, SELF_TEST
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,6 +143,18 @@ def test_readme_problem_config_solves_to_its_bundle_j_star():
     shown = re.search(r'^ "j_star": (.*),$', text, re.M).group(1)
     assert shown == "5.05"
     assert solver.solve_backward(model.load_config(json.loads(example))).j_star == float(shown)
+
+
+def test_readme_bundle_example_is_what_save_bundle_writes():
+    # The S2 hand instance's bundle, but for the numpy version that solved
+    # it, which depends on the installation.
+    text = (ROOT / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"^```json\n(.*?)^```$", text, re.S | re.M) if '"format"' in b]
+    shown = json.loads(block)
+    written = bundle_document(solver.solve_backward(model.load_config(s2_config())))
+    for doc in (shown, written):
+        del doc["solve_metadata"]["numpy_version"]
+    assert shown == written
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
