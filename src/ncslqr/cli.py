@@ -17,11 +17,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-# Each command imports the rest of what it uses (control, sim, oracle,
-# statistics, and csv for an --out table) itself, so that `solve` starts
-# without them.
+# Each command imports the rest of what it uses (control, sim, oracle, and
+# csv for an --out table) itself, so that `solve` starts without them.
 from . import model, solver
 from .errors import (
     DefinitenessError,
@@ -184,15 +181,7 @@ def cmd_evaluate_exact(args):
     policy, bundle = _build_policy(args.policy, spec, args.solution)
     if bundle is None:
         bundle = solver.solve_backward(spec)
-    report = oracle.oracle_report(spec, policy, j_star=bundle.j_star)
-    if args.policy == "optimal":
-        stat = oracle.stationarity_check(spec, bundle)
-        report["stationarity"] = {
-            "max_abs_gradient": stat["max_abs_gradient"],
-            "worst_entry": stat["worst_entry"],
-            "max_cost_decrease": stat["max_cost_decrease"],
-            "ok": stat["ok"],
-        }
+    report = oracle.oracle_report(spec, policy, bundle)
     text = json.dumps(report, indent=1)
     if args.out is not None:
         _write_output(args.out, "report", lambda fh: fh.write(text + "\n"))
@@ -200,82 +189,11 @@ def cmd_evaluate_exact(args):
     return EXIT_OTHER if "stationarity" in report and not report["stationarity"]["ok"] else EXIT_OK
 
 
-def _validate_checks(spec, args):
-    """Invariant battery for one instance; yields (name, ok, detail)."""
-    import statistics
-
-    from . import control, oracle, sim
-
-    bundle = solver.solve_backward(spec)
-    yield "solve", True, f"j_star = {bundle.j_star:.9g}"
-
-    # solve_backward kept the minima of steps 0..T; the T+1 tables are zero.
-    margin = bundle.stage_min_eig.min()
-    yield "psd-tables", min(margin, 0.0) >= -1e-9, (
-        f"min eigenvalue {margin:.3e} over t=0..{spec.T}; the t={spec.T + 1} tables are zero"
-    )
-
-    T1 = spec.T + 1
-    if spec.modes.kappa1 == 1:
-        v, g = bundle.values, bundle.gains
-        gaps = (
-            v.P[:T1, :, solver.EMPTY] - v.P[:T1, :, 0],
-            v.Ptilde[:T1, :, solver.EMPTY] - v.Ptilde[:T1, :, 0],
-            g.K_empty - g.K_received[:, :, 0],
-        )
-        worst = max(float(np.max(np.abs(gap))) for gap in gaps)
-        yield "kappa1-collapse", worst <= 1e-12, f"max table gap {worst:.3e}"
-
-    cen = control.centralized_solve(spec)
-    if spec.channel.p1 == 1.0:
-        ref = bundle
-    else:
-        ref = solver.solve_backward(dataclasses.replace(spec, channel=model.channel_spec(1.0)))
-    worst = float(np.max(np.abs(cen.P[:T1] - ref.values.P[:T1, :, :solver.EMPTY])))
-    yield "centralized-match", worst <= 1e-10, f"max |P - P_centralized| {worst:.3e} (at p1=1)"
-
-    opt = control.make_policy("optimal", spec, bundle)
-    cost = oracle.exact_expected_cost(spec, opt)
-    rel = abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star))
-    yield "oracle-analytic-identity", rel <= 1e-8, (
-        f"exact {cost:.9g} vs analytic {bundle.j_star:.9g} (rel {rel:.3e})"
-    )
-
-    report = sim.monte_carlo(spec, opt, args.runs, args.seed)
-    mc_ref = bundle.j_star
-    if spec.stoch.family == "zero":
-        # The runs draw no noise, so their mean estimates the exact cost of
-        # the same gains with every covariance zeroed, not j_star.
-        st = spec.stoch
-        quiet = dataclasses.replace(st, **{
-            name: np.zeros_like(getattr(st, name)) for name in ("covW0", "covW1", "cov_x0", "cov_x1")
-        })
-        mc_ref = oracle.exact_expected_cost(dataclasses.replace(spec, stoch=quiet), opt)
-    gap = abs(report.mean_cost - mc_ref)
-    bound = 3.0 * report.std_err if report.std_err > 0 else 1e-9
-    yield "mc-consistency", gap <= bound, (
-        f"|{report.mean_cost:.6g} - {mc_ref:.6g}| = {gap:.3e} vs 3*SE {bound:.3e}"
-    )
-
-    runs = min(args.runs, 2000)
-    errs = np.concatenate([b.x1 - b.x_hat1 for b in sim.rollouts(spec, opt, args.seed + 1, range(runs))])
-    mean_err = errs.mean(axis=0)
-    se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-12
-    # One two-sided 3-SE test has level 2(1 - Phi(3)); split it over the
-    # k innovation means (Bonferroni) so the check as a whole keeps it.
-    k = mean_err.size
-    normal = statistics.NormalDist()
-    z = normal.inv_cdf(1.0 - (1.0 - normal.cdf(3.0)) / k)
-    ok = bool(np.all(np.abs(mean_err) <= z * se + 1e-9))
-    yield "estimator-unbiasedness", ok, (
-        f"max |mean innovation|/SE = {float(np.max(np.abs(mean_err) / se)):.2f} "
-        f"vs {z:.2f} (Bonferroni over {k} means)"
-    )
-
-
 def cmd_validate(args):
+    from . import oracle
+
     results = []
-    for name, ok, detail in _validate_checks(model.load_problem(args.config), args):
+    for name, ok, detail in oracle.certify(model.load_problem(args.config), args.runs, args.seed):
         results.append({"check": name, "ok": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     summary = {"all_pass": all(r["ok"] for r in results), "checks": results}

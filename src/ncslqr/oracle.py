@@ -31,15 +31,17 @@ Levine & Athans, IEEE TAC 15(1), 1970).
 `stationarity_check` certifies every gain entry with that gradient and
 returns its verdict in a report. A non-finite cost, probability mass or
 gradient raises NonFiniteError.
+
+`certify` is `validate`'s battery: solve, psd-tables, kappa1-collapse
+(kappa1 = 1 only), centralized-match, oracle-analytic-identity,
+mc-consistency (3 SE) and estimator-unbiasedness (Bonferroni), in order.
 """
 
 import numpy as np
 
-from . import philox
-from .control import LinearCommonPolicy, make_policy
+from . import control, model, philox, solver
 from .errors import NonFiniteError, UnsupportedPolicyError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps oracle.assemble_system)
-from .solver import GainTables, gain_shapes
 
 
 def _T(M):
@@ -258,7 +260,7 @@ def exact_gradient(spec, policy):
     d, w = spec.dims, loop.w[:, None, None, None]
     _, _, hat = _layout(spec)
     B = loop.D[..., d.d_x:]
-    grads = GainTables(*(np.zeros(shape) for shape in gain_shapes(spec)))
+    grads = solver.GainTables(*(np.zeros(shape) for shape in solver.gain_shapes(spec)))
     for t, F, theta_aug, L in _costates(spec, loop):
         d_theta = loop.rows(spec.cost.R[t]) @ theta_aug
         if L is None:
@@ -301,8 +303,8 @@ def _perturbed_cost(spec, solved, i, norm):
     delta = philox.box_muller(philox.uniforms(words)).ravel()[:sum(sizes)]
     delta *= norm / np.linalg.norm(delta, axis=0)
     parts = np.split(delta, np.cumsum(sizes)[:-1])
-    gains = GainTables(*(gain + part.reshape(gain.shape) for gain, part in zip(solved, parts)))
-    return exact_expected_cost(spec, LinearCommonPolicy(spec, gains))
+    gains = solver.GainTables(*(gain + part.reshape(gain.shape) for gain, part in zip(solved, parts)))
+    return exact_expected_cost(spec, control.LinearCommonPolicy(spec, gains))
 
 
 def stationarity_check(
@@ -324,7 +326,7 @@ def stationarity_check(
     (`ncslqr.philox`), four per block j, then scales them to total norm
     `perturbation_norm`.
     """
-    base_policy = make_policy("optimal", spec, bundle)
+    base_policy = control.make_policy("optimal", spec, bundle)
     base_cost, grads = exact_gradient(spec, base_policy)
     tol = grad_tol * (1.0 + abs(base_cost))
     max_grad, where = _worst_entry(grads)
@@ -347,14 +349,94 @@ def stationarity_check(
     }
 
 
-def oracle_report(spec, policy, j_star):
-    """Machine-readable comparison of exact cost against the analytic value."""
+def oracle_report(spec, policy, bundle):
+    """Machine-readable comparison of exact cost against the analytic value
+    `bundle.j_star`. When `policy` runs the bundle's own gains, the report
+    ends with the stationarity certificate's verdict (`stationarity_check`)."""
     cost, prob = exact_expected_cost(spec, policy, return_prob=True)
-    return {
+    report = {
         "policy": getattr(policy, "name", "unknown"),
         "exact_cost": cost,
         "sequence_probability_mass": prob,
-        "j_star": j_star,
-        "abs_diff": abs(cost - j_star),
-        "rel_diff": abs(cost - j_star) / max(1e-300, abs(j_star)),
+        "j_star": bundle.j_star,
+        "abs_diff": abs(cost - bundle.j_star),
+        "rel_diff": abs(cost - bundle.j_star) / max(1e-300, abs(bundle.j_star)),
     }
+    if getattr(policy, "gains", None) is bundle.gains:
+        stat = stationarity_check(spec, bundle)
+        report["stationarity"] = {key: stat[key] for key in ("max_abs_gradient", "worst_entry", "max_cost_decrease", "ok")}
+    return report
+
+
+def certify(spec, runs, seed):
+    """Invariant battery for one instance; yields (name, ok, detail)."""
+    import dataclasses
+    import statistics
+
+    from . import sim
+
+    bundle = solver.solve_backward(spec)
+    yield "solve", True, f"j_star = {bundle.j_star:.9g}"
+
+    # solve_backward kept the minima of steps 0..T; the T+1 tables are zero.
+    margin = bundle.stage_min_eig.min()
+    yield "psd-tables", min(margin, 0.0) >= -1e-9, (
+        f"min eigenvalue {margin:.3e} over t=0..{spec.T}; the t={spec.T + 1} tables are zero"
+    )
+
+    T1 = spec.T + 1
+    if spec.modes.kappa1 == 1:
+        v, g = bundle.values, bundle.gains
+        gaps = (
+            v.P[:T1, :, solver.EMPTY] - v.P[:T1, :, 0],
+            v.Ptilde[:T1, :, solver.EMPTY] - v.Ptilde[:T1, :, 0],
+            g.K_empty - g.K_received[:, :, 0],
+        )
+        worst = max(float(np.max(np.abs(gap))) for gap in gaps)
+        yield "kappa1-collapse", worst <= 1e-12, f"max table gap {worst:.3e}"
+
+    cen = control.centralized_solve(spec)
+    if spec.channel.p1 == 1.0:
+        ref = bundle
+    else:
+        ref = solver.solve_backward(dataclasses.replace(spec, channel=model.channel_spec(1.0)))
+    worst = float(np.max(np.abs(cen.P[:T1] - ref.values.P[:T1, :, :solver.EMPTY])))
+    yield "centralized-match", worst <= 1e-10, f"max |P - P_centralized| {worst:.3e} (at p1=1)"
+
+    opt = control.make_policy("optimal", spec, bundle)
+    cost = exact_expected_cost(spec, opt)
+    rel = abs(cost - bundle.j_star) / max(1.0, abs(bundle.j_star))
+    yield "oracle-analytic-identity", rel <= 1e-8, (
+        f"exact {cost:.9g} vs analytic {bundle.j_star:.9g} (rel {rel:.3e})"
+    )
+
+    report = sim.monte_carlo(spec, opt, runs, seed)
+    mc_ref = bundle.j_star
+    if spec.stoch.family == "zero":
+        # The runs draw no noise, so their mean estimates the exact cost of
+        # the same gains with every covariance zeroed, not j_star.
+        st = spec.stoch
+        quiet = dataclasses.replace(st, **{
+            name: np.zeros_like(getattr(st, name)) for name in ("covW0", "covW1", "cov_x0", "cov_x1")
+        })
+        mc_ref = exact_expected_cost(dataclasses.replace(spec, stoch=quiet), opt)
+    gap = abs(report.mean_cost - mc_ref)
+    bound = 3.0 * report.std_err if report.std_err > 0 else 1e-9
+    yield "mc-consistency", gap <= bound, (
+        f"|{report.mean_cost:.6g} - {mc_ref:.6g}| = {gap:.3e} vs 3*SE {bound:.3e}"
+    )
+
+    runs = min(runs, 2000)
+    errs = np.concatenate([b.x1 - b.x_hat1 for b in sim.rollouts(spec, opt, seed + 1, range(runs))])
+    mean_err = errs.mean(axis=0)
+    se = errs.std(axis=0, ddof=1) / np.sqrt(runs) + 1e-12
+    # One two-sided 3-SE test has level 2(1 - Phi(3)); split it over the
+    # k innovation means (Bonferroni) so the check as a whole keeps it.
+    k = mean_err.size
+    normal = statistics.NormalDist()
+    z = normal.inv_cdf(1.0 - (1.0 - normal.cdf(3.0)) / k)
+    ok = bool(np.all(np.abs(mean_err) <= z * se + 1e-9))
+    yield "estimator-unbiasedness", ok, (
+        f"max |mean innovation|/SE = {float(np.max(np.abs(mean_err) / se)):.2f} "
+        f"vs {z:.2f} (Bonferroni over {k} means)"
+    )

@@ -957,6 +957,24 @@ class TestEvaluateExact:
         assert report["sequence_probability_mass"] == pytest.approx(1.0, abs=1e-12)
 
 
+def _set_stage_min_eig(spec, bundle, x):
+    bundle.stage_min_eig[0, 1] = -x
+
+
+def _shift_empty_slot_P(spec, bundle, x):
+    bundle.values.P[0, 0, solver.EMPTY, 0, 0] += x
+
+
+def _shift_K_empty(spec, bundle, x):
+    bundle.gains.K_empty[0, 0, 0, 0] += x
+
+
+def _shift_perfect_channel_P(spec, bundle, x):
+    # Only the p1 = 1 re-solve that centralized-match compares with.
+    if spec.channel.p1 == 1.0:
+        bundle.values.P[0, 0, 0, 0, 0] += x
+
+
 class TestValidate:
     def test_all_checks_pass(self, s2_path, capsys):
         rc = cli.main(["validate", "--config", s2_path, "--runs", "3000"])
@@ -1080,10 +1098,45 @@ class TestValidate:
         assert "PASS  mc-consistency: " in capsys.readouterr().out
         assert rc == 0
 
+    @pytest.mark.parametrize("factor, ok", [(1.1, False), (0.9, True)])
+    @pytest.mark.parametrize("check, bound, shift", [
+        pytest.param("psd-tables", 1e-9, _set_stage_min_eig, id="stage_min_eig"),
+        pytest.param("kappa1-collapse", 1e-12, _shift_empty_slot_P, id="P-empty-slot"),
+        pytest.param("kappa1-collapse", 1e-12, _shift_K_empty, id="K_empty"),
+        pytest.param("centralized-match", 1e-10, _shift_perfect_channel_P, id="p1-1-resolve-P"),
+    ])
+    def test_structural_check_bounds(self, s2_path, monkeypatch, capsys, check, bound, shift, factor, ok):
+        # S2 (kappa1 = 1, p1 = 0.5) solves with every structural gap exactly
+        # 0; one solved entry is moved `factor` times the check's bound.
+        real = solver.solve_backward
+
+        def shifted(spec):
+            bundle = real(spec)
+            shift(spec, bundle, factor * bound)
+            return bundle
+
+        monkeypatch.setattr(solver, "solve_backward", shifted)
+        rc = cli.main(["validate", "--config", s2_path, "--runs", "2000"])
+        out = capsys.readouterr().out
+        assert rc == (0 if ok else 1)
+        assert f"{'PASS' if ok else 'FAIL'}  {check}: " in out
+        assert out.count("FAIL") == (0 if ok else 1)
+
+    @pytest.mark.parametrize("config", ["s2", "exact_enum_config"])
+    def test_prints_the_certify_battery(self, s2_path, capsys, config):
+        path = s2_path if config == "s2" else str(DATA / "exact_enum_config.json")
+        rc = cli.main(["validate", "--config", path, "--runs", "2000", "--seed", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        checks = list(oracle.certify(model.load_problem(path), 2000, 3))
+        assert lines[:-1] == [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
+        assert json.loads(lines[-1])["checks"] == [
+            {"check": name, "ok": ok, "detail": detail} for name, ok, detail in checks
+        ]
+        assert rc == 0
+
     def test_psd_tables_reports_the_solved_margin(self, s2_path):
         spec = model.load_problem(s2_path)
-        args = cli.build_parser().parse_args(["validate", "--config", s2_path])
-        checks = {name: (ok, detail) for name, ok, detail in itertools.islice(cli._validate_checks(spec, args), 2)}
+        checks = {name: (ok, detail) for name, ok, detail in itertools.islice(oracle.certify(spec, 20000, 0), 2)}
         margin = solver.solve_backward(spec).stage_min_eig.min()
         assert margin == 1.0
         assert checks["psd-tables"] == (True, "min eigenvalue 1.000e+00 over t=0..1; the t=2 tables are zero")

@@ -413,7 +413,11 @@ class TestStationarity:
     def test_report_fields(self, s2_spec):
         bundle = solver.solve_backward(s2_spec)
         policy = control.make_policy("optimal", s2_spec, bundle)
-        out = oracle.oracle_report(s2_spec, policy, j_star=bundle.j_star)
+        out = oracle.oracle_report(s2_spec, policy, bundle)
         assert out["policy"] == "optimal"
         assert out["rel_diff"] < 1e-10
         assert out["sequence_probability_mass"] == pytest.approx(1.0)
+        assert list(out["stationarity"]) == ["max_abs_gradient", "worst_entry", "max_cost_decrease", "ok"]
+        assert out["stationarity"]["ok"] is True
+        zero = oracle.oracle_report(s2_spec, control.make_policy("zero", s2_spec, bundle), bundle)
+        assert "stationarity" not in zero

@@ -16,7 +16,10 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ncslqr
 from ncslqr import cli, control, model, sim, solver
@@ -43,6 +46,42 @@ def test_wrapped_functions_resolve():
     for mod_name, attr, _span in entries:
         mod = importlib.import_module(f"ncslqr.{mod_name}")
         assert callable(getattr(mod, attr, None)), f"ncslqr.{mod_name}.{attr}"
+
+
+VALIDATE_CALLS = {
+    "cli.validate": 1, "model.load_problem": 1, "solver.solve_backward": 2,
+    "control.centralized_solve": 1, "oracle.exact_expected_cost": 1, "sim.monte_carlo": 1,
+}
+
+
+@pytest.mark.parametrize("config, argv, calls", [
+    pytest.param("s2", ["validate", "--runs", "200"], VALIDATE_CALLS, id="s2-validate"),
+    pytest.param("exact_enum", ["validate", "--runs", "200"], VALIDATE_CALLS, id="exact_enum-validate"),
+    pytest.param("s2", ["evaluate-exact"], {
+        "cli.evaluate_exact": 1, "model.load_problem": 1, "solver.solve_backward": 1,
+        "oracle.exact_expected_cost": 21, "oracle.stationarity_check": 1,
+    }, id="s2-evaluate_exact"),
+])
+def test_traced_command_keeps_its_layers(tmp_path, config, argv, calls):
+    # Each call of a wrapped function records one span only when it is made
+    # through the attribute launch.py replaced; a name bound by `from ...
+    # import` would hide the calls from the benchmark's spans. matkit's
+    # counts follow the solver's block count, so they are left out.
+    if config == "s2":
+        path = tmp_path / "s2.json"
+        path.write_text(json.dumps(s2_config()))
+    else:
+        path = ROOT / "tests" / "data" / "exact_enum_config.json"
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, str(LAUNCH), "--trace", str(spans), "--label", argv[0].replace("-", "_"), "--", *argv, "--config", str(path)],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True, timeout=120,
+    )
+    trace = json.loads(spans.read_text())
+    counted = Counter(trace["names"][i] for i in trace["name"])
+    assert trace["exit_code"] == 0
+    assert {name: n for name, n in counted.items() if not name.startswith("matkit.")} == calls
 
 
 def test_monte_carlo_takes_positional_arguments():
