@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularBlockError
 from .model import assemble_system  # noqa: F401  (perfbench/launch.py wraps control.assemble_system)
-from .solver import EMPTY, GainTables, gain_shapes, value_shapes
+from .solver import EMPTY, GainTables, empty_rows, gain_shapes, value_shapes
 
 
 @dataclass
@@ -131,11 +131,7 @@ class LinearCommonPolicy:
         self._x1, self._xh = slice(d.d_x0, d.d_x), slice(d.d_x, n)
         self._sel_x = np.eye(n)[:d.d_x]
         self._sel_common = np.delete(np.eye(n), self._x1, axis=0)
-        # Rows of K_empty[t, m0] that give vec(u0, qbar(m1)), for each m1.
-        self._common = np.concatenate([
-            np.broadcast_to(np.arange(d.d_u0), (m.kappa1, d.d_u0)),
-            d.d_u0 + np.arange(m.kappa1 * d.d_u1).reshape(m.kappa1, d.d_u1),
-        ], axis=1)
+        self._common = empty_rows(spec)
         # xhat_{t+1} = D1 @ vec(state, u): through the realized pair after a
         # success; otherwise averaged over the local mode, xhat standing in for x1.
         self._D1 = spec.D[:, :, d.d_x0:, :]

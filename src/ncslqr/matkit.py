@@ -1,11 +1,11 @@
 """Small dense-matrix utilities the backward recursions are written in.
 
-Everything here is a pure function on numpy arrays: Schur complements,
-mode-selector matrices, and definiteness checks with scale-free
-tolerances. Matrix arguments may be stacks of shape (..., n, n). A check
-on a stack reports the first failing matrix in C order; its `name` may be
-a function of that matrix's index. A matrix that overflows in `sym` has
-NaN eigenvalues and fails every check, unwarned.
+Everything here is a pure function on numpy arrays: Schur complements
+and definiteness checks with scale-free tolerances. Matrix arguments may
+be stacks of shape (..., n, n). A check on a stack reports the first
+failing matrix in C order; its `name` may be a function of that matrix's
+index. A matrix that overflows in `sym` has NaN eigenvalues and fails
+every check, unwarned.
 """
 
 import numpy as np
@@ -144,19 +144,3 @@ def solve_pd(G22, rhs, bound, exact_scale):
         )
     return np.linalg.solve(sym(G22), rhs)
 
-
-def build_L(dims, kappa1, m1):
-    """Selector picking vec(x, u0, qbar(m1)) out of vec(x, u0, qbar(1..kappa1)).
-
-    `m1` is a 0-based local-mode index. Rows are orthonormal: L @ L.T = I.
-    """
-    if not 0 <= m1 < kappa1:
-        raise IndexError(f"local mode {m1} out of range for kappa1={kappa1}")
-    rows = dims.d_x + dims.d_u0 + dims.d_u1
-    cols = dims.d_x + dims.d_u0 + kappa1 * dims.d_u1
-    L = np.zeros((rows, cols))
-    head = dims.d_x + dims.d_u0
-    L[:head, :head] = np.eye(head)
-    start = head + m1 * dims.d_u1
-    L[head:, start:start + dims.d_u1] = np.eye(dims.d_u1)
-    return L

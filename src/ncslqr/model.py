@@ -99,7 +99,8 @@ def channel_spec(p1):
 @dataclass(frozen=True)
 class CostSpec:
     """Stage cost weights, shape (T+1, kappa0, kappa1, n, n): read-only
-    views, in which a time-invariant weight is held once."""
+    views, in which a time-invariant weight is held once. A variant weight
+    is a new array, such as a copy."""
 
     Q: np.ndarray
     R: np.ndarray

@@ -4,7 +4,9 @@ The generator of Salmon, Moraes, Dror & Shaw ("Parallel random numbers: as
 easy as 1, 2, 3", SC'11), the same one numpy's `np.random.Philox` runs.
 A seed's key is numpy's `SeedSequence(seed).generate_state(2, np.uint64)`,
 hashed here in plain Python, so no caller needs `numpy.random`, nor the
-`secrets` and `hashlib` imports it brings with it.
+`secrets` and `hashlib` imports it brings with it, which load OpenSSL's
+libcrypto. Under numpy 1.x `import numpy` loads `numpy.random` itself, so
+nothing is saved there; the draws are the same either way.
 """
 
 import numpy as np

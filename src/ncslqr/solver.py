@@ -71,7 +71,7 @@ def cost_blocks(spec, L, t):
     """Step t's cost blocks from Q[t] and R[t]: C = blockdiag(Q, R) (k0, k1,
     n, n), its local block C11 = blockdiag(Q11, R11) (k0, k1, n1, n1) and
     the empty branch's Cempty = sum_m1 pi(m1) L' C L (k0, ne, ne), for the
-    selectors L[m1] of matkit.build_L."""
+    selectors L[m1] of vec(x, u0, qbar(m1)) (solve_backward)."""
     d, pi1 = spec.dims, spec.modes.pi_m1
     Q, R = spec.cost.Q[t], spec.cost.R[t]
     C = np.zeros(Q.shape[:2] + (d.d_x + d.d_u,) * 2)
@@ -106,6 +106,16 @@ class GainTables:
         return (self.K_empty.shape, self.K_received.shape, self.Ktilde.shape)
 
 
+def empty_rows(spec):
+    """(kappa1, d_u) index: row m1 holds the rows of K_empty[t, m0], and of
+    vec(u0, qbar(1..kappa1)), that give vec(u0, u1) for local mode m1."""
+    d, k1 = spec.dims, spec.modes.kappa1
+    return np.concatenate([
+        np.broadcast_to(np.arange(d.d_u0), (k1, d.d_u0)),
+        d.d_u0 + np.arange(k1 * d.d_u1).reshape(k1, d.d_u1),
+    ], axis=1)
+
+
 def gain_shapes(spec):
     """Shapes of (K_empty, K_received, Ktilde) for a problem."""
     d, m, steps = spec.dims, spec.modes, spec.T + 1
@@ -135,10 +145,6 @@ class SolutionBundle:
     # (T+1, 2): min eig of P[t] and of Ptilde[t] over (m0, ztilde), kept
     # from solve_backward's PSD check. Not serialised; None when loaded.
     stage_min_eig: np.ndarray | None = None
-
-
-def _ztilde_name(zt, kappa1):
-    return "empty" if zt == kappa1 else f"m{zt + 1}"
 
 
 def _schur(H, n_top, name, where):
@@ -171,7 +177,9 @@ def solve_backward(spec):
     T, k1 = spec.T, m.kappa1
     pi1 = m.pi_m1[:, None, None]
     D = spec.D  # (k0, k1, d_x, d_x + d_u): [A B]
-    L = np.array([matkit.build_L(d, k1, m1) for m1 in range(k1)])  # (k1, d_x + d_u, ne)
+    # L[m1] picks vec(x, u0, qbar(m1)) out of vec(x, u0, qbar(1..kappa1)).
+    cols = np.concatenate([np.broadcast_to(np.arange(d.d_x), (k1, d.d_x)), d.d_x + empty_rows(spec)], axis=1)
+    L = np.eye(d.d_x + d.d_u0 + k1 * d.d_u1)[cols]  # (k1, d_x + d_u, ne)
     D11 = np.concatenate([D[:, :, d.d_x0:, d.d_x0:d.d_x], D[:, :, d.d_x0:, d.d_x + d.d_u0:]], axis=-1)  # [A11 B11]
     Daug = D @ L  # (k0, k1, d_x, ne)
     Dempty = (Daug * pi1).sum(axis=1)  # (k0, d_x, ne): sum_m1 pi(m1) Daug
@@ -219,7 +227,7 @@ def solve_backward(spec):
         for j, (name, table) in enumerate((("P", P[t]), ("Ptilde", Ptilde[t]))):
             stage_min_eig[t, j] = matkit.checked_psd(
                 table, PSD_SLACK,
-                lambda m0, zt: f"{name} at t={t}, m0={m0 + 1}, ztilde={_ztilde_name(zt, k1)}",
+                lambda m0, zt: f"{name} at t={t}, m0={m0 + 1}, ztilde={'empty' if zt == k1 else f'm{zt + 1}'}",
             )[1].min()
 
         e[t] = (
@@ -268,7 +276,8 @@ def analytic_cost(spec, values):
 # A bundle file is one JSON object: "format", "j_star", "e", "solve_metadata"
 # and, per table, {"shape": [...], "data": base64 of its little-endian float64
 # bytes}. P and Ptilde are stacks of symmetric matrices, so their data holds
-# only each matrix's upper triangle, in np.triu_indices(n) order.
+# only each matrix's upper triangle, in np.triu_indices(n) order. A bundle is
+# a cache of the solve: a file of an earlier format is refused, not read.
 FORMAT = "ncslqr-bundle 3"
 _TABLES = ("P", "Ptilde", "K_empty", "K_received", "Ktilde")
 _PACKED = ("P", "Ptilde")
@@ -310,9 +319,11 @@ def _encode(table, name):
 
 
 def _decode(entry, name):
-    """The read-only table of a file entry (_encode). The shape and the data
-    are checked, and the data's length must be the shape's, before anything
-    the shape sizes is allocated."""
+    """The read-only table of a file entry (_encode). The shape must be a
+    list of non-negative integers (no booleans), square in its last two axes
+    for P and Ptilde, and the data strict base64 of exactly the bytes the
+    shape names; both are checked before anything the shape sizes is
+    allocated."""
     shape, data = entry["shape"], entry.pop("data")  # popped, so that the text is freed once decoded
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"solution table {name} has shape {shape!r}, expected a list of non-negative integers")

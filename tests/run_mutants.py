@@ -11,7 +11,9 @@ mutant is killed when pytest reports a failing test (exit code 1). The
 unmutated copy runs the full Tier-1 first and must pass, so that a kill is
 the mutant's doing. The test that checks each snippet against the checkout
 is deselected, since every mutant removes its own snippet. The checkout
-itself is never modified. Exits 1 unless every mutant is killed.
+itself is never modified. SIGTERM exits the script as SystemExit does, so
+the copy is removed and the running pytest is killed. Exits 1 unless every
+mutant is killed.
 
     python3 tests/run_mutants.py
 """
@@ -19,6 +21,7 @@ itself is never modified. Exits 1 unless every mutant is killed.
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -69,7 +72,15 @@ def run(mutant=None):
         return pytest(root, ["--deselect", SELF_TEST]), stale
 
 
+def exit_on_sigterm():
+    """Make SIGTERM raise SystemExit, so that the `with` blocks unwind:
+    TemporaryDirectory removes the checkout copy, and subprocess.run kills
+    its pytest child."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def main():
+    exit_on_sigterm()
     code, _ = run()
     if code != 0:
         print(f"the unmutated copy fails Tier-1 (pytest exit {code}); no mutant was run")

@@ -1,7 +1,12 @@
 """End-to-end acceptance battery.
 
 Each test covers one release criterion and prints a single PASS/FAIL line
-(visible with -s or in captured output) in addition to its assertions.
+(visible with -s or in captured output) in addition to its assertions:
+value identity against the exact oracle (c01), Monte Carlo consistency at
+1e5 runs (c02), PSD propagation (c03), stationarity of every gain entry
+(c04), the perfect-channel centralized reduction (c05), single-local-mode
+collapse (c06), pinned hand-instance tables (c07), estimator exactness and
+unbiasedness (c08), policy dominance (c09) and bytewise determinism (c10).
 Criteria are exercised on a deterministic battery of randomized instances
 (block dims <= 2, two modes per plant at most, T <= 3, channel success rate
 in {0, 0.3, 0.7, 1}) plus the pinned scalar hand instance.

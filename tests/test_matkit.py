@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ncslqr import matkit
 from ncslqr.errors import DefinitenessError, SingularBlockError
-from ncslqr.model import Dims
 
 
 def _near_guard(rng, n, n_top, rank_one):
@@ -116,30 +115,6 @@ class TestSchurComplement:
         G = A @ A.T + 1e-3 * np.eye(n)
         sc, _ = matkit.schur_complement(G, rng.integers(1, n))
         assert matkit.min_eig(sc) >= -1e-9
-
-
-class TestSelectors:
-    dims = Dims(d_x0=1, d_x1=1, d_u0=1, d_u1=1)
-
-    def test_single_mode_is_identity(self):
-        L = matkit.build_L(self.dims, 1, 0)
-        assert L == pytest.approx(np.eye(4))
-
-    def test_picks_requested_block(self):
-        L = matkit.build_L(self.dims, 2, 1)
-        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # (x, u0, qbar(1), qbar(2))
-        assert L @ v == pytest.approx(np.array([1.0, 2.0, 3.0, 5.0]))
-
-    @pytest.mark.parametrize("kappa1,m1", [(1, 0), (2, 0), (2, 1), (3, 2)])
-    def test_row_orthonormal(self, kappa1, m1):
-        L = matkit.build_L(self.dims, kappa1, m1)
-        assert L @ L.T == pytest.approx(np.eye(L.shape[0]))
-        assert set(np.unique(L)) <= {0.0, 1.0}
-        assert np.count_nonzero(L, axis=1) == pytest.approx(np.ones(L.shape[0]))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            matkit.build_L(self.dims, 2, 2)
 
 
 class TestDefiniteness:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ncslqr
-from ncslqr import matkit, model, solver
+from ncslqr import model, solver
 from ncslqr.errors import DefinitenessError, NonFiniteError, ParseError, SingularBlockError
 from ncslqr.matkit import sym
 from conftest import (
@@ -178,14 +178,22 @@ class TestStructure:
 
         assert working_peak(240) <= 1.25 * working_peak(60)
 
+    def test_empty_rows_give_each_local_mode_its_action(self):
+        # vec(u0, qbar(1..kappa1))[empty_rows[m1]] is vec(u0, qbar(m1)).
+        dims = {"d_x0": 1, "d_x1": 1, "d_u0": 1, "d_u1": 2}
+        one = model.load_config(random_config(np.random.default_rng(0), kappa1=1, dims=dims))
+        assert solver.empty_rows(one).tolist() == [[0, 1, 2]]
+        three = model.load_config(random_config(np.random.default_rng(0), kappa1=3, dims=dims))
+        assert solver.empty_rows(three).tolist() == [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+
     def test_gain_residual(self, battery):
         # K solves H_uu K = -H_ux; check by reconstructing H from the tables.
         for spec in battery[:8]:
-            k1 = spec.modes.kappa1
-            L = np.array([matkit.build_L(spec.dims, k1, m1) for m1 in range(k1)])
+            d, k1 = spec.dims, spec.modes.kappa1
+            cols = np.concatenate([np.broadcast_to(np.arange(d.d_x), (k1, d.d_x)), d.d_x + solver.empty_rows(spec)], axis=1)
+            L = np.eye(d.d_x + d.d_u0 + k1 * d.d_u1)[cols]
             C = solver.cost_blocks(spec, L, spec.T)[0]
             bundle = solver.solve_backward(spec)
-            d = spec.dims
             for m0 in range(spec.modes.kappa0):
                 for m1 in range(spec.modes.kappa1):
                     Pn = solver.op_pi(bundle.values.P[spec.T + 1], spec)

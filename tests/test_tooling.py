@@ -2,8 +2,10 @@
 module and attribute name; a refactor that drops or renames one would break
 the traced run without any other test noticing. The README's CLI block must
 name exactly the flags the parser takes, its problem configuration must
-solve to the j_star of its bundle example, and that example must be the
-bundle save_bundle writes for it."""
+solve to the j_star of its bundle example, that example must be the
+bundle save_bundle writes for it, and it quotes no measured figure. Every
+function of the package must run under the CLI, but for a named few, and
+the mutation gate must hold its entries and clean up after itself."""
 
 import argparse
 import ast
@@ -13,17 +15,19 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncslqr
 from ncslqr import cli, control, model, sim, solver
-from conftest import bundle_document, s2_config
+from conftest import bundle_document, divergent_config, random_config, s2_config, zero_weight_mode_config
 from run_mutants import MUTANTS, SELF_TEST
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,6 +200,14 @@ def test_readme_bundle_example_is_what_save_bundle_writes():
     assert shown == written
 
 
+def test_readme_quotes_no_measured_figure():
+    # A time or a size measured on one machine goes stale with the next
+    # change; the benchmark's results hold them.
+    readme = (ROOT / "README.md").read_text()
+    figure = r"(?<![\w.])\d+(?:[.,]\d+)*\s?(?:ms|µs|s|kB|MB|GB)\b"
+    assert re.findall(figure, readme) == []
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # numpy is the only declared runtime dependency.
     allowed = set(sys.stdlib_module_names) | {"numpy", "ncslqr"}
@@ -222,6 +234,23 @@ def test_mutant_snippets_occur_once():
         assert (ROOT / mutant["file"]).read_text().count(mutant["find"]) == 1, mutant
 
 
+def test_terminated_mutation_gate_removes_its_copy(tmp_path):
+    # run_mutants.main installs this handler before it copies the checkout;
+    # a SIGTERM then unwinds the TemporaryDirectory that holds the copy.
+    child = f"""
+import os, signal, sys, tempfile, time
+sys.path.insert(0, {str(ROOT / "tests")!r})
+import run_mutants
+run_mutants.exit_on_sigterm()
+with tempfile.TemporaryDirectory(dir={str(tmp_path)!r}):
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(60)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, timeout=60)
+    assert done.returncode == 128 + signal.SIGTERM, done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mutant_killers_are_tier1_tests():
     # tests/run_mutants.py counts a failure of an entry's killed_by tests as
     # its kill. An id that Tier-1 does not collect would send that entry to
@@ -237,3 +266,111 @@ def test_mutant_killers_are_tier1_tests():
         cwd=ROOT, env=env, capture_output=True, text=True,
     ).stdout.splitlines()
     assert killers <= set(collected), sorted(killers - set(collected))
+
+
+# Functions of src/ncslqr that no CLI command calls, each with its reason.
+NOT_CALLED_BY_THE_CLI = {
+    "model.assemble_system": "documented library entry point",
+    "control.compute_prescription": "perfbench/launch.py wraps it; otherwise only the tests call it",
+    "oracle.build_closed_loop": "perfbench/launch.py wraps it; otherwise only a test calls it",
+    "sim.simulate_run": "perfbench/launch.py wraps it; otherwise only the tests call it",
+}
+
+# Installs the profile before ncslqr.cli is imported, so that functions
+# called at import count; runs cli.main on each argv of argv[1], a JSON
+# list; prints the exit codes and the (file name, first line) of every
+# package function that ran.
+_PROFILED_CLI = """
+import contextlib, io, json, os, sys
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+sys.setprofile(profile)
+from ncslqr import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+package = os.path.dirname(os.path.realpath(cli.__file__))
+ran = sorted({(os.path.basename(c.co_filename), c.co_firstlineno) for c in called
+              if os.path.dirname(os.path.realpath(c.co_filename)) == package})
+print(json.dumps({"package": package, "codes": codes, "ran": ran}))
+"""
+
+
+def _defs(path):
+    """{(first line, qualified name)} of every def in a module: its first
+    line is that of its first decorator, as the code object's is."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.add((first, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_function_runs_under_the_cli(tmp_path):
+    # "No dead helpers": every command, policy and output option, on configs
+    # that reach each branch of the solver and the simulator, and one bad
+    # input per row of cli.ERRORS and per argparse refusal, together run
+    # every def in the package but those NOT_CALLED_BY_THE_CLI names.
+    def config(name, cfg):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    s2 = config("s2", s2_config())
+    lossy = config("lossy", random_config(np.random.default_rng(3), p1=0.5, kappa1=2, T=1, kappa0=2))
+    indefinite = s2_config()
+    indefinite["stoch"]["covW0"] = [[-1.0]]
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("{")
+    bundle = str(tmp_path / "bundle.json")
+    matrix = [
+        (["solve", "--config", lossy, "--out", bundle], 0),
+        (["simulate", "--config", lossy, "--solution", bundle, "--runs", "3", "--out", str(tmp_path / "mc.csv"),
+          "--dump-trajectories", str(tmp_path / "dump")], 0),
+        *((["simulate", "--config", s2, "--policy", kind, "--runs", "2"], 0) for kind in ("zero", "ce", "centralized")),
+        (["evaluate-exact", "--config", lossy, "--solution", bundle, "--out", str(tmp_path / "exact.json")], 0),
+        *((["evaluate-exact", "--config", s2, "--policy", kind], 0) for kind in ("zero", "ce", "centralized")),
+        (["validate", "--config", s2, "--runs", "2"], 0),
+        (["validate", "--config", config("zero", s2_config(family="zero")), "--runs", "2"], 0),
+        (["validate", "--config", config("p1", s2_config(p1=1.0)), "--runs", "2"], 0),
+        (["sweep", "--config", s2, "--values", "0.5,1.0,0.5", "--runs", "2", "--out", str(tmp_path / "sweep.csv")], 0),
+        (["simulate", "--config", s2, "--solution", str(corrupt)], 2),
+        (["solve", "--config", str(corrupt)], 2),
+        (["solve", "--config", config("singular", zero_weight_mode_config())], 3),
+        (["solve", "--config", config("indefinite", indefinite)], 3),
+        (["simulate", "--config", config("divergent", divergent_config()), "--runs", "200"], 3),
+        (["solve", "--config", s2, "--out", str(tmp_path / "missing" / "bundle.json")], 1),
+        (["simulate", "--config", s2, "--runs", "0"], 2),
+        (["sweep", "--config", s2, "--values", "x"], 2),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = json.loads(subprocess.run(
+        [sys.executable, "-c", _PROFILED_CLI, json.dumps([argv for argv, _ in matrix])],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout)
+    assert result["codes"] == [code for _, code in matrix]
+    ran = {tuple(entry) for entry in result["ran"]}
+    not_run = {
+        f"{path.stem}.{name}"
+        for path in sorted(Path(result["package"]).glob("*.py"))
+        for first, name in _defs(path)
+        if (path.name, first) not in ran
+    }
+    assert not_run == set(NOT_CALLED_BY_THE_CLI)
